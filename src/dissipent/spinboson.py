@@ -29,10 +29,10 @@ magnitudes are reported throughout (the entropy is even in <sigma_x>).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -162,60 +162,71 @@ def _log_residual(point: SpinBosonPoint, t: float) -> float:
     return t - math.log(point.ratio) + adiabatic_exponent(point.bath, lam)
 
 
-def delta_ren(point: SpinBosonPoint, max_iter: int = 10_000) -> float | None:
+def delta_ren(point: SpinBosonPoint) -> float | None:
     """Self-consistent solution of Delta = Delta0 * exp(-X(Delta)).
 
-    Solved in log space by damped fixed-point iteration (damping 0.5) with a
-    bisection fallback, then polished by Newton steps.  Returns None when no
-    root exists in (BRACKET_FLOOR * cutoff, cutoff]; that is a value, not an
-    error (localized Ohmic phase alpha >= 1, or the deep sub-Ohmic scaling
-    regime).  When several roots exist (possible for s < 1) the largest is
-    returned: it is the first fixed point reached when flowing down from the
-    bare cutoff.
+    Solved in log space, t = ln(Delta/cutoff), as a root of h(t) above.
+    h(0) = -ln r > 0 and h''(t) = -alpha (s-1) e^((s-1) t), so h is convex
+    for s < 1, linear for s = 1 and concave for s > 1.  With
+    t_f = ln(BRACKET_FLOOR) this decides existence before any iteration:
+
+    * s < 1: h' = 1 - alpha e^((s-1) t) vanishes at ln(alpha)/(1-s) for
+      alpha < 1 (never for alpha >= 1, where h > 0 on t < 0).  With
+      t_c = max(ln(alpha)/(1-s), t_f), h increases on [t_c, 0], so a root
+      exists iff h(t_c) <= 0; Newton from t = 0 then falls monotonically to
+      the largest root, the first fixed point reached when flowing down
+      from the bare cutoff.
+    * s >= 1: a concave h with h(0) > 0 has a root in (t_f, 0) iff
+      h(t_f) < 0, and then exactly one; h'(t_f) is at least the chord
+      slope, which is positive, and Newton from t_f rises monotonically.
+
+    Returns None exactly when no root lies above BRACKET_FLOOR * cutoff;
+    that is a value, not an error (localized Ohmic phase alpha >= 1, or
+    the deep sub-Ohmic scaling regime).
     """
-    if point.bath.alpha == 0.0:
+    bath = point.bath
+    if bath.alpha == 0.0:
         return point.delta0
 
-    lo, hi = math.log(BRACKET_FLOOR), 0.0
-    logr = math.log(point.ratio)
-
-    # damped fixed-point iteration: t <- t + 0.5 * (map(t) - t)
-    t = logr
-    converged = False
-    for _ in range(max_iter):
-        lam = math.exp(t) * point.bath.cutoff
-        mapped = logr - adiabatic_exponent(point.bath, lam)
-        step = 0.5 * (mapped - t)
-        t += step
-        if not lo < t <= hi + 1e-12:
-            break  # wandered out of the bracket; fall back to scanning
-        if abs(step) < 1e-13:
-            converged = True
-            break
-
-    if not converged or abs(_log_residual(point, min(t, hi))) > 1e-10:
-        # scan for the sign change closest to the cutoff, then bisect
-        ts = np.linspace(hi, lo, 1024)
-        vals = np.array([_log_residual(point, x) for x in ts])
-        idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
-        if idx.size == 0:
+    t_floor = math.log(BRACKET_FLOOR)
+    if bath.s < 1.0:
+        if bath.alpha >= 1.0:
             return None
-        i = idx[0]  # largest-Delta sign change
-        t = brentq(lambda x: _log_residual(point, x), ts[i + 1], ts[i], xtol=1e-15)
+        t_c = max(math.log(bath.alpha) / (1.0 - bath.s), t_floor)
+        if _log_residual(point, t_c) > 0.0:
+            return None
+        t, sign = 0.0, 1.0  # h > 0 above the root: steps go down
+    else:
+        if _log_residual(point, t_floor) >= 0.0:
+            return None
+        t, sign = t_floor, -1.0  # h < 0 below the root: steps go up
 
-    # Newton polish in log space; h'(t) = 1 - alpha * (L/cutoff)^(s-1)
-    for _ in range(6):
-        lam = math.exp(t) * point.bath.cutoff
+    # monotone Newton: h keeps its starting sign and h' > 0 along the way;
+    # either failing means the iterate sits on the root to rounding
+    for _ in range(100):
         h = _log_residual(point, t)
-        dh = 1.0 - point.bath.alpha * (lam / point.bath.cutoff) ** (point.bath.s - 1.0)
-        if dh <= 0.0:
-            break  # near-tangent root: keep the bracketed result
-        t -= h / dh
+        dh = 1.0 - bath.alpha * math.exp((bath.s - 1.0) * t)
+        if not (sign * h > 0.0 and dh > 0.0):
+            break
+        step = h / dh
+        t -= step
+        if abs(step) <= 1e-15 * abs(t):
+            break
     if abs(_log_residual(point, t)) > 1e-9:
         raise NumericalError("delta_ren solver failed to converge")
-    if t <= math.log(BRACKET_FLOOR):
+    if t <= t_floor:
         return None
-    return math.exp(t) * point.bath.cutoff
+    return math.exp(t) * bath.cutoff
+
+
+def _implicit_slope(point: SpinBosonPoint, dr: float) -> float:
+    """d Delta_ren / d Delta0 at a root dr of the self-consistency equation."""
+    denom = 1.0 - point.bath.alpha * (dr / point.bath.cutoff) ** (point.bath.s - 1.0)
+    if denom <= 0:
+        raise NumericalError(
+            "implicit derivative of the self-consistency equation is singular"
+        )
+    return (dr / point.delta0) / denom
 
 
 def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
@@ -228,14 +239,7 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
     None when delta_ren has no solution.
     """
     dr = delta_ren(point)
-    if dr is None:
-        return None
-    denom = 1.0 - point.bath.alpha * (dr / point.bath.cutoff) ** (point.bath.s - 1.0)
-    if denom <= 0:
-        raise NumericalError(
-            "implicit derivative of the self-consistency equation is singular"
-        )
-    return (dr / point.delta0) / denom
+    return None if dr is None else _implicit_slope(point, dr)
 
 
 def delocalized_log_derivative(point: SpinBosonPoint, step: float = 1e-5) -> float:
@@ -342,15 +346,14 @@ def sigma_x(point: SpinBosonPoint) -> float:
     """
     if point.temperature != 0.0:
         raise RegimeError("sigma_x is a zero-temperature observable here")
+    return _max_rule_sigma_x(point, delta_ren(point))
+
+
+def _max_rule_sigma_x(point: SpinBosonPoint, dr: float | None) -> float:
+    """The max rule of sigma_x, given dr = delta_ren(point)."""
     pert = 2.0 * point.ratio
-    deloc = delta_ren_derivative(point)
-    val = pert if deloc is None else max(deloc, pert)
+    val = pert if dr is None else max(_implicit_slope(point, dr), pert)
     return min(1.0, val)
-
-
-def sigma_x_state(point: SpinBosonPoint) -> ReducedSpinState:
-    """Reduced spin state built from the max-rule sigma_x."""
-    return reduced_spin_state(sigma_x(point))
 
 
 def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
@@ -539,6 +542,12 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
     the <sigma_x> deficit integral diverges for s < 1, so no coherent
     oscillations survive in the scaling limit.
     """
+    return _classify(point, lambda: delta_ren(point))
+
+
+def _classify(point: SpinBosonPoint, solve: Callable[[], float | None]) -> Regime:
+    """The rule of subohmic_regime; `solve()` returns delta_ren(point) and
+    is called only where the rule needs it."""
     s = point.bath.s
     if s >= 1:
         raise RegimeError(f"subohmic_regime requires s < 1, got s = {s}")
@@ -547,7 +556,7 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
         return Regime.DELOCALIZED_COHERENT
     r = point.ratio
     if r >= SCALING_TRUST_MIN_RATIO:
-        dr = delta_ren(point)
+        dr = solve()
         if dr is not None and dr >= point.delta0 * r:
             return Regime.DELOCALIZED_COHERENT
     if alpha > s * r:

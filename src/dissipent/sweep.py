@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from .oracles import (
 )
 from .spinboson import (
     SpinBosonPoint,
+    _classify,
+    _max_rule_sigma_x,
     delta_ren,
-    sigma_x,
     spin_entropy,
     subohmic_regime,
 )
@@ -244,13 +245,14 @@ def _sweep_spin_boson(grid, fixed, cols):
         cols[key] = []
     for a in grid:
         point = SpinBosonPoint(delta0=d0, bath=BathSpec(s=s, alpha=a, cutoff=l0), temperature=temp)
+        # one solve per row: sigma_x (at T = 0) and the regime reuse it
         dr = delta_ren(point)
-        sx = sigma_x(replace(point, temperature=0.0))
+        sx = _max_rule_sigma_x(point, dr)
         cols["delta_ren"].append(np.nan if dr is None else dr)
         cols["sigma_x"].append(sx)
         cols["S"].append(spin_entropy(sx))
         if s < 1:
-            cols["regime"].append(subohmic_regime(point).value)
+            cols["regime"].append(_classify(point, lambda: dr).value)
         else:
             cols["regime"].append("")
 

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
 from dissipent import (
     BathSpec,
+    adiabatic_exponent,
     DomainError,
     Regime,
     RegimeError,
@@ -26,6 +30,7 @@ from dissipent import (
     subohmic_regime,
     subohmic_rg_flow,
 )
+from dissipent.spinboson import BRACKET_FLOOR
 
 
 def point(s, alpha, ratio, cutoff=100.0, **kw):
@@ -116,6 +121,144 @@ def test_delta_ren_derivative_implicit():
         dn = SpinBosonPoint(delta0=pt.delta0 - h, bath=pt.bath)
         d_fd = (delta_ren(up) - delta_ren(dn)) / (2.0 * h)
         assert d_an == pytest.approx(d_fd, rel=1e-6)
+
+
+T_FLOOR = math.log(BRACKET_FLOOR)
+
+
+def log_residual(pt, t):
+    """h(t) = t - ln r + X(cutoff e^t); its roots are the fixed points."""
+    return t - math.log(pt.ratio) + adiabatic_exponent(pt.bath, math.exp(t) * pt.bath.cutoff)
+
+
+def min_residual(pt, lo, hi):
+    """Smallest h on [lo, hi] from a dense grid refined by a bounded search
+    around the grid minimum (catches a dip narrower than the grid)."""
+    ts = np.linspace(lo, hi, 2001)
+    hs = [log_residual(pt, t) for t in ts]
+    i = int(np.argmin(hs))
+    res = minimize_scalar(
+        lambda t: log_residual(pt, t),
+        bounds=(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return min(hs[i], res.fun)
+
+
+bath_exponents = st.one_of(st.just(1.0), st.floats(0.05, 3.0))
+couplings = st.floats(0.0, 2.0)
+log_ratios = st.floats(-8.0, -1e-3)  # log10 of delta0 / cutoff
+
+
+@given(s=bath_exponents, alpha=couplings, log_ratio=log_ratios)
+def test_delta_ren_root_properties(s, alpha, log_ratio):
+    pt = point(s, alpha, 10.0**log_ratio)
+    dr = delta_ren(pt)
+    lowest = min_residual(pt, T_FLOOR, 0.0)
+    # None exactly when no root lies above the floor (h(0) > 0, so a
+    # negative minimum means a sign change in (t_floor, 0))
+    assume(abs(lowest) > 1e-9)
+    assert (dr is None) == (lowest > 0.0)
+    if dr is not None:
+        t = math.log(dr / pt.bath.cutoff)
+        assert t > T_FLOOR
+        assert abs(log_residual(pt, t)) <= 1e-9
+        # the largest root: no sign change above it
+        above = np.linspace(t, 0.0, 2001)[1:]
+        assert min(log_residual(pt, u) for u in above) > -1e-12
+
+
+@given(alpha=st.floats(0.0, 0.9), log_ratio=log_ratios)
+def test_delta_ren_ohmic_closed_form(alpha, log_ratio):
+    # alpha <= 0.9: as alpha -> 1 the root's conditioning 1/(1 - alpha)
+    # amplifies the rounding of h past rel 1e-12
+    pt = point(1.0, alpha, 10.0**log_ratio)
+    t = math.log(pt.ratio) / (1.0 - alpha)
+    assume(abs(t - T_FLOOR) > 1e-9)
+    expected = pt.delta0 * pt.ratio ** (alpha / (1.0 - alpha))
+    if t < T_FLOOR:
+        assert delta_ren(pt) is None
+    else:
+        assert delta_ren(pt) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_delta_ren_zero_coupling_is_bare(s):
+    pt = point(s, 0.0, 0.3)
+    assert delta_ren(pt) == pt.delta0
+
+
+@pytest.mark.parametrize("alpha", [0.5 - 1e-12, 0.5, 0.5 + 1e-12])
+def test_delta_ren_ohmic_near_half(alpha):
+    pt = point(1.0, alpha, 0.1)
+    expected = pt.delta0 * 0.1 ** (alpha / (1.0 - alpha))
+    assert delta_ren(pt) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("alpha", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+def test_delta_ren_near_alpha_one(s, alpha):
+    if s == 1.0:
+        # root at t = ln r / (1 - alpha): only a ratio next to 1 keeps it
+        # above the floor just below alpha = 1
+        assert delta_ren(point(s, alpha, 0.01)) is None
+        near = point(s, alpha, 1.0 - 1e-9)
+        if alpha < 1.0:
+            # t = ln r / (1 - alpha) = -1, conditioned by 1 / (1 - alpha) = 1e9
+            expected = near.delta0 * near.ratio ** (alpha / (1.0 - alpha))
+            assert delta_ren(near) == pytest.approx(expected, rel=1e-5)
+        else:
+            assert delta_ren(near) is None
+    elif s < 1.0:
+        # h' = 1 - alpha e^((s-1) t) < 0 below t = 0: h stays above h(0) > 0
+        assert delta_ren(point(s, alpha, 0.9)) is None
+    else:
+        pt = point(s, alpha, 0.01)
+        dr = delta_ren(pt)
+        assert abs(log_residual(pt, math.log(dr / pt.bath.cutoff))) <= 1e-12
+
+
+@pytest.mark.parametrize("ds", [-1e-13, 1e-13])
+def test_delta_ren_next_to_ohmic(ds):
+    pt = point(1.0 + ds, 0.3, 0.01)
+    expected = pt.delta0 * 0.01 ** (0.3 / 0.7)
+    assert delta_ren(pt) == pytest.approx(expected, rel=1e-12)
+    assert delta_ren(point(1.0 + ds, 1.0, 0.01)) is None
+    assert delta_ren(point(1.0 + ds, 1.2, 0.01)) is None
+
+
+@pytest.mark.parametrize("s, alpha", [(0.5, 1e-8), (0.2, 1e-13), (1.0, 0.3), (1.5, 0.5)])
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+def test_delta_ren_at_the_floor(s, alpha, offset):
+    # choose r so that the root sits just above or just below the floor.
+    # For s < 1 that root is the largest only when h is still rising at
+    # the floor, i.e. ln(alpha)/(1-s) lies below it and the bracket is
+    # clamped there: alpha < BRACKET_FLOOR^(1-s)
+    t_root = T_FLOOR + offset
+    bath = BathSpec(s=s, alpha=alpha, cutoff=1.0)
+    ratio = math.exp(t_root + adiabatic_exponent(bath, math.exp(t_root)))
+    pt = SpinBosonPoint(delta0=ratio, bath=bath)
+    dr = delta_ren(pt)
+    if offset > 0:
+        assert dr == pytest.approx(math.exp(t_root), rel=1e-12)
+    else:
+        assert dr is None
+
+
+def test_delta_ren_near_tangent_root():
+    # s = 0.5: h has its minimum at t_c = 2 ln(alpha) with
+    # h(t_c) = 2 ln(alpha) + 2 - 2 alpha - ln r; this ratio puts the minimum
+    # at -1e-5, so two roots sit 1.3e-2 apart in t around t_c.  A 1024-point
+    # scan in t (spacing 0.034) can see no sign change and miss both.
+    alpha, eps = 0.1, 1e-5
+    ratio = math.exp(2.0 * math.log(alpha) + 2.0 - 2.0 * alpha + eps)
+    pt = SpinBosonPoint(delta0=ratio, bath=BathSpec(s=0.5, alpha=alpha, cutoff=1.0))
+    dr = delta_ren(pt)
+    assert dr == pytest.approx(0.01006348, rel=1e-6)
+    t = math.log(dr)
+    assert t > 2.0 * math.log(alpha)  # the larger of the two roots
+    assert abs(log_residual(pt, t)) <= 1e-12
 
 
 # ------------------------------------------------------------------ Ohmic energy
