@@ -165,20 +165,13 @@ def _log_residual(point: SpinBosonPoint, t: float) -> float:
 def delta_ren(point: SpinBosonPoint) -> float | None:
     """Self-consistent solution of Delta = Delta0 * exp(-X(Delta)).
 
-    Solved in log space, t = ln(Delta/cutoff), as a root of h(t) above.
-    h(0) = -ln r > 0 and h''(t) = -alpha (s-1) e^((s-1) t), so h is convex
-    for s < 1, linear for s = 1 and concave for s > 1.  With
-    t_f = ln(BRACKET_FLOOR) this decides existence before any iteration:
-
-    * s < 1: h' = 1 - alpha e^((s-1) t) vanishes at ln(alpha)/(1-s) for
-      alpha < 1 (never for alpha >= 1, where h > 0 on t < 0).  With
-      t_c = max(ln(alpha)/(1-s), t_f), h increases on [t_c, 0], so a root
-      exists iff h(t_c) <= 0; Newton from t = 0 then falls monotonically to
-      the largest root, the first fixed point reached when flowing down
-      from the bare cutoff.
-    * s >= 1: a concave h with h(0) > 0 has a root in (t_f, 0) iff
-      h(t_f) < 0, and then exactly one; h'(t_f) is at least the chord
-      slope, which is positive, and Newton from t_f rises monotonically.
+    Solved for t = ln(Delta/cutoff) as a root of h above.  h(0) = -ln r > 0
+    and h'' = -alpha (s-1) e^((s-1) t), so h is convex for s < 1: a root
+    above t_f = ln(BRACKET_FLOOR) exists iff h <= 0 at its minimum
+    ln(alpha)/(1-s) clamped to [t_f, 0], and Newton from t = 0 falls
+    monotonically to the largest root, the first fixed point met flowing
+    down from the cutoff.  For s >= 1, h is concave: a root exists iff
+    h(t_f) < 0, it is unique, and Newton from t_f rises monotonically to it.
 
     Returns None exactly when no root lies above BRACKET_FLOOR * cutoff;
     that is a value, not an error (localized Ohmic phase alpha >= 1, or
@@ -190,16 +183,13 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
 
     t_floor = math.log(BRACKET_FLOOR)
     if bath.s < 1.0:
-        if bath.alpha >= 1.0:
-            return None
-        t_c = max(math.log(bath.alpha) / (1.0 - bath.s), t_floor)
-        if _log_residual(point, t_c) > 0.0:
-            return None
+        lowest = min(max(math.log(bath.alpha) / (1.0 - bath.s), t_floor), 0.0)
         t, sign = 0.0, 1.0  # h > 0 above the root: steps go down
     else:
-        if _log_residual(point, t_floor) >= 0.0:
-            return None
-        t, sign = t_floor, -1.0  # h < 0 below the root: steps go up
+        lowest = t = t_floor
+        sign = -1.0  # h < 0 below the root: steps go up
+    if _log_residual(point, lowest) > 0.0:
+        return None
 
     # monotone Newton: h keeps its starting sign and h' > 0 along the way;
     # either failing means the iterate sits on the root to rounding

@@ -49,7 +49,7 @@ SWEEPS = {
     "spinboson-s0.5-ratio0.2": _fig1(delta0=20.0, lambda0=100.0, s=0.5),
     "spinboson-s1.5": _fig1(s=1.5),
 }
-MAPS = {"subohmic-map": "subohmic-map"}
+MAPS = ("subohmic-map",)  # regime-map presets
 
 
 def _cell(x) -> str:
@@ -118,10 +118,10 @@ def test_sweep_matches_golden(name):
     assert compare_sweeps(want, got) == []
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("name", MAPS)
 def test_regime_map_matches_golden(name):
     want = (GOLDEN / f"{name}.csv").read_text()
-    assert regime_map_to_csv(preset_regime_map(MAPS[name])) == want
+    assert regime_map_to_csv(preset_regime_map(name)) == want
 
 
 def test_compare_sweeps_flags_each_rule():
@@ -142,8 +142,8 @@ def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, cfg in SWEEPS.items():
         (GOLDEN / f"{name}.csv").write_text(sweep_text(run_sweep(cfg)))
-    for name, preset in MAPS.items():
-        (GOLDEN / f"{name}.csv").write_text(regime_map_to_csv(preset_regime_map(preset)))
+    for name in MAPS:
+        (GOLDEN / f"{name}.csv").write_text(regime_map_to_csv(preset_regime_map(name)))
 
 
 if __name__ == "__main__":
