@@ -1,13 +1,21 @@
-"""Golden outputs of the spin-boson sweeps and the sub-Ohmic regime map.
+"""Golden outputs of the sweeps, the sub-Ohmic regime map and the oracles.
 
-The files under tests/golden/ hold every sweep cell at full precision
-(Python repr) and the regime map as its CSV text.  Comparison rules:
+The files under tests/golden/ hold every sweep cell and every oracle_run
+cell at full precision (Python repr) and the regime map as its CSV text.
+Comparison rules for sweeps:
 
 * string cells, NaN positions and the alpha grid match exactly;
-* delta_ren, sigma_x and S match at relative 1e-11;
+* delta_ren, sigma_x and S match at relative 1e-11; the oscillator
+  columns kappa, q2, p2 and nu at relative 1e-10;
 * the finite-difference columns dS_dalpha and d2S_dalpha2 match within
   1e-12 * max|S| / h**k (k = 1, 2; h the grid spacing), because the
   stencils amplify last-digit noise in S by 1/h**k.
+
+For oracle_run outputs the observable names match exactly and the
+analytic and oracle values at relative 1e-10.  abs_dev and rel_dev are
+differences of those two, so they are held to the error the two values
+may carry: abs_dev within 1e-10 * (|analytic| + |oracle|), rel_dev within
+twice that over |analytic|.
 
 Regenerate, only when a change to these numbers is intended, with
 
@@ -25,6 +33,7 @@ import pytest
 
 from dissipent.sweep import (
     SweepTable,
+    oracle_run,
     preset_config,
     preset_regime_map,
     regime_map_to_csv,
@@ -33,9 +42,15 @@ from dissipent.sweep import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-REL_COLUMNS = {"delta_ren": 1e-11, "sigma_x": 1e-11, "S": 1e-11}
+REL_COLUMNS = {
+    "delta_ren": 1e-11,
+    "sigma_x": 1e-11,
+    "S": 1e-11,
+    **dict.fromkeys(("kappa", "q2", "p2", "nu"), 1e-10),
+}
 STENCIL_ORDER = {"dS_dalpha": 1, "d2S_dalpha2": 2}
 STENCIL_TOL = 1e-12
+ORACLE_REL = 1e-10
 
 
 def _fig1(**fixed):
@@ -48,8 +63,20 @@ SWEEPS = {
     "fig1-spinboson": _fig1(),
     "spinboson-s0.5-ratio0.2": _fig1(delta0=20.0, lambda0=100.0, s=0.5),
     "spinboson-s1.5": _fig1(s=1.5),
+    "fig1-oscillator": preset_config("fig1-oscillator"),
 }
 MAPS = ("subohmic-map",)  # regime-map presets
+
+# name -> oracle_run arguments; an under- and an overdamped friction
+# (kappa = 0.4 and 1.5 at omega0 = 1), each on both discretisation schemes
+ORACLES = {
+    f"oracle-oscillator-eta{eta:g}-{tag}": (
+        "oscillator", {"eta": eta}, {"n_modes": n, "scheme": scheme}
+    )
+    for eta in (0.8, 3.0)
+    for tag, n, scheme in (("log400", 400, "logarithmic"), ("lin2000", 2000, "linear"))
+}
+ORACLES["oracle-free-particle-eta1"] = ("free-particle", {"eta": 1.0}, None)
 
 
 def _cell(x) -> str:
@@ -62,6 +89,11 @@ def sweep_text(table: SweepTable) -> str:
     for i in range(len(table.columns["alpha"])):
         lines.append(",".join(_cell(table.columns[c][i]) for c in names))
     return "\n".join(lines) + "\n"
+
+
+def oracle_text(rows: list[dict]) -> str:
+    names = list(rows[0])
+    return "\n".join([",".join(names)] + [",".join(_cell(r[c]) for c in names) for r in rows]) + "\n"
 
 
 def _parse(cell: str):
@@ -111,6 +143,26 @@ def compare_sweeps(want: dict, got: dict) -> list[str]:
     return problems
 
 
+def compare_oracles(want: dict, got: dict) -> list[str]:
+    """Every rule breach as a message; empty when the outputs agree."""
+    if list(want) != list(got) or want["observable"] != got["observable"]:
+        return [f"observables {got.get('observable')} != {want['observable']}"]
+    problems = []
+    for i, name in enumerate(want["observable"]):
+        an, orc = want["analytic"][i], want["oracle"][i]
+        tol = ORACLE_REL * (abs(an) + abs(orc))
+        bounds = {
+            "analytic": ORACLE_REL * abs(an),
+            "oracle": ORACLE_REL * abs(orc),
+            "abs_dev": tol,
+            "rel_dev": 2.0 * tol / abs(an),
+        }
+        for col, bound in bounds.items():
+            if not abs(got[col][i] - want[col][i]) <= bound:
+                problems.append(f"{name} {col}: {got[col][i]!r} != {want[col][i]!r}")
+    return problems
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden(name):
     want = read_sweep((GOLDEN / f"{name}.csv").read_text())
@@ -122,6 +174,25 @@ def test_sweep_matches_golden(name):
 def test_regime_map_matches_golden(name):
     want = (GOLDEN / f"{name}.csv").read_text()
     assert regime_map_to_csv(preset_regime_map(name)) == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_matches_golden(name):
+    want = read_sweep((GOLDEN / f"{name}.csv").read_text())
+    got = read_sweep(oracle_text(oracle_run(*ORACLES[name])))
+    assert compare_oracles(want, got) == []
+
+
+def test_compare_oracles_flags_each_rule():
+    want = read_sweep((GOLDEN / "oracle-oscillator-eta0.8-log400.csv").read_text())
+    assert compare_oracles(want, want) == []
+    for col in ("analytic", "oracle", "abs_dev", "rel_dev"):
+        got = {k: list(v) for k, v in want.items()}
+        got[col][1] = got[col][1] * (1.0 + 1e-9) + 1e-9
+        assert compare_oracles(want, got) == [f"p2 {col}: {got[col][1]!r} != {want[col][1]!r}"]
+    got = {k: list(v) for k, v in want.items()}
+    got["observable"][0] = "x2"
+    assert len(compare_oracles(want, got)) == 1
 
 
 def test_compare_sweeps_flags_each_rule():
@@ -144,6 +215,8 @@ def main() -> None:
         (GOLDEN / f"{name}.csv").write_text(sweep_text(run_sweep(cfg)))
     for name in MAPS:
         (GOLDEN / f"{name}.csv").write_text(regime_map_to_csv(preset_regime_map(name)))
+    for name, args in ORACLES.items():
+        (GOLDEN / f"{name}.csv").write_text(oracle_text(oracle_run(*args)))
 
 
 if __name__ == "__main__":
