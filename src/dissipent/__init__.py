@@ -16,6 +16,7 @@ from .gaussian import (
     alpha_from_kappa,
     free_particle_entropy,
     free_particle_kernel_width,
+    gaussian_entropy,
     kappa_from_alpha,
     kernel_from_moments,
     oscillator_entropy,
@@ -31,7 +32,6 @@ from .oracles import (
     discretize_spin_bath,
     ed_fock_convergence,
     ed_reduced_density,
-    gaussian_entropy,
     kernel_eigenvalue_entropy,
     ring_kernel_entropy,
     ring_kernel_eigenvalues,

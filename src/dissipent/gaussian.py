@@ -29,6 +29,7 @@ __all__ = [
     "oscillator_moments",
     "oscillator_entropy_expansion",
     "oscillator_entropy",
+    "gaussian_entropy",
     "kernel_from_moments",
     "kappa_from_alpha",
     "alpha_from_kappa",
@@ -236,6 +237,24 @@ def oscillator_entropy_expansion(m: MomentPair) -> float:
     return -((et / e) * math.log(et) + (et / (e * e)) * math.log1p(-e))
 
 
+def gaussian_entropy(nu: float) -> float:
+    """Exact von Neumann entropy of a single-mode Gaussian state with
+    symplectic eigenvalue nu >= 1/2:
+
+        S(nu) = (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
+
+    S(1/2) = 0 and S -> ln(nu) + 1 for large nu.
+    """
+    if nu < 0.5 - 1e-12:
+        raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {nu}")
+    up = nu + 0.5
+    dn = max(nu - 0.5, 0.0)
+    s = up * math.log(up)
+    if dn > 0.0:
+        s -= dn * math.log(dn)
+    return s
+
+
 def oscillator_entropy(p: OscillatorParams, method: str = "exact") -> float:
     """Ground-state entanglement entropy of the damped oscillator.
 
@@ -243,8 +262,6 @@ def oscillator_entropy(p: OscillatorParams, method: str = "exact") -> float:
     method="expansion" applies the eps-expansion (RegimeError if nu <= 1).
     Sweeps report both so the approximation gap is visible.
     """
-    from .oracles import gaussian_entropy
-
     m = oscillator_moments(p)
     if method == "exact":
         return gaussian_entropy(m.nu)

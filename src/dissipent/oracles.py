@@ -1,10 +1,18 @@
 """Independent brute-force verifiers for the closed forms.
 
 Nothing in here reuses the analytic entropy/moment expressions it is meant
-to check: the oscillator moments come from diagonalising a discretised
+to check: the oscillator moments come from the resolvent of a discretised
 system+bath quadratic form, the free-particle entropy from an explicit
 eigenvalue sum on a ring, the replica traces from cyclic determinants, and
 the spin observables from exact diagonalisation in a truncated Fock space.
+
+The discretised oscillator's quadratic form K is an arrowhead matrix (a
+diagonal bath block plus one coupling row and column), so the system
+entry of its resolvent is the scalar 1/D(z) of the Schur complement
+D(z) = K00 + z - sum lambda^2/(omega^2 + z).  The two moments are
+integrals of it over [0, inf), O(N) per evaluation, with no N x N matrix.
+D(0) is the Schur complement of the bath block, so K is positive definite
+exactly when D(0) > 0, and D rises with z.
 """
 
 from __future__ import annotations
@@ -13,17 +21,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
-from .gaussian import GaussianKernel, OscillatorParams
+from .gaussian import GaussianKernel, OscillatorParams, gaussian_entropy
 from .spinboson import ReducedSpinState
 
 __all__ = [
     "CovarianceResult",
     "DiscreteBath",
-    "gaussian_entropy",
+    "gaussian_entropy",  # re-exported from gaussian, where the closed form lives
     "discretize_oscillator_bath",
     "discretize_spin_bath",
     "discrete_bath_moments",
@@ -36,24 +45,6 @@ __all__ = [
     "spin_boson_ed",
     "ed_fock_convergence",
 ]
-
-
-def gaussian_entropy(nu: float) -> float:
-    """Exact von Neumann entropy of a single-mode Gaussian state with
-    symplectic eigenvalue nu >= 1/2:
-
-        S(nu) = (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
-
-    S(1/2) = 0 and S -> ln(nu) + 1 for large nu.
-    """
-    if nu < 0.5 - 1e-12:
-        raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {nu}")
-    up = nu + 0.5
-    dn = max(nu - 0.5, 0.0)
-    s = up * math.log(up)
-    if dn > 0.0:
-        s -= dn * math.log(dn)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +140,13 @@ class CovarianceResult:
         return math.sqrt(self.q2 * self.p2)
 
 
+# quad is asked for what it reaches on the whole (omega_c, eta, N) test grid
+# (1e-12 raises IntegrationWarning at omega_c = 1e4); its own error estimate
+# must then stay below _MOMENT_REL_ERR of the value
+_MOMENT_EPSREL = 1e-11
+_MOMENT_REL_ERR = 1e-10
+
+
 def discrete_bath_moments(
     p: OscillatorParams,
     n_modes: int,
@@ -156,27 +154,63 @@ def discrete_bath_moments(
     omega_min: float | None = None,
 ) -> CovarianceResult:
     """Ground-state <q^2>, <p^2> of the oscillator coupled to a discretised
-    Ohmic bath, from the normal modes of the full quadratic form.
+    Ohmic bath, exact for the discrete modes.
 
     The potential is (1/2) x^T K x with the counterterm sum(lambda^2/omega^2)
     on the system diagonal (complete-the-square coupling), so the ground
     state covariances are <x x^T> = K^(-1/2)/2 and <p p^T> = K^(1/2)/2.
-    No dynamics is involved.
+    With K^(-1/2) = (2/pi) int_0^inf (K + t^2)^(-1) dt, K^(1/2) the same
+    integral of K (K + t^2)^(-1), and the system entry of (K + z)^(-1)
+    equal to 1/D(z),
+
+        D(z) = K00 + z - sum lambda^2/(omega^2 + z)
+             = omega0^2 + z + z sum lambda^2/(omega^2 (omega^2 + z)),
+
+        <q^2> = (1/pi) int_0^inf dt / D(t^2),
+        <p^2> = (1/pi) int_0^inf (D(t^2) - t^2) / D(t^2) dt.
+
+    The second form of D has the counterterm cancelled exactly, so neither
+    integrand loses digits at small or large t.  K is positive definite
+    exactly when D(0) > 0; NumericalError if not, or if the quadrature's
+    error estimate exceeds 1e-10 of a moment.  No dynamics is involved.
     """
     db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, p.omega0)
-    w, lam = db.omegas, db.couplings
-    n = n_modes + 1
-    kmat = np.zeros((n, n))
-    kmat[0, 0] = p.omega0**2 + np.sum(lam**2 / w**2)
-    kmat[1:, 1:] = np.diag(w**2)
-    kmat[0, 1:] = kmat[1:, 0] = -lam
-    evals, vecs = eigh(kmat)
-    if evals[0] <= 0:
+    w2 = db.omegas**2
+    c = db.couplings**2 / w2
+    w0 = p.omega0
+
+    def d_pair(u: float) -> tuple[float, float]:
+        """(D(t^2) - t^2, D(t^2)) at t = omega0 * u."""
+        t2 = (w0 * u) ** 2
+        k = w0 * w0 + t2 * float(np.sum(c / (w2 + t2)))
+        return k, k + t2
+
+    if not d_pair(0.0)[1] > 0:
         raise NumericalError("discretised quadratic form is not positive definite")
-    u0 = vecs[0]
-    q2 = 0.5 * float(np.sum(u0**2 / np.sqrt(evals)))
-    p2 = 0.5 * float(np.sum(u0**2 * np.sqrt(evals)))
-    return CovarianceResult(q2=q2, p2=p2)
+
+    def q_integrand(u: float) -> float:
+        return w0 / d_pair(u)[1]
+
+    def p_integrand(u: float) -> float:
+        k, d = d_pair(u)
+        return w0 * k / d
+
+    def moment(f) -> float:
+        # t = omega0 * u, split at u = 1: quad maps [1, inf) onto (0, 1] at
+        # unit scale, which then matches the oscillator's; one piece over
+        # [0, inf) in t hits roundoff at omega_c = 1e4
+        val = err = 0.0
+        for lo, hi in ((0.0, 1.0), (1.0, math.inf)):
+            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=200)
+            val += v
+            err += e
+        if not err <= _MOMENT_REL_ERR * abs(val):
+            raise NumericalError(
+                f"resolvent quadrature error {err:.2e} exceeds {_MOMENT_REL_ERR:g} of {val:.6e}"
+            )
+        return val / math.pi
+
+    return CovarianceResult(q2=moment(q_integrand), p2=moment(p_integrand))
 
 
 # ---------------------------------------------------------------------------

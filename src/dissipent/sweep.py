@@ -24,10 +24,10 @@ from .gaussian import (
     oscillator_moments,
     free_particle_entropy,
     free_particle_kernel_width,
+    gaussian_entropy,
 )
 from .oracles import (
     discrete_bath_moments,
-    gaussian_entropy,
     ring_kernel_entropy,
     ring_kernel_eigenvalues,
 )

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
+from scipy.linalg import eigh
 
 from dissipent import (
     BathSpec,
@@ -122,6 +125,80 @@ def test_discrete_bath_linear_scheme_agrees():
     log_cov = discrete_bath_moments(p, 400, scheme="logarithmic")
     lin_cov = discrete_bath_moments(p, 4000, scheme="linear")
     assert lin_cov.q2 == pytest.approx(log_cov.q2, rel=5e-3)
+
+
+def _arrowhead(p, n_modes, scheme):
+    """The explicit (N+1)x(N+1) potential matrix K of the discretised
+    oscillator: counterterm on the system diagonal, bath frequencies on
+    the rest of the diagonal, couplings -lambda in the first row/column."""
+    db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega0=p.omega0)
+    k = np.diag(np.concatenate([[p.omega0**2 + np.sum(db.couplings**2 / db.omegas**2)], db.omegas**2]))
+    k[0, 1:] = k[1:, 0] = -db.couplings
+    return k
+
+
+@pytest.mark.parametrize("scheme", ["logarithmic", "linear"])
+@pytest.mark.parametrize("eta", [0.0, 0.4, 2.0, 10.0])
+@pytest.mark.parametrize("n_modes", [16, 100, 400])
+def test_discrete_bath_resolvent_matches_dense_eigh(n_modes, eta, scheme):
+    # <x x^T> = K^(-1/2)/2, <p p^T> = K^(1/2)/2 from the eigendecomposition
+    p = OscillatorParams(omega0=1.0, eta=eta, omega_c=100.0)
+    evals, vecs = eigh(_arrowhead(p, n_modes, scheme))
+    u0 = vecs[0] ** 2
+    cov = discrete_bath_moments(p, n_modes, scheme)
+    assert cov.q2 == pytest.approx(0.5 * np.sum(u0 / np.sqrt(evals)), rel=1e-10)
+    assert cov.p2 == pytest.approx(0.5 * np.sum(u0 * np.sqrt(evals)), rel=1e-10)
+
+
+def test_discrete_bath_resolvent_matches_40_digit_eigendecomposition():
+    # at omega_c = 1e4 the counterterm makes K ill-conditioned for a double
+    # eigh (off by ~5e-9 in <q^2>); 40 digits give the exact moments
+    mp = pytest.importorskip("mpmath")
+    p = OscillatorParams(omega0=1.0, eta=2.0, omega_c=1e4)
+    with mp.workdps(40):
+        k = mp.matrix(17, 17)
+        db = discretize_oscillator_bath(p.eta, p.omega_c, 16, omega0=p.omega0)
+        w = [mp.mpf(x) for x in db.omegas]
+        lam = [mp.mpf(x) for x in db.couplings]
+        k[0, 0] = 1 + mp.fsum(lk**2 / wk**2 for lk, wk in zip(lam, w))
+        for j, (wk, lk) in enumerate(zip(w, lam), start=1):
+            k[j, j] = wk**2
+            k[0, j] = k[j, 0] = -lk
+        evals, vecs = mp.eigsy(k)
+        q2 = float(mp.fsum(vecs[0, j] ** 2 / mp.sqrt(evals[j]) for j in range(17)) / 2)
+        p2 = float(mp.fsum(vecs[0, j] ** 2 * mp.sqrt(evals[j]) for j in range(17)) / 2)
+    cov = discrete_bath_moments(p, 16)
+    assert cov.q2 == pytest.approx(q2, rel=1e-11)
+    assert cov.p2 == pytest.approx(p2, rel=1e-11)
+
+
+def test_discrete_bath_grid_raises_no_integration_warning():
+    # every quadrature on the grid meets its tolerance; a warning would be
+    # a moment that is silently less accurate than asked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega_c in (100.0, 1e4):
+            for eta in (0.0, 0.4, 1.0, 2.0, 4.0, 10.0):
+                for scheme in ("logarithmic", "linear"):
+                    for n_modes in (16, 400, 4000):
+                        p = OscillatorParams(omega0=1.0, eta=eta, omega_c=omega_c)
+                        cov = discrete_bath_moments(p, n_modes, scheme)
+                        assert cov.nu >= 0.5
+
+
+def test_discrete_bath_rejects_form_that_is_not_positive_definite():
+    # omega0^2 underflows to 0, so the Schur complement D(0) is not positive
+    p = OscillatorParams(omega0=1e-170, eta=1.0, omega_c=100.0)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        discrete_bath_moments(p, 16, omega_min=1e-3)
+
+
+def test_discrete_bath_reports_unconverged_quadrature():
+    # 8 linear modes up to 1e6 * omega0: the error estimate stays far above
+    # 1e-10 of the moment, which must raise rather than return a value
+    p = OscillatorParams(omega0=1.0, eta=1.0, omega_c=1e6)
+    with pytest.warns(IntegrationWarning), pytest.raises(NumericalError, match="quadrature"):
+        discrete_bath_moments(p, 8, scheme="linear")
 
 
 def test_discretize_validation():
