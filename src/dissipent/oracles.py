@@ -201,7 +201,7 @@ def discrete_bath_moments(
         # [0, inf) in t hits roundoff at omega_c = 1e4
         val = err = 0.0
         for lo, hi in ((0.0, 1.0), (1.0, math.inf)):
-            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=200)
+            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=_MOMENT_EPSREL)
             val += v
             err += e
         if not err <= _MOMENT_REL_ERR * abs(val):

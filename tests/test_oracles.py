@@ -160,7 +160,7 @@ def test_discrete_bath_resolvent_matches_40_digit_eigendecomposition():
         db = discretize_oscillator_bath(p.eta, p.omega_c, 16, omega0=p.omega0)
         w = [mp.mpf(x) for x in db.omegas]
         lam = [mp.mpf(x) for x in db.couplings]
-        k[0, 0] = 1 + mp.fsum(lk**2 / wk**2 for lk, wk in zip(lam, w))
+        k[0, 0] = mp.mpf(p.omega0) ** 2 + mp.fsum(lk**2 / wk**2 for lk, wk in zip(lam, w))
         for j, (wk, lk) in enumerate(zip(w, lam), start=1):
             k[j, j] = wk**2
             k[0, j] = k[j, 0] = -lk
