@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: sweep, kink, regime-map, oracle, preset.  A JSON config file
-mirroring SweepConfig can seed any sweep; explicit flags override file
-values.  Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 regime / no-solution error.
+Subcommands: sweep, kink, regime-map, oracle, preset.  A sweep or kink run
+can start from a JSON config file with the keys of a sweep preset; the
+flags given on the command line are laid over it.  Exit codes: 0 success,
+2 configuration error, 3 numerical error, 4 regime / no-solution error.
 """
 
 from __future__ import annotations
@@ -12,85 +12,65 @@ import argparse
 import dataclasses
 import json
 import sys
-
-import numpy as np
+from pathlib import Path
 
 from .errors import ConfigError, DomainError, NumericalError, RegimeError
 from .sweep import (
+    MODEL_PARAMS,
+    MODELS,
+    SWEEP_KEYS,
     KinkReport,
-    SweepConfig,
     detect_kink,
     format_value,
     oracle_run,
-    preset_config,
-    preset_kind,
+    oracle_to_csv,
+    preset_doc,
     preset_names,
-    preset_regime_map,
-    regime_map,
+    read_doc,
+    regime_map_from_doc,
     regime_map_to_csv,
     run_sweep,
+    sweep_config,
     table_to_csv,
     table_to_json,
 )
 
-_FIXED_FLAGS = {
-    "omega0": "omega0",
-    "omega_c": "omega-c",
-    "delta0": "delta0",
-    "lambda0": "lambda0",
-    "s": "s",
-    "temperature": "temperature",
-    "length": "length",
-    "dim": "dim",
-}
+# every model parameter, each with its default (omega_c is shared)
+_PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.items()}
+# the oracle inputs; those that are model parameters default from MODEL_PARAMS
+_ORACLE_INPUTS = ("eta", "omega0", "omega_c", "length", "sigma_x")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file mirroring the sweep configuration")
-    parser.add_argument("--model", choices=["free-particle", "oscillator", "spin-boson"])
+    parser.add_argument("--config", help="JSON sweep document, with the keys of a sweep preset")
+    parser.add_argument("--model", choices=MODELS)
     parser.add_argument("--alpha-min", type=float)
     parser.add_argument("--alpha-max", type=float)
     parser.add_argument("--alpha-points", type=int, dest="n_points")
-    for key, flag in _FIXED_FLAGS.items():
-        typ = int if key == "dim" else float
-        parser.add_argument(f"--{flag}", type=typ, dest=f"fixed_{key}")
+    for key, default in _PARAMS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=type(default), dest=key)
     parser.add_argument("--include-branch-points", action="store_true", default=None)
-    parser.add_argument("--format", choices=["csv", "json"], dest="fmt")
+    parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="write here instead of stdout")
 
 
-def _config_from_args(args) -> SweepConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    fixed = dict(base.get("fixed", {}))
-    for key in _FIXED_FLAGS:
-        val = getattr(args, f"fixed_{key}", None)
-        if val is not None:
-            fixed[key] = val
+def _lay_flags(doc: dict, args) -> dict:
+    """`doc` with the sweep flags given on the command line laid over it."""
+    given = {key: val for key, val in vars(args).items() if val is not None}
+    fixed = {key: val for key, val in given.items() if key in _PARAMS}
+    if fixed:
+        doc = {**doc, "fixed": {**doc.get("fixed", {}), **fixed}}
+    return {**doc, **{key: val for key, val in given.items() if key in SWEEP_KEYS}}
 
-    def pick(name, default=None):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        return base.get(name, default)
 
-    model = pick("model")
-    if model is None:
-        raise ConfigError("model is required (flag --model or config file)")
-    cfg = SweepConfig(
-        model=model,
-        alpha_min=pick("alpha_min", 0.01),
-        alpha_max=pick("alpha_max", 1.0),
-        n_points=int(pick("n_points", 100)),
-        fixed=fixed,
-        outputs=tuple(base.get("outputs", ())),
-        fmt=pick("fmt", base.get("format", "csv")),
-        include_branch_points=bool(pick("include_branch_points", False)),
-    )
-    cfg.validate()
-    return cfg
+def _sweep_doc(args) -> dict:
+    return _lay_flags(read_doc(Path(args.config)) if args.config else {}, args)
+
+
+def _sweep_text(doc: dict) -> str:
+    cfg = sweep_config(doc)
+    table = run_sweep(cfg)
+    return table_to_json(table) if cfg.fmt == "json" else table_to_csv(table)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -102,16 +82,12 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    table = run_sweep(cfg)
-    text = table_to_json(table) if cfg.fmt == "json" else table_to_csv(table)
-    _emit(text, args.output)
+    _emit(_sweep_text(_sweep_doc(args)), args.output)
     return 0
 
 
 def _cmd_kink(args) -> int:
-    cfg = _config_from_args(args)
-    table = run_sweep(cfg)
+    table = run_sweep(sweep_config(_sweep_doc(args)))
     report = detect_kink(table, args.column, threshold=args.threshold)
     _emit(_kink_json(report), args.output)
     return 0
@@ -125,35 +101,14 @@ def _kink_json(report: KinkReport | None) -> str:
 
 
 def _cmd_regime_map(args) -> int:
-    ratios = np.geomspace(args.ratio_min, args.ratio_max, args.ratio_points)
-    alphas = np.geomspace(args.alpha_min, args.alpha_max, args.alpha_points)
-    rmap = regime_map(args.s, ratios, alphas)
-    _emit(regime_map_to_csv(rmap), args.output)
+    _emit(regime_map_to_csv(regime_map_from_doc(vars(args))), args.output)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    params = {}
-    for name in ("eta", "omega0", "omega_c", "length", "sigma_x"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
+    params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
     knobs = {"n_modes": args.n_modes, "scheme": args.scheme}
-    rows = oracle_run(args.model, params, knobs)
-    lines = ["observable,analytic,oracle,abs_dev,rel_dev"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["observable"],
-                    format_value(r["analytic"]),
-                    format_value(r["oracle"]),
-                    format_value(r["abs_dev"]),
-                    format_value(r["rel_dev"]),
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(oracle_to_csv(oracle_run(args.model, params, knobs)), args.output)
     return 0
 
 
@@ -163,15 +118,11 @@ def _cmd_preset(args) -> int:
         return 0
     if args.name is None:
         raise ConfigError("preset name required (or --list)")
-    kind = preset_kind(args.name)
-    if kind == "sweep":
-        cfg = preset_config(args.name)
-        if args.fmt:
-            cfg = dataclasses.replace(cfg, fmt=args.fmt)
-        table = run_sweep(cfg)
-        text = table_to_json(table) if cfg.fmt == "json" else table_to_csv(table)
+    doc = preset_doc(args.name)
+    if doc["kind"] == "regime-map":
+        text = regime_map_to_csv(regime_map_from_doc(doc))
     else:
-        text = regime_map_to_csv(preset_regime_map(args.name))
+        text = _sweep_text(_lay_flags(doc, args))
     _emit(text, args.output)
     return 0
 
@@ -205,13 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_regime_map)
 
     p_oracle = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
-    p_oracle.add_argument("--model", required=True,
-                          choices=["free-particle", "oscillator", "spin-boson"])
-    p_oracle.add_argument("--eta", type=float)
-    p_oracle.add_argument("--omega0", type=float)
-    p_oracle.add_argument("--omega-c", type=float, dest="omega_c")
-    p_oracle.add_argument("--length", type=float)
-    p_oracle.add_argument("--sigma-x", type=float, dest="sigma_x")
+    p_oracle.add_argument("--model", required=True, choices=MODELS)
+    for key in _ORACLE_INPUTS:
+        p_oracle.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
     p_oracle.add_argument("--n-modes", type=int, default=400)
     p_oracle.add_argument("--scheme", choices=["logarithmic", "linear"], default="logarithmic")
     p_oracle.add_argument("--output")
@@ -220,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="run a canned figure-reproduction config")
     p_preset.add_argument("name", nargs="?")
     p_preset.add_argument("--list", action="store_true")
-    p_preset.add_argument("--format", choices=["csv", "json"], dest="fmt")
+    p_preset.add_argument("--format", choices=["csv", "json"])
     p_preset.add_argument("--output")
     p_preset.set_defaults(func=_cmd_preset)
 

@@ -70,10 +70,6 @@ class DiscreteBath:
     def n_modes(self) -> int:
         return len(self.omegas)
 
-    @property
-    def modes(self) -> list[tuple[float, float]]:
-        return list(zip(self.omegas.tolist(), self.couplings.tolist()))
-
 
 def _bin_edges(omega_min: float, omega_max: float, n_modes: int, scheme: str) -> np.ndarray:
     if scheme == "logarithmic":

@@ -432,14 +432,12 @@ def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class FlowState:
     """State of the one-loop renormalisation flow at running cutoff
-    lambda_: the (un-renormalised) tunneling amplitude, the dimensionless
-    coupling kappa_tilde = alpha * lambda / Delta, the accumulated free
-    energy and the accumulated <sigma_x> deficit."""
+    lambda_: the dimensionless coupling kappa_tilde = alpha * lambda / Delta
+    (Delta is not renormalised in this scheme) and the accumulated
+    <sigma_x> deficit."""
 
     lambda_: float
-    delta: float
     kappa_tilde: float
-    free_energy_accum: float
     sx_accum: float
 
 
@@ -502,9 +500,7 @@ def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:
     ell = math.log(point.bath.cutoff / lambda_stop)
     return FlowState(
         lambda_=lambda_stop,
-        delta=point.delta0,  # Delta is not renormalised in this scheme
         kappa_tilde=kappa_tilde_flow(kt0, s, ell),
-        free_energy_accum=0.0,  # not accumulated by this scheme
         sx_accum=sigma_x_deficit(point, lambda_stop),
     )
 

@@ -50,6 +50,7 @@ __all__ = [
     "regime_map",
     "oracle_run",
     "preset_config",
+    "preset_doc",
     "preset_kind",
     "preset_names",
     "preset_regime_map",
@@ -57,9 +58,21 @@ __all__ = [
     "table_to_csv",
     "table_to_json",
     "regime_map_to_csv",
+    "oracle_to_csv",
+    "read_doc",
+    "sweep_config",
+    "regime_map_from_doc",
 ]
 
-MODELS = ("free-particle", "oscillator", "spin-boson")
+# model -> parameter -> default: the one list of each model's parameters.
+# The CLI derives its flags from it (--omega-c for omega_c, typed like the
+# default), and sweeps and oracle runs take their defaults from it.
+MODEL_PARAMS = {
+    "free-particle": {"omega_c": 100.0, "length": 100.0, "dim": 1},
+    "oscillator": {"omega0": 1.0, "omega_c": 100.0},
+    "spin-boson": {"delta0": 1.0, "lambda0": 100.0, "s": 1.0, "temperature": 0.0},
+}
+MODELS = tuple(MODEL_PARAMS)
 
 # couplings at which closed forms have (removable or genuine) singular
 # points; grid values landing exactly there are nudged by half a spacing
@@ -94,7 +107,8 @@ _DEFAULT_OUTPUTS = {
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep description; `fixed` holds the model parameters.
+    """Sweep description, validated on construction; `fixed` holds model
+    parameters (the others take their MODEL_PARAMS defaults).
 
     For the free particle the grid variable is the friction eta itself
     (the model has no reference frequency to form a dimensionless alpha).
@@ -109,6 +123,9 @@ class SweepConfig:
     fmt: str = "csv"
     include_branch_points: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
@@ -120,15 +137,15 @@ class SweepConfig:
             raise ConfigError(f"n_points must be >= 3, got {self.n_points}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        defaults = _fixed_defaults(self.model)
         for key in self.fixed:
-            if key not in defaults:
+            if key not in MODEL_PARAMS[self.model]:
                 raise ConfigError(f"unknown parameter {key!r} for model {self.model}")
+        for name in self.outputs:
+            if name not in _DEFAULT_OUTPUTS[self.model]:
+                raise ConfigError(f"unknown output {name!r} for model {self.model}")
 
     def resolved_fixed(self) -> dict:
-        out = _fixed_defaults(self.model)
-        out.update(self.fixed)
-        return out
+        return {**MODEL_PARAMS[self.model], **self.fixed}
 
     def grid(self) -> np.ndarray:
         g = np.linspace(self.alpha_min, self.alpha_max, self.n_points)
@@ -138,14 +155,6 @@ class SweepConfig:
                 hit = np.isclose(g, b, rtol=0.0, atol=1e-12)
                 g = np.where(hit, g + 0.5 * h, g)
         return g
-
-
-def _fixed_defaults(model: str) -> dict:
-    if model == "free-particle":
-        return {"omega_c": 100.0, "length": 100.0, "dim": 1}
-    if model == "oscillator":
-        return {"omega0": 1.0, "omega_c": 100.0}
-    return {"delta0": 1.0, "lambda0": 100.0, "s": 1.0, "temperature": 0.0}
 
 
 @dataclass
@@ -181,7 +190,6 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     grid index.  Formula-validity failures at single points (RegimeError)
     produce NaN entries rather than aborting the sweep.
     """
-    cfg.validate()
     fixed = cfg.resolved_fixed()
     grid = cfg.grid()
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
@@ -351,7 +359,15 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 
 def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
-    absolute and relative deviation columns."""
+    absolute and relative deviation columns.  `params` must hold eta
+    (sigma_x for the spin-boson model); the model's parameters default from
+    MODEL_PARAMS."""
+    if model not in MODELS:
+        raise ConfigError(f"unknown oracle model {model!r}")
+    need = "sigma_x" if model == "spin-boson" else "eta"
+    if need not in params:
+        raise ConfigError(f"the {model} oracle needs {need}")
+    par = {**MODEL_PARAMS[model], **params}
     knobs = dict(knobs or {})
     rows = []
 
@@ -367,11 +383,7 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
         )
 
     if model == "oscillator":
-        p = OscillatorParams(
-            omega0=params.get("omega0", 1.0),
-            eta=params["eta"],
-            omega_c=params.get("omega_c", 100.0),
-        )
+        p = OscillatorParams(omega0=par["omega0"], eta=par["eta"], omega_c=par["omega_c"])
         m = oscillator_moments(p)
         cov = discrete_bath_moments(
             p,
@@ -382,42 +394,93 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)
     elif model == "free-particle":
-        p = FreeParticleParams(
-            eta=params["eta"],
-            omega_c=params.get("omega_c", 100.0),
-            length=params.get("length", 100.0),
-            dim=1,
-        )
+        # the ring-kernel oracle is one-dimensional
+        p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"], dim=1)
         res = free_particle_entropy(p)
         a = free_particle_kernel_width(p)
         row("S", res.entropy, ring_kernel_entropy(a, p.length))
         row("trace", 1.0, float(np.sum(ring_kernel_eigenvalues(a, p.length))))
-    elif model == "spin-boson":
-        sx = params["sigma_x"]
+    else:
+        sx = par["sigma_x"]
         lam = np.array([(1.0 + sx) / 2.0, (1.0 - sx) / 2.0])
         lam = lam[lam > 0]
         row("S", spin_entropy(sx), float(-np.sum(lam * np.log(lam))))
-    else:
-        raise ConfigError(f"unknown oracle model {model!r}")
     return rows
 
 
 # ---------------------------------------------------------------------------
-# presets and serialisation
+# sweep and regime-map documents, presets and serialisation
 # ---------------------------------------------------------------------------
 
-# figure-reproduction presets ship as JSON config files next to the code;
+# A sweep document (a sweep preset, or a --config file with the CLI flags
+# laid over it) has these keys and no others; "model" has no default.
+SWEEP_KEYS = {
+    "kind": "sweep",
+    "model": None,
+    "alpha_min": 0.01,
+    "alpha_max": 1.0,
+    "n_points": 100,
+    "fixed": {},
+    "outputs": (),
+    "format": "csv",
+    "include_branch_points": False,
+}
+
+
+def read_doc(path) -> dict:
+    """The JSON object in a preset or config file; a missing or unreadable
+    file, invalid JSON and anything but an object are ConfigErrors."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def sweep_config(doc: dict) -> SweepConfig:
+    """The (validated) SweepConfig of a sweep document."""
+    if doc.get("kind", "sweep") != "sweep":
+        raise ConfigError(f"not a sweep document: kind {doc['kind']!r}")
+    unknown = sorted(set(doc) - set(SWEEP_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown sweep key(s) {unknown}; known: {', '.join(SWEEP_KEYS)}")
+    d = {**SWEEP_KEYS, **doc}
+    if d["model"] is None:
+        raise ConfigError("model is required (flag --model or config file)")
+    return SweepConfig(
+        model=d["model"],
+        alpha_min=d["alpha_min"],
+        alpha_max=d["alpha_max"],
+        n_points=int(d["n_points"]),
+        fixed=dict(d["fixed"]),
+        outputs=tuple(d["outputs"]),
+        fmt=d["format"],
+        include_branch_points=bool(d["include_branch_points"]),
+    )
+
+
+def regime_map_from_doc(doc: dict) -> RegimeMap:
+    """The regime map of a regime-map document (a preset, or the flags of
+    the regime-map command): s and geometric ratio and alpha grids."""
+    if doc.get("kind", "regime-map") != "regime-map":
+        raise ConfigError(f"not a regime-map document: kind {doc['kind']!r}")
+    ratios = np.geomspace(doc["ratio_min"], doc["ratio_max"], doc["ratio_points"])
+    alphas = np.geomspace(doc["alpha_min"], doc["alpha_max"], doc["alpha_points"])
+    return regime_map(doc["s"], ratios, alphas)
+
+
+# figure-reproduction presets ship as JSON documents next to the code;
 # sweep grids start half a spacing off zero so no point lands on a branch value
-def _preset_doc(name: str) -> dict:
+def preset_doc(name: str) -> dict:
     from importlib import resources
 
-    path = resources.files("dissipent").joinpath(f"presets/{name}.json")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
+    if name not in preset_names():
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return read_doc(resources.files("dissipent").joinpath(f"presets/{name}.json"))
 
 
 def preset_names() -> tuple:
@@ -428,34 +491,15 @@ def preset_names() -> tuple:
 
 
 def preset_kind(name: str) -> str:
-    return _preset_doc(name)["kind"]
+    return preset_doc(name)["kind"]
 
 
 def preset_config(name: str) -> SweepConfig:
-    doc = _preset_doc(name)
-    if doc["kind"] != "sweep":
-        raise ConfigError(f"preset {name!r} is not a sweep preset")
-    cfg = SweepConfig(
-        model=doc["model"],
-        alpha_min=doc["alpha_min"],
-        alpha_max=doc["alpha_max"],
-        n_points=doc["n_points"],
-        fixed=dict(doc.get("fixed", {})),
-        outputs=tuple(doc.get("outputs", ())),
-        fmt=doc.get("format", "csv"),
-        include_branch_points=bool(doc.get("include_branch_points", False)),
-    )
-    cfg.validate()
-    return cfg
+    return sweep_config(preset_doc(name))
 
 
 def preset_regime_map(name: str) -> RegimeMap:
-    doc = _preset_doc(name)
-    if doc["kind"] != "regime-map":
-        raise ConfigError(f"preset {name!r} is not a regime-map preset")
-    ratios = np.geomspace(doc["ratio_min"], doc["ratio_max"], doc["ratio_points"])
-    alphas = np.geomspace(doc["alpha_min"], doc["alpha_max"], doc["alpha_points"])
-    return regime_map(doc["s"], ratios, alphas)
+    return regime_map_from_doc(preset_doc(name))
 
 
 def format_value(x) -> str:
@@ -473,39 +517,41 @@ def format_value(x) -> str:
     return f"{v:.12g}"
 
 
-def table_to_csv(table: SweepTable) -> str:
-    lines = ["# dissipent sweep"]
-    for key in sorted(table.config):
-        lines.append(f"# {key} = {format_value(table.config[key])}")
-    lines.append(",".join(table.column_names))
-    n = len(table.columns["alpha"])
-    for i in range(n):
-        lines.append(
-            ",".join(format_value(table.columns[c][i]) for c in table.column_names)
-        )
+def _csv(comments, names, rows) -> str:
+    """`# `-prefixed comment lines, a header row, then one line per row of
+    values, each cell written by format_value; LF line endings."""
+    lines = [f"# {c}" for c in comments] + [",".join(names)]
+    lines += [",".join(format_value(x) for x in r) for r in rows]
     return "\n".join(lines) + "\n"
 
 
+def _rows(table: SweepTable):
+    return zip(*(table.columns[c] for c in table.column_names))
+
+
+def table_to_csv(table: SweepTable) -> str:
+    config = [f"{k} = {format_value(table.config[k])}" for k in sorted(table.config)]
+    return _csv(["dissipent sweep", *config], table.column_names, _rows(table))
+
+
 def table_to_json(table: SweepTable) -> str:
-    rows = []
-    n = len(table.columns["alpha"])
-    for i in range(n):
-        rows.append([format_value(table.columns[c][i]) for c in table.column_names])
     doc = {
         "config": {k: format_value(v) for k, v in sorted(table.config.items())},
         "columns": table.column_names,
-        "rows": rows,
+        "rows": [[format_value(x) for x in r] for r in _rows(table)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def regime_map_to_csv(rmap: RegimeMap) -> str:
-    lines = ["# dissipent regime-map", f"# s = {format_value(rmap.s)}"]
-    lines.append("# transition line: alpha = s * delta0_over_lambda0")
+    comments = [
+        "dissipent regime-map",
+        f"s = {format_value(rmap.s)}",
+        "transition line: alpha = s * delta0_over_lambda0",
+    ]
     header = ["alpha\\ratio"] + [format_value(r) for r in rmap.ratios]
-    lines.append(",".join(header))
-    for i, a in enumerate(rmap.alphas):
-        lines.append(
-            ",".join([format_value(a)] + [rmap.labels[i, j] for j in range(len(rmap.ratios))])
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(comments, header, ([a, *labels] for a, labels in zip(rmap.alphas, rmap.labels)))
+
+
+def oracle_to_csv(rows: list[dict]) -> str:
+    return _csv([], list(rows[0]), (r.values() for r in rows))

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
-from dissipent.cli import main
+import pytest
+
+from dissipent.cli import build_parser, main
+from dissipent.sweep import MODEL_PARAMS
 
 
 def run_cli(args):
@@ -142,3 +146,90 @@ def test_preset_runs_are_byte_identical(tmp_path):
     for path in (a, b):
         assert run_cli(["preset", "fig1-oscillator", "--output", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------- bad sweep documents
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 30}
+
+
+@pytest.mark.parametrize(
+    "doc, word",
+    [
+        ({"model": "oscillator", "n_point": 40}, "n_point"),  # typo'd key
+        ({**OSC, "outputs": ["S", "entropy"]}, "entropy"),  # unknown output
+        ({**OSC, "fmt": "json"}, "fmt"),  # "format" is the only spelling
+        ('{"model": "oscillator",', "JSON"),  # invalid JSON
+        ("[1, 2]", "object"),  # not an object
+    ],
+    ids=["unknown-key", "unknown-output", "fmt-key", "invalid-json", "top-level-list"],
+)
+def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
+    rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and word in err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    rc = run_cli(["sweep", "--config", str(tmp_path / "absent.json")])
+    assert rc == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, need", [("oscillator", "eta"), ("spin-boson", "sigma_x")])
+def test_oracle_without_its_input_is_config_error(capsys, model, need):
+    rc = run_cli(["oracle", "--model", model])
+    assert rc == 2
+    assert need in capsys.readouterr().err
+
+
+def test_every_model_parameter_is_a_sweep_flag():
+    parser = build_parser()
+    for params in MODEL_PARAMS.values():
+        for key, default in params.items():
+            args = parser.parse_args(["sweep", f"--{key.replace('_', '-')}", str(default)])
+            assert getattr(args, key) == default
+            assert type(getattr(args, key)) is type(default)
+
+
+# ---------------------------------------------------- one sweep-document path
+
+
+def cli_stdout(capsys, argv):
+    assert run_cli(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["fig1-oscillator", "fig1-spinboson"])
+def test_preset_file_is_a_config_file(capsys, name, fmt):
+    path = resources.files("dissipent").joinpath(f"presets/{name}.json")
+    want = cli_stdout(capsys, ["preset", name, "--format", fmt])
+    assert cli_stdout(capsys, ["sweep", "--config", str(path), "--format", fmt]) == want
+
+
+@pytest.mark.parametrize("name", ["fig1-oscillator", "subohmic-map"])
+def test_preset_parses_its_json_once(monkeypatch, capsys, name):
+    calls = []
+    loads = json.loads
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    cli_stdout(capsys, ["preset", name])
+    assert len(calls) == 1
+
+
+def test_regime_map_defaults_are_the_subohmic_map_preset(capsys):
+    want = cli_stdout(capsys, ["preset", "subohmic-map"])
+    assert cli_stdout(capsys, ["regime-map", "--s", "0.5"]) == want
