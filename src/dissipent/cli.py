@@ -58,7 +58,7 @@ def _lay_flags(doc: dict, args) -> dict:
     """`doc` with the sweep flags given on the command line laid over it."""
     given = {key: val for key, val in vars(args).items() if val is not None}
     fixed = {key: val for key, val in given.items() if key in _PARAMS}
-    if fixed:
+    if fixed and isinstance(doc.get("fixed", {}), dict):  # else sweep_config refuses it
         doc = {**doc, "fixed": {**doc.get("fixed", {}), **fixed}}
     return {**doc, **{key: val for key, val in given.items() if key in SWEEP_KEYS}}
 

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh
+from numpy.linalg import eigh  # bound here, by name, for the benchmark's tracer to wrap
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
@@ -170,6 +169,8 @@ def discrete_bath_moments(
     exactly when D(0) > 0; NumericalError if not, or if the quadrature's
     error estimate exceeds 1e-10 of a moment.  No dynamics is involved.
     """
+    from scipy.integrate import quad  # on first use, so importing the package loads no scipy
+
     db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, p.omega0)
     w2 = db.omegas**2
     c = db.couplings**2 / w2

@@ -24,6 +24,10 @@ state follows from <sigma_x> alone because <sigma_z> = 0 without bias.
 
 Sign convention: the ground state of (Delta0/2) sigma_x has <sigma_x> = -1;
 magnitudes are reported throughout (the entropy is even in <sigma_x>).
+
+scipy is imported inside the functions that use it (flow_free_energy,
+sigma_x_deficit, coherence_crossover_alpha for s != 1), so importing the
+package loads no scipy and the sweeps never do.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .bath import BathSpec, adiabatic_exponent
 from .errors import DomainError, NumericalError, RegimeError
@@ -366,6 +367,8 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
             return -1.0
         return d - 2.0 * point.ratio
 
+    from scipy.optimize import brentq
+
     lo, hi = 1e-6, 1.0
     if gap(hi) > 0:  # expand until the perturbative branch wins
         while gap(hi) > 0:
@@ -403,6 +406,8 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
         lam = math.exp(u) * cutoff
         d = d0 * math.exp(-adiabatic_exponent(point.bath, lam))
         return d * d / lam  # (Delta/L)^2 * L, the log-space measure
+
+    from scipy.integrate import quad
 
     val, err = quad(
         integrand, math.log(lower / cutoff), 0.0, epsabs=0.0, epsrel=1e-10, limit=400
@@ -473,6 +478,8 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
         lam = math.exp(u) * cutoff
         kt = kappa_tilde_flow(kt0, s, -u)  # ell = ln(cutoff/lam) = -u
         return kt * point.delta0 / lam  # (kt * Delta0 / L^2) * L
+
+    from scipy.integrate import quad
 
     val, _ = quad(
         integrand, math.log(lambda_stop / cutoff), 0.0, epsabs=0.0, epsrel=1e-10, limit=400

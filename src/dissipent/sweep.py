@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,9 +138,10 @@ class SweepConfig:
             raise ConfigError(f"n_points must be >= 3, got {self.n_points}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        for key in self.fixed:
+        for key, val in self.fixed.items():
             if key not in MODEL_PARAMS[self.model]:
                 raise ConfigError(f"unknown parameter {key!r} for model {self.model}")
+            _check_type(key, val, MODEL_PARAMS[self.model][key])
         for name in self.outputs:
             if name not in _DEFAULT_OUTPUTS[self.model]:
                 raise ConfigError(f"unknown output {name!r} for model {self.model}")
@@ -357,16 +359,27 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 # ---------------------------------------------------------------------------
 
 
+# oracle model -> the inputs it reads, the first one required
+_ORACLE_READS = {
+    "free-particle": ("eta", "omega_c", "length", "dim"),
+    "oscillator": ("eta", "omega0", "omega_c"),
+    "spin-boson": ("sigma_x",),
+}
+
+
 def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
     absolute and relative deviation columns.  `params` must hold eta
-    (sigma_x for the spin-boson model); the model's parameters default from
-    MODEL_PARAMS."""
+    (sigma_x for the spin-boson model) and nothing the oracle does not
+    read; the model's parameters default from MODEL_PARAMS."""
     if model not in MODELS:
         raise ConfigError(f"unknown oracle model {model!r}")
-    need = "sigma_x" if model == "spin-boson" else "eta"
-    if need not in params:
-        raise ConfigError(f"the {model} oracle needs {need}")
+    reads = _ORACLE_READS[model]
+    if reads[0] not in params:
+        raise ConfigError(f"the {model} oracle needs {reads[0]}")
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ConfigError(f"the {model} oracle does not read {unread}; it reads {', '.join(reads)}")
     par = {**MODEL_PARAMS[model], **params}
     knobs = dict(knobs or {})
     rows = []
@@ -394,7 +407,8 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)
     elif model == "free-particle":
-        # the ring-kernel oracle is one-dimensional
+        if par["dim"] != 1:
+            raise ConfigError(f"the free-particle oracle is one-dimensional, got dim = {par['dim']}")
         p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"], dim=1)
         res = free_particle_entropy(p)
         a = free_particle_kernel_width(p)
@@ -427,6 +441,24 @@ SWEEP_KEYS = {
 }
 
 
+# the type a document value must have, by the type of its default; bool is
+# an int in Python, so it is refused where a number is asked for
+_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((numbers.Integral,), "an integer"),
+    float: ((numbers.Real,), "a number"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    tuple: ((list, tuple), "a list"),
+}
+
+
+def _check_type(name: str, value, default) -> None:
+    kinds, what = _TYPES[type(default)]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and type(default) is not bool):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def read_doc(path) -> dict:
     """The JSON object in a preset or config file; a missing or unreadable
     file, invalid JSON and anything but an object are ConfigErrors."""
@@ -442,7 +474,8 @@ def read_doc(path) -> dict:
 
 
 def sweep_config(doc: dict) -> SweepConfig:
-    """The (validated) SweepConfig of a sweep document."""
+    """The (validated) SweepConfig of a sweep document; each value must
+    have the type of its default (a number where the default is a float)."""
     if doc.get("kind", "sweep") != "sweep":
         raise ConfigError(f"not a sweep document: kind {doc['kind']!r}")
     unknown = sorted(set(doc) - set(SWEEP_KEYS))
@@ -451,6 +484,9 @@ def sweep_config(doc: dict) -> SweepConfig:
     d = {**SWEEP_KEYS, **doc}
     if d["model"] is None:
         raise ConfigError("model is required (flag --model or config file)")
+    for key, default in SWEEP_KEYS.items():
+        if default is not None:
+            _check_type(key, d[key], default)
     return SweepConfig(
         model=d["model"],
         alpha_min=d["alpha_min"],
@@ -459,7 +495,7 @@ def sweep_config(doc: dict) -> SweepConfig:
         fixed=dict(d["fixed"]),
         outputs=tuple(d["outputs"]),
         fmt=d["format"],
-        include_branch_points=bool(d["include_branch_points"]),
+        include_branch_points=d["include_branch_points"],
     )
 
 

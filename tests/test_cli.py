@@ -233,3 +233,47 @@ def test_preset_parses_its_json_once(monkeypatch, capsys, name):
 def test_regime_map_defaults_are_the_subohmic_map_preset(capsys):
     want = cli_stdout(capsys, ["preset", "subohmic-map"])
     assert cli_stdout(capsys, ["regime-map", "--s", "0.5"]) == want
+
+
+@pytest.mark.parametrize(
+    "doc, word",
+    [
+        ({**OSC, "fixed": [1]}, "fixed"),
+        ({**OSC, "alpha_min": "x"}, "alpha_min"),
+        ({**OSC, "outputs": "S"}, "outputs"),  # was read as ["S"]
+        ({**OSC, "n_points": "30"}, "n_points"),
+        ({**OSC, "include_branch_points": "false"}, "include_branch_points"),
+        ({**OSC, "fixed": {"omega0": "1"}}, "omega0"),
+        ({**OSC, "fixed": {"omega0": True}}, "omega0"),  # a bool is no number
+    ],
+    ids=["fixed-list", "alpha-str", "outputs-str", "n-points-str", "branch-str",
+         "param-str", "param-bool"],
+)
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, doc, word):
+    rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and word in err
+
+
+def test_flag_over_a_mistyped_fixed_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {**OSC, "fixed": [1]})
+    rc = run_cli(["sweep", "--config", path, "--omega0", "2.0"])
+    assert rc == 2
+    assert "fixed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--model", "spin-boson", "--sigma-x", "0.5", "--eta", "1.0"], "eta"),
+        (["--model", "oscillator", "--eta", "1.0", "--length", "10.0"], "length"),
+        (["--model", "free-particle", "--eta", "1.0", "--omega0", "2.0"], "omega0"),
+    ],
+    ids=["spin-boson-eta", "oscillator-length", "free-particle-omega0"],
+)
+def test_oracle_input_it_does_not_read_is_config_error(capsys, argv, word):
+    rc = run_cli(["oracle", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and word in err

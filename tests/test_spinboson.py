@@ -183,6 +183,19 @@ def test_delta_ren_ohmic_closed_form(alpha, log_ratio):
         assert delta_ren(pt) == pytest.approx(expected, rel=1e-12)
 
 
+@given(alpha=st.floats(0.0, 1.2), step=st.floats(1e-6, 1.0), log_ratio=log_ratios)
+def test_ohmic_delta_ren_and_sigma_x_monotone_in_alpha(alpha, step, log_ratio):
+    # the property form of the grid tests test_delta_ren_monotone_in_alpha
+    # and test_sigma_x_bounded_and_monotone_ohmic
+    weak = point(1.0, alpha, 10.0**log_ratio)
+    strong = point(1.0, alpha + step, 10.0**log_ratio)
+    d_weak, d_strong = delta_ren(weak), delta_ren(strong)
+    assert d_weak is not None or d_strong is None  # localized stays localized
+    if d_strong is not None:
+        assert d_weak > d_strong
+    assert sigma_x(weak) >= sigma_x(strong) - 1e-15
+
+
 @pytest.mark.parametrize("s", [0.5, 1.5])
 def test_delta_ren_zero_coupling_is_bare(s):
     pt = point(s, 0.0, 0.3)

@@ -169,6 +169,27 @@ def test_oracle_run_free_particle():
     assert rows["trace"]["abs_dev"] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "model, params, word",
+    [
+        ("free-particle", {"eta": 1.0, "dim": 3}, "one-dimensional"),
+        ("free-particle", {"eta": 1.0, "omega0": 2.0}, "omega0"),
+        ("oscillator", {"eta": 1.0, "length": 10.0}, "length"),
+        ("spin-boson", {"sigma_x": 0.5, "eta": 1.0}, "eta"),
+        ("spin-boson", {"sigma_x": 0.5, "delta0": 1.0}, "delta0"),
+    ],
+)
+def test_oracle_run_refuses_what_it_does_not_read(model, params, word):
+    with pytest.raises(ConfigError, match=word):
+        oracle_run(model, params)
+
+
+def test_oracle_run_free_particle_takes_dim_one():
+    assert oracle_run("free-particle", {"eta": 1.0, "dim": 1}) == oracle_run(
+        "free-particle", {"eta": 1.0}
+    )
+
+
 def test_oracle_run_oscillator():
     rows = {r["observable"]: r for r in oracle_run("oscillator", {"eta": 1.0})}
     assert rows["q2"]["rel_dev"] < 0.01
