@@ -39,6 +39,8 @@ from .sweep import (
 _PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.items()}
 # the oracle inputs; those that are model parameters default from MODEL_PARAMS
 _ORACLE_INPUTS = ("eta", "omega0", "omega_c", "length", "sigma_x")
+# the oscillator oracle's knobs; unset, they take its defaults (400, logarithmic)
+_ORACLE_KNOBS = ("n_modes", "scheme")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -107,7 +109,7 @@ def _cmd_regime_map(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
-    knobs = {"n_modes": args.n_modes, "scheme": args.scheme}
+    knobs = {key: getattr(args, key) for key in _ORACLE_KNOBS if getattr(args, key) is not None}
     _emit(oracle_to_csv(oracle_run(args.model, params, knobs)), args.output)
     return 0
 
@@ -159,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--model", required=True, choices=MODELS)
     for key in _ORACLE_INPUTS:
         p_oracle.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p_oracle.add_argument("--n-modes", type=int, default=400)
-    p_oracle.add_argument("--scheme", choices=["logarithmic", "linear"], default="logarithmic")
+    p_oracle.add_argument("--n-modes", type=int)
+    p_oracle.add_argument("--scheme", choices=["logarithmic", "linear"])
     p_oracle.add_argument("--output")
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -12,7 +12,10 @@ entry of its resolvent is the scalar 1/D(z) of the Schur complement
 D(z) = K00 + z - sum lambda^2/(omega^2 + z).  The two moments are
 integrals of it over [0, inf), O(N) per evaluation, with no N x N matrix.
 D(0) is the Schur complement of the bath block, so K is positive definite
-exactly when D(0) > 0, and D rises with z.
+exactly when D(0) > 0, and D rises with z.  The integrals are taken with
+numpy alone, by the package's fixed Gauss-Legendre rule, as deviations
+from the bare oscillator with closed-form tails; the rule's two-width
+error estimate must stay below 1e-10 of each moment, else NumericalError.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh  # bound here, by name, for the benchmark's tracer to wrap
 
+from ._quadrature import gauss_legendre
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
 from .gaussian import GaussianKernel, OscillatorParams, gaussian_entropy
@@ -135,11 +139,13 @@ class CovarianceResult:
         return math.sqrt(self.q2 * self.p2)
 
 
-# quad is asked for what it reaches on the whole (omega_c, eta, N) test grid
-# (1e-12 raises IntegrationWarning at omega_c = 1e4); its own error estimate
-# must then stay below _MOMENT_REL_ERR of the value
-_MOMENT_EPSREL = 1e-11
+# a moment is returned only when its error estimate is below this fraction
 _MOMENT_REL_ERR = 1e-10
+# the deviation dropped below u_lo, and the error of the closed-form tail
+# above u_hi, are each at most this fraction of a moment
+_TAIL_REL = 1e-17
+# node x mode elements per block of the mode sum
+_BLOCK = 1 << 16
 
 
 def discrete_bath_moments(
@@ -159,55 +165,83 @@ def discrete_bath_moments(
     equal to 1/D(z),
 
         D(z) = K00 + z - sum lambda^2/(omega^2 + z)
-             = omega0^2 + z + z sum lambda^2/(omega^2 (omega^2 + z)),
+             = omega0^2 + z + z Sigma(z),  Sigma(z) = sum c/(omega^2 + z),
+
+    with c = lambda^2/omega^2 (the counterterm cancels exactly), and
 
         <q^2> = (1/pi) int_0^inf dt / D(t^2),
         <p^2> = (1/pi) int_0^inf (D(t^2) - t^2) / D(t^2) dt.
 
-    The second form of D has the counterterm cancelled exactly, so neither
-    integrand loses digits at small or large t.  K is positive definite
-    exactly when D(0) > 0; NumericalError if not, or if the quadrature's
-    error estimate exceeds 1e-10 of a moment.  No dynamics is involved.
+    Each is integrated as its deviation from the bare oscillator,
+    -t^2 Sigma / (D (omega0^2 + t^2)) and t^4 Sigma / (D (omega0^2 + t^2)),
+    to which the bare 1/(2 omega0) and omega0/2 are added exactly; at
+    eta = 0 the moments are exactly the bare ones.  In u = t/omega0 the
+    deviations are taken over ln u by the package's Gauss-Legendre rule
+    from u_lo to u_hi.  Below u_lo they are dropped: they are at most
+    Sigma(0) u^3/3, under 1e-17 of a moment.  Above u_hi, u^2 Sigma is
+    replaced by its limit sum c / omega0^2, which makes both tails arctans
+    in closed form; the error is bounded by sum c omega^2 / omega0^4 over
+    a power of u_hi, and u_hi keeps it under 1e-17 of a moment.  The
+    node x mode array of the mode sum is built in blocks of 2^16 elements.
+
+    NumericalError if K is not positive definite (D(0) = omega0^2 is 0
+    only when it underflows), or if the rule's error estimate, rounding
+    included, exceeds 1e-10 of a moment.  The subtraction costs digits
+    when <q^2> is far below 1/(2 omega0), so at eta/omega0 above about
+    1e7 the oracle refuses.  No dynamics is involved.
     """
-    from scipy.integrate import quad  # on first use, so importing the package loads no scipy
-
     db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, p.omega0)
-    w2 = db.omegas**2
-    c = db.couplings**2 / w2
     w0 = p.omega0
-
-    def d_pair(u: float) -> tuple[float, float]:
-        """(D(t^2) - t^2, D(t^2)) at t = omega0 * u."""
-        t2 = (w0 * u) ** 2
-        k = w0 * w0 + t2 * float(np.sum(c / (w2 + t2)))
-        return k, k + t2
-
-    if not d_pair(0.0)[1] > 0:
+    if not w0 * w0 > 0:
         raise NumericalError("discretised quadratic form is not positive definite")
+    # in units of omega0
+    w2 = (db.omegas / w0) ** 2
+    c = (db.couplings / (db.omegas * w0)) ** 2
+    a = float(np.sum(c))  # the limit of u^2 Sigma(u)
+    sigma0 = float(np.sum(c / w2))  # Sigma(0) >= Sigma(u)
+    a2 = float(np.sum(c * w2))  # a - u^2 Sigma(u) <= a2 / u^2
+    # pi omega0 <q^2> and pi <p^2> / omega0 are at least these
+    q_floor, p_floor = 0.5 * math.pi / math.sqrt(1.0 + sigma0), 0.5 * math.pi
+    # the tail errors are at most a2 / (5 u_hi^5) for q and a2 / (3 u_hi^3) for p
+    u_hi = max(
+        1.0,
+        (a2 / (5.0 * _TAIL_REL * q_floor)) ** 0.2,
+        (a2 / (3.0 * _TAIL_REL * p_floor)) ** (1.0 / 3.0),
+    )
+    # the dropped q deviation is at most Sigma(0) u_lo^3 / 3, the p one less
+    u_lo = 1.0
+    if sigma0 > 0:
+        u_lo = min(1.0, (3.0 * _TAIL_REL * q_floor / sigma0) ** (1.0 / 3.0))
 
-    def q_integrand(u: float) -> float:
-        return w0 / d_pair(u)[1]
+    rows = max(1, _BLOCK // len(c))
+    block = np.empty((rows, len(c)))
 
-    def p_integrand(u: float) -> float:
-        k, d = d_pair(u)
-        return w0 * k / d
+    def deviations(x: np.ndarray) -> np.ndarray:
+        u2 = np.exp(2.0 * x)
+        sigma = np.empty_like(u2)
+        for i in range(0, len(u2), rows):
+            u2_rows = u2[i : i + rows, None]
+            part = block[: len(u2_rows)]
+            np.add(w2, u2_rows, out=part)
+            np.reciprocal(part, out=part)
+            np.matmul(part, c, out=sigma[i : i + rows])
+        us = u2 * sigma
+        g = np.sqrt(u2) * us / ((1.0 + u2 + us) * (1.0 + u2))  # du = u d(ln u)
+        return np.stack([-g, u2 * g])
 
-    def moment(f) -> float:
-        # t = omega0 * u, split at u = 1: quad maps [1, inf) onto (0, 1] at
-        # unit scale, which then matches the oscillator's; one piece over
-        # [0, inf) in t hits roundoff at omega_c = 1e4
-        val = err = 0.0
-        for lo, hi in ((0.0, 1.0), (1.0, math.inf)):
-            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=_MOMENT_EPSREL)
-            val += v
-            err += e
-        if not err <= _MOMENT_REL_ERR * abs(val):
+    (dq, dp), errors = gauss_legendre(deviations, math.log(u_lo), math.log(u_hi))
+    rb = math.sqrt(1.0 + a)
+    dq = float(dq) + math.atan(rb / u_hi) / rb - math.atan(1.0 / u_hi)
+    dp = float(dp) + rb * math.atan(rb / u_hi) - math.atan(1.0 / u_hi)
+    # <q^2> omega0 and <p^2> / omega0
+    scaled = (0.5 + dq / math.pi, 0.5 + dp / math.pi)
+    for moment, err in zip(scaled, errors / math.pi):
+        if not err <= _MOMENT_REL_ERR * moment:
             raise NumericalError(
-                f"resolvent quadrature error {err:.2e} exceeds {_MOMENT_REL_ERR:g} of {val:.6e}"
+                f"resolvent quadrature error estimate {err / moment:.1e} of a moment "
+                f"exceeds {_MOMENT_REL_ERR:g}"
             )
-        return val / math.pi
-
-    return CovarianceResult(q2=moment(q_integrand), p2=moment(p_integrand))
+    return CovarianceResult(q2=scaled[0] / w0, p2=scaled[1] * w0)
 
 
 # ---------------------------------------------------------------------------

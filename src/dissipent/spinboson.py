@@ -25,9 +25,9 @@ state follows from <sigma_x> alone because <sigma_z> = 0 without bias.
 Sign convention: the ground state of (Delta0/2) sigma_x has <sigma_x> = -1;
 magnitudes are reported throughout (the entropy is even in <sigma_x>).
 
-scipy is imported inside the functions that use it (flow_free_energy,
-sigma_x_deficit, coherence_crossover_alpha for s != 1), so importing the
-package loads no scipy and the sweeps never do.
+The flow integrals (flow_free_energy, sigma_x_deficit) use the package's
+fixed Gauss-Legendre rule in log space and the crossover coupling is found
+by bisection, so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from ._quadrature import gauss_legendre
 from .bath import BathSpec, adiabatic_exponent
 from .errors import DomainError, NumericalError, RegimeError
 
@@ -353,7 +356,10 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
 
     For s = 1 the crossing is exactly 1/2: there d Delta_ren/d Delta0
     = r^(a/(1-a))/(1-a) equals 2r identically.  For s != 1 it is located
-    numerically; for a super-Ohmic bath it sits near (s-1) ln(cutoff/Delta0).
+    by bisection to 1e-10 on [1e-6, hi], hi doubled from 1 until the
+    perturbative branch wins; for a super-Ohmic bath it sits near
+    (s-1) ln(cutoff/Delta0).  RegimeError when the perturbative branch
+    already wins at alpha = 1e-6, so that there is no crossing.
     """
     if point.bath.is_ohmic:
         return 0.5
@@ -367,15 +373,22 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
             return -1.0
         return d - 2.0 * point.ratio
 
-    from scipy.optimize import brentq
-
     lo, hi = 1e-6, 1.0
-    if gap(hi) > 0:  # expand until the perturbative branch wins
-        while gap(hi) > 0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise NumericalError("no coherence crossover found below alpha = 1e6")
-    return brentq(gap, lo, hi, xtol=1e-10)
+    if not gap(lo) > 0:
+        raise RegimeError(
+            f"the perturbative branch already wins at alpha = {lo:g}: no coherence crossover"
+        )
+    while gap(hi) > 0:  # expand until the perturbative branch wins
+        hi *= 2.0
+        if hi > 1e6:
+            raise NumericalError("no coherence crossover found below alpha = 1e6")
+    while hi - lo > 1e-10:  # bisection: gap > 0 at lo, <= 0 at hi
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +396,20 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_integral(integrand: Callable[[float], float], lower: float) -> float:
+    """Integral of integrand(u) over [lower, 0] by the package's
+    Gauss-Legendre rule; NumericalError if its error estimate exceeds 1e-8
+    of the value."""
+    val, err = gauss_legendre(np.vectorize(integrand, otypes=[float]), lower, 0.0)
+    if val != 0.0 and err > 1e-8 * abs(val):
+        raise NumericalError(f"flow quadrature error {err / abs(val):.2e} above 1e-8")
+    return float(val)
+
+
 def flow_free_energy(point: SpinBosonPoint) -> float:
     """F = C * integral_{max(T, Delta_ren)}^{cutoff} (Delta(L)/L)^2 dL
-    by adaptive quadrature (relative tolerance 1e-8 or better) in log space.
+    by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
+    estimate exceeds 1e-8 of F.
 
     With Delta_ren = 0 (no self-consistent solution) the lower limit is T;
     at T = 0 the integrand's decay makes the integral converge on its own
@@ -407,14 +431,7 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
         d = d0 * math.exp(-adiabatic_exponent(point.bath, lam))
         return d * d / lam  # (Delta/L)^2 * L, the log-space measure
 
-    from scipy.integrate import quad
-
-    val, err = quad(
-        integrand, math.log(lower / cutoff), 0.0, epsabs=0.0, epsrel=1e-10, limit=400
-    )
-    if val != 0.0 and abs(err / val) > 1e-8:
-        raise NumericalError(f"free-energy quadrature error {err/val:.2e} above 1e-8")
-    return point.scaling_constant * val
+    return point.scaling_constant * _log_integral(integrand, math.log(lower / cutoff))
 
 
 def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:
@@ -468,7 +485,9 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
 
     with kt(L) the one-loop solution and Delta held at Delta0 (the scheme
     starts from the fully coherent state).  Diverges as lambda_stop^(s-1)
-    for s < 1: no coherent oscillations survive the scaling limit.
+    for s < 1: no coherent oscillations survive the scaling limit.  Taken
+    by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
+    estimate exceeds 1e-8 of the value.
     """
     cutoff = point.bath.cutoff
     kt0 = point.kappa_tilde0
@@ -479,12 +498,7 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
         kt = kappa_tilde_flow(kt0, s, -u)  # ell = ln(cutoff/lam) = -u
         return kt * point.delta0 / lam  # (kt * Delta0 / L^2) * L
 
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        integrand, math.log(lambda_stop / cutoff), 0.0, epsabs=0.0, epsrel=1e-10, limit=400
-    )
-    return val
+    return _log_integral(integrand, math.log(lambda_stop / cutoff))
 
 
 def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:

@@ -365,13 +365,17 @@ _ORACLE_READS = {
     "oscillator": ("eta", "omega0", "omega_c"),
     "spin-boson": ("sigma_x",),
 }
+# oracle model -> the knobs it reads, with their defaults
+_ORACLE_KNOBS = {"oscillator": {"n_modes": 400, "scheme": "logarithmic"}}
 
 
 def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
     absolute and relative deviation columns.  `params` must hold eta
     (sigma_x for the spin-boson model) and nothing the oracle does not
-    read; the model's parameters default from MODEL_PARAMS."""
+    read; the model's parameters default from MODEL_PARAMS.  `knobs` set
+    the oscillator oracle's discretisation (n_modes, default 400; scheme,
+    default logarithmic); the other oracles read none."""
     if model not in MODELS:
         raise ConfigError(f"unknown oracle model {model!r}")
     reads = _ORACLE_READS[model]
@@ -381,7 +385,12 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
     if unread:
         raise ConfigError(f"the {model} oracle does not read {unread}; it reads {', '.join(reads)}")
     par = {**MODEL_PARAMS[model], **params}
-    knobs = dict(knobs or {})
+    knob_defaults = _ORACLE_KNOBS.get(model, {})
+    unread = sorted(set(knobs or {}) - set(knob_defaults))
+    if unread:
+        knob_names = ", ".join(knob_defaults) or "none"
+        raise ConfigError(f"the {model} oracle does not read {unread}; its knobs: {knob_names}")
+    knobs = {**knob_defaults, **(knobs or {})}
     rows = []
 
     def row(name, analytic, oracle):
@@ -398,11 +407,7 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
     if model == "oscillator":
         p = OscillatorParams(omega0=par["omega0"], eta=par["eta"], omega_c=par["omega_c"])
         m = oscillator_moments(p)
-        cov = discrete_bath_moments(
-            p,
-            n_modes=int(knobs.get("n_modes", 400)),
-            scheme=knobs.get("scheme", "logarithmic"),
-        )
+        cov = discrete_bath_moments(p, n_modes=int(knobs["n_modes"]), scheme=knobs["scheme"])
         row("q2", m.q2, cov.q2)
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)

@@ -277,3 +277,28 @@ def test_oracle_input_it_does_not_read_is_config_error(capsys, argv, word):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error") and word in err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--model", "free-particle", "--eta", "1.0", "--n-modes", "5"], "n_modes"),
+        (["--model", "free-particle", "--eta", "1.0", "--scheme", "linear"], "scheme"),
+        (["--model", "spin-boson", "--sigma-x", "0.5", "--n-modes", "400"], "n_modes"),
+    ],
+    ids=["free-particle-n-modes", "free-particle-scheme", "spin-boson-n-modes"],
+)
+def test_oracle_knob_it_does_not_read_is_config_error(capsys, argv, word):
+    rc = run_cli(["oracle", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and word in err
+
+
+def test_oscillator_oracle_knobs_default_to_400_logarithmic_modes(capsys):
+    base = ["oracle", "--model", "oscillator", "--eta", "1.0"]
+    outs = []
+    for extra in ([], ["--n-modes", "400", "--scheme", "logarithmic"], ["--n-modes", "100"]):
+        assert run_cli(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]

@@ -1,8 +1,9 @@
-"""Import hygiene: `import dissipent` and the CLI's presets and regime map
-load numpy alone; scipy is imported by the functions that use it, on their
-first call.  Each case runs in a fresh interpreter, since the test process
-has scipy loaded already."""
+"""Import hygiene: the package and every CLI command load numpy alone, and
+no module under src/dissipent imports scipy, which is a test-only
+dependency.  Each runtime case runs in a fresh interpreter, since the test
+process has scipy loaded already."""
 
+import ast
 import json
 import os
 import subprocess
@@ -26,10 +27,10 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({{"result": result, "scipy": loaded}}))
 """
 
-# every function that imports scipy on first use; sigma_x_deficit runs
-# through subohmic_rg_flow and the resolvent quadrature through the
+# every function that once imported scipy on first use; sigma_x_deficit
+# runs through subohmic_rg_flow and the resolvent quadrature through the
 # oscillator oracle
-SCIPY_USERS = """\
+FORMER_SCIPY_USERS = """\
 from dissipent import (
     BathSpec, SpinBosonPoint, coherence_crossover_alpha, flow_free_energy,
     oracle_run, subohmic_rg_flow,
@@ -65,8 +66,25 @@ def fresh(body: str) -> dict:
         ["preset", "fig1-spinboson"],
         ["preset", "fig1-oscillator"],
         ["regime-map", "--s", "0.5"],
+        ["kink", "--model", "oscillator", "--alpha-points", "60"],
+        ["oracle", "--model", "oscillator", "--eta", "1.0"],
+        ["oracle", "--model", "oscillator", "--eta", "1.0", "--n-modes", "2000",
+         "--scheme", "linear"],
+        ["oracle", "--model", "free-particle", "--eta", "1.0"],
+        ["oracle", "--model", "spin-boson", "--sigma-x", "0.3"],
     ],
-    ids=["import", "preset-list", "fig1-spinboson", "fig1-oscillator", "regime-map"],
+    ids=[
+        "import",
+        "preset-list",
+        "fig1-spinboson",
+        "fig1-oscillator",
+        "regime-map",
+        "kink",
+        "oracle-oscillator",
+        "oracle-oscillator-linear",
+        "oracle-free-particle",
+        "oracle-spin-boson",
+    ],
 )
 def test_no_scipy_is_loaded(argv):
     if argv is None:
@@ -78,12 +96,33 @@ def test_no_scipy_is_loaded(argv):
     assert out["scipy"] == []
 
 
-def test_scipy_users_work_in_a_fresh_process():
+def test_former_scipy_users_load_no_scipy():
     want = {}
-    exec(SCIPY_USERS, want)
-    out = fresh(SCIPY_USERS)
+    exec(FORMER_SCIPY_USERS, want)
+    out = fresh(FORMER_SCIPY_USERS)
     assert out["result"] == want["result"]
-    assert {"scipy.integrate", "scipy.optimize"} <= set(out["scipy"])
+    assert out["scipy"] == []
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "dissipent").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_scipy_is_a_test_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert not any(dep.startswith("scipy") for dep in project["dependencies"])
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_eigh_is_bound_in_oracles():

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 from scipy.linalg import eigh
 
 from dissipent import (
@@ -193,12 +192,64 @@ def test_discrete_bath_rejects_form_that_is_not_positive_definite():
         discrete_bath_moments(p, 16, omega_min=1e-3)
 
 
-def test_discrete_bath_reports_unconverged_quadrature():
-    # 8 linear modes up to 1e6 * omega0: the error estimate stays far above
-    # 1e-10 of the moment, which must raise rather than return a value
-    p = OscillatorParams(omega0=1.0, eta=1.0, omega_c=1e6)
-    with pytest.warns(IntegrationWarning), pytest.raises(NumericalError, match="quadrature"):
-        discrete_bath_moments(p, 8, scheme="linear")
+def test_discrete_bath_reports_inaccurate_quadrature():
+    # deep overdamped (eta/omega0 = 1e9): <q^2> is 5e-6 of the bare
+    # 1/(2 omega0), so integrating its deviation from the bare oscillator
+    # leaves fewer digits than 1e-10 (the estimate reads about 1e-9), which
+    # must raise rather than return a value
+    p = OscillatorParams(omega0=1.0, eta=1e9, omega_c=1e4)
+    with pytest.raises(NumericalError, match="quadrature error estimate"):
+        discrete_bath_moments(p, 400)
+
+
+def _mpmath_moments(p, n_modes, scheme):
+    """(<q^2>, <p^2>) by mpmath's tanh-sinh quadrature at 30 digits of
+    (1/pi) int dt/D(t^2) and (1/pi) int (D - t^2)/D dt, taken whole (not as
+    a deviation) over ln t in steps of 8 from 1e-12 omega0 to 1e12 times the
+    top mode, plus the leading tails t_lo/omega0^2, t_lo and 1/t_hi,
+    A/t_hi.  The mode sum is summed in double precision: its ~1e-16
+    rounding is far below the 1e-12 checked, and summing 4000 modes at 30
+    digits on every node would take minutes."""
+    mp = pytest.importorskip("mpmath")
+    db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega0=p.omega0)
+    c = db.couplings**2 / db.omegas**2
+    w2 = db.omegas**2
+    memo = {}
+    with mp.workdps(30):
+        w0 = mp.mpf(p.omega0)
+
+        def pair(x):
+            if x not in memo:
+                t = w0 * mp.exp(x)
+                k = w0 * w0 + t * t * float(np.sum(c / (w2 + float(t * t))))
+                memo[x] = (t / (k + t * t), t * k / (k + t * t))  # dt = t d(ln t)
+            return memo[x]
+
+        lo, hi = math.log(1e-12), math.log(1e12 * db.omegas[-1] / p.omega0)
+        pts = [*np.arange(lo, hi, 8.0), hi]
+        t_lo, t_hi = w0 * mp.exp(lo), w0 * mp.exp(hi)
+        big_a = w0 * w0 + mp.fsum(mp.mpf(x) for x in c)
+        q2 = mp.quad(lambda x: pair(x)[0], pts) + t_lo / w0**2 + 1 / t_hi
+        p2 = mp.quad(lambda x: pair(x)[1], pts) + t_lo + big_a / t_hi
+        return float(q2 / mp.pi), float(p2 / mp.pi)
+
+
+@pytest.mark.parametrize(
+    "omega_c, eta, n_modes, scheme",
+    [
+        # at omega_c = 1e4 an adaptive quadrature missed <q^2> by up to
+        # 9.7e-9 while its own error estimate claimed about 1e-12
+        *[(1e4, eta, n, "logarithmic") for eta in (2.0, 0.05) for n in (100, 400, 4000)],
+        # 8 linear modes up to 1e6 * omega0: it hit roundoff, and the oracle raised
+        (1e6, 1.0, 8, "linear"),
+    ],
+)
+def test_discrete_bath_matches_30_digit_quadrature(omega_c, eta, n_modes, scheme):
+    p = OscillatorParams(omega0=1.0, eta=eta, omega_c=omega_c)
+    q2, p2 = _mpmath_moments(p, n_modes, scheme)
+    cov = discrete_bath_moments(p, n_modes, scheme)
+    assert cov.q2 == pytest.approx(q2, rel=1e-12)
+    assert cov.p2 == pytest.approx(p2, rel=1e-12)
 
 
 def test_discretize_validation():

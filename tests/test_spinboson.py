@@ -375,6 +375,27 @@ def test_coherence_crossover_alpha():
     assert a_star == pytest.approx(math.log(1.0 / 2e-3), abs=0.05)
 
 
+@pytest.mark.parametrize("s, ratio", [(0.5, 0.2), (0.5, 0.01), (2.0, 1e-3)])
+def test_coherence_crossover_alpha_brackets_the_crossing(s, ratio):
+    # the returned coupling sits within 1e-10 of where the delocalized slope
+    # d Delta_ren / d Delta0 falls below the perturbative 2 r (for s = 0.5
+    # by the self-consistent root vanishing, counted as slope 0)
+    a_star = coherence_crossover_alpha(point(s, 0.1, ratio))
+
+    def slope(alpha):
+        d = delta_ren_derivative(point(s, alpha, ratio))
+        return 0.0 if d is None else d
+
+    assert slope(a_star - 1e-10) > 2.0 * ratio >= slope(a_star + 1e-10)
+
+
+def test_coherence_crossover_alpha_without_a_crossing_is_regime_error():
+    # at s = 0.5, Delta0/cutoff = 0.8 the perturbative branch 2 r = 1.6
+    # already wins at alpha = 1e-6
+    with pytest.raises(RegimeError, match="no coherence crossover"):
+        coherence_crossover_alpha(point(0.5, 0.1, 0.8))
+
+
 def test_delocalized_log_derivative_ohmic_closed_form():
     pt = point(1.0, 0.99, 1e-2)
     expected = math.log(1e-2) / (1.0 - 0.99) ** 2 + 1.0 / (1.0 - 0.99)

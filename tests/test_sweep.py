@@ -184,6 +184,19 @@ def test_oracle_run_refuses_what_it_does_not_read(model, params, word):
         oracle_run(model, params)
 
 
+@pytest.mark.parametrize(
+    "model, params, knobs, word",
+    [
+        ("free-particle", {"eta": 1.0}, {"n_modes": 5}, "n_modes"),
+        ("spin-boson", {"sigma_x": 0.5}, {"scheme": "linear"}, "scheme"),
+        ("oscillator", {"eta": 1.0}, {"n_mode": 100}, "n_mode"),
+    ],
+)
+def test_oracle_run_refuses_knobs_it_does_not_read(model, params, knobs, word):
+    with pytest.raises(ConfigError, match=word):
+        oracle_run(model, params, knobs)
+
+
 def test_oracle_run_free_particle_takes_dim_one():
     assert oracle_run("free-particle", {"eta": 1.0, "dim": 1}) == oracle_run(
         "free-particle", {"eta": 1.0}
