@@ -40,7 +40,7 @@ short = {"DelocalizedCoherent": "DC", "DelocalizedIncoherent": "DI", "Localized"
 header = "  alpha\\ratio " + " ".join(f"{r:8.1e}" for r in rmap.ratios)
 print(header)
 for i, a in enumerate(rmap.alphas):
-    row = " ".join(f"{short[rmap.labels[i, j]]:>8}" for j in range(len(rmap.ratios)))
+    row = " ".join(f"{short[rmap.labels[i][j]]:>8}" for j in range(len(rmap.ratios)))
     print(f"  {a:11.1e} {row}")
 print("\n(the analytic transition line is alpha = s * Delta0/cutoff; CSV via")
 print(" regime_map_to_csv or `dissipent preset subohmic-map`)")

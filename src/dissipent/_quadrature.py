@@ -8,25 +8,26 @@ out or nowhere), so a 16-point rule on unit panels is exact to rounding,
 and the same rule on panels twice as wide, which shares no node with it,
 is still accurate enough for the gap between the two to bound the error of
 the narrow one.
+
+Its callers import this module where they integrate, so numpy and
+numpy.polynomial are loaded on the first integral, not with the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-_ROUNDING = 8.0 * np.finfo(float).eps
+_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 @functools.cache
 def _rule() -> tuple[np.ndarray, np.ndarray]:
     """The 16 Gauss-Legendre nodes and weights on [-1, 1]."""
-    # on first use: importing numpy.polynomial would add ~5 ms to every
-    # `import dissipent`, and most runs integrate nothing
-    from numpy.polynomial.legendre import leggauss
-
     return leggauss(16)
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["BathSpec", "spectral_density", "adiabatic_exponent"]
@@ -31,14 +29,13 @@ class BathSpec:
     ----------
     s : bath exponent, > 0 (1 = Ohmic)
     alpha : dimensionless coupling strength, >= 0
-    cutoff : upper frequency of the bath spectrum, > 0
-    cutoff_kind : only "sharp" is supported (J = 0 above the cutoff)
+    cutoff : upper frequency of the bath spectrum, > 0; the cutoff is sharp
+             (J = 0 above it)
     """
 
     s: float
     alpha: float
     cutoff: float
-    cutoff_kind: str = "sharp"
 
     def __post_init__(self):
         if not self.s > 0:
@@ -47,8 +44,6 @@ class BathSpec:
             raise DomainError(f"coupling alpha must be >= 0, got {self.alpha}")
         if not self.cutoff > 0:
             raise DomainError(f"cutoff must be > 0, got {self.cutoff}")
-        if self.cutoff_kind != "sharp":
-            raise DomainError(f"unsupported cutoff kind {self.cutoff_kind!r}")
 
     @property
     def is_ohmic(self) -> bool:
@@ -60,6 +55,8 @@ def spectral_density(bath: BathSpec, omega):
 
     Raises DomainError for negative frequencies.  Zero above the cutoff.
     """
+    import numpy as np
+
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise DomainError("spectral density is defined for omega >= 0")

@@ -16,6 +16,9 @@ exactly when D(0) > 0, and D rises with z.  The integrals are taken with
 numpy alone, by the package's fixed Gauss-Legendre rule, as deviations
 from the bare oscillator with closed-form tails; the rule's two-width
 error estimate must stay below 1e-10 of each moment, else NumericalError.
+
+numpy is imported inside each function that builds an array, so importing
+this module (and the package) loads the standard library alone.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.linalg import eigh  # bound here, by name, for the benchmark's tracer to wrap
-
-from ._quadrature import gauss_legendre
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
 from .gaussian import GaussianKernel, OscillatorParams, gaussian_entropy
@@ -74,7 +73,17 @@ class DiscreteBath:
         return len(self.omegas)
 
 
+def eigh(a):
+    """numpy.linalg.eigh(a), bound here by name for the benchmark's tracer
+    to wrap."""
+    import numpy as np
+
+    return np.linalg.eigh(a)
+
+
 def _bin_edges(omega_min: float, omega_max: float, n_modes: int, scheme: str) -> np.ndarray:
+    import numpy as np
+
     if scheme == "logarithmic":
         return np.geomspace(omega_min, omega_max, n_modes + 1)
     if scheme == "linear":
@@ -96,6 +105,8 @@ def discretize_oscillator_bath(
     the logarithmic scheme places modes with density ~ 1/omega between
     omega_min (default 1e-3 * omega0) and the cutoff.
     """
+    import numpy as np
+
     if n_modes < 8:
         raise ConfigError(f"need at least 8 modes, got {n_modes}")
     if omega_min is None:
@@ -117,6 +128,8 @@ def discretize_spin_bath(
 ) -> DiscreteBath:
     """Discretise a power-law bath for the spin-coupled model:
     lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1)."""
+    import numpy as np
+
     if n_modes < 1:
         raise ConfigError("need at least one mode")
     edges = _bin_edges(omega_min_frac * bath.cutoff, bath.cutoff, n_modes, scheme)
@@ -190,6 +203,10 @@ def discrete_bath_moments(
     when <q^2> is far below 1/(2 omega0), so at eta/omega0 above about
     1e7 the oracle refuses.  No dynamics is involved.
     """
+    import numpy as np
+
+    from ._quadrature import gauss_legendre
+
     db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, p.omega0)
     w0 = p.omega0
     if not w0 * w0 > 0:
@@ -258,6 +275,8 @@ def ring_kernel_eigenvalues(a: float, length: float, n_max: int | None = None) -
     for n = 0, +-1, ..., +-n_max.  n_max defaults to a value at which the
     dropped tail is below 1e-14.
     """
+    import numpy as np
+
     if not (a > 0 and length > 0):
         raise DomainError("need a > 0 and length > 0")
     if n_max is None:
@@ -275,6 +294,8 @@ def ring_kernel_eigenvalues(a: float, length: float, n_max: int | None = None) -
 def ring_kernel_entropy(a: float, length: float, n_max: int | None = None) -> float:
     """-sum lambda ln lambda over the ring eigenvalues; the independent
     check of the closed-form free-particle entropy (d = 1)."""
+    import numpy as np
+
     lam = ring_kernel_eigenvalues(a, length, n_max)
     lam = lam[lam > 0]
     return float(-np.sum(lam * np.log(lam)))
@@ -312,6 +333,8 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     et = eps_tilde(a, b); the replica product formula, normalised so that
     Tr rho^1 = 1 exactly.  The two agree to O(eps^2) per replica factor.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"replica index must be >= 1, got {n}")
     if not kernel.b > 0:
@@ -367,6 +390,8 @@ def ed_reduced_density(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> 
     by dense diagonalisation in a Fock space truncated at fock_cut levels
     per mode.  Intended for qualitative trend checks with <= 4 modes.
     """
+    import numpy as np
+
     n_modes = bath.n_modes
     if n_modes > 4:
         raise ConfigError("exact diagonalisation supports at most 4 modes")
@@ -409,6 +434,8 @@ def ed_reduced_density(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> 
 def spin_boson_ed(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> ReducedSpinState:
     """Reduced spin state of the few-mode ground state, with sx reported
     as |<sigma_x>| (the global sign is a convention)."""
+    import numpy as np
+
     rho = ed_reduced_density(delta0, bath, fock_cut)
     sx_val = float(rho[0, 1] + rho[1, 0])
     sz_val = float(rho[0, 0] - rho[1, 1])

@@ -37,9 +37,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from ._quadrature import gauss_legendre
 from .bath import BathSpec, adiabatic_exponent
 from .errors import DomainError, NumericalError, RegimeError
 
@@ -400,6 +397,10 @@ def _log_integral(integrand: Callable[[float], float], lower: float) -> float:
     """Integral of integrand(u) over [lower, 0] by the package's
     Gauss-Legendre rule; NumericalError if its error estimate exceeds 1e-8
     of the value."""
+    import numpy as np
+
+    from ._quadrature import gauss_legendre
+
     val, err = gauss_legendre(np.vectorize(integrand, otypes=[float]), lower, 0.0)
     if val != 0.0 and err > 1e-8 * abs(val):
         raise NumericalError(f"flow quadrature error {err / abs(val):.2e} above 1e-8")

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .bath import BathSpec
 from .errors import ConfigError, RegimeError
@@ -149,14 +148,39 @@ class SweepConfig:
     def resolved_fixed(self) -> dict:
         return {**MODEL_PARAMS[self.model], **self.fixed}
 
-    def grid(self) -> np.ndarray:
-        g = np.linspace(self.alpha_min, self.alpha_max, self.n_points)
+    def grid(self) -> list[float]:
+        g = linspace(self.alpha_min, self.alpha_max, self.n_points)
         if not self.include_branch_points:
             h = (self.alpha_max - self.alpha_min) / (self.n_points - 1)
             for b in BRANCH_ALPHAS[self.model]:
-                hit = np.isclose(g, b, rtol=0.0, atol=1e-12)
-                g = np.where(hit, g + 0.5 * h, g)
+                g = [x + 0.5 * h if abs(x - b) <= 1e-12 else x for x in g]
         return g
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi, equal to numpy.linspace(lo, hi, n) bit for
+    bit: i * step + lo, with the last point set to hi."""
+    if n < 0:
+        raise ConfigError(f"number of points must be >= 0, got {n}")
+    div = max(n - 1, 1)  # a single point is 0 * (hi - lo) + lo
+    step = (hi - lo) / div
+    if step == 0.0:  # underflow: numpy scales by the fraction instead
+        g = [i / div * (hi - lo) + lo for i in range(n)]
+    else:
+        g = [i * step + lo for i in range(n)]
+    if n > 1:
+        g[-1] = float(hi)
+    return g
+
+
+def geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi (both > 0) evenly spaced in log: 10 to the
+    power of a linspace of the decimal logarithms, as numpy.geomspace does,
+    with both endpoints exact."""
+    if not (lo > 0 and hi > 0):
+        raise ConfigError(f"a geometric grid needs positive bounds, got {lo} and {hi}")
+    logs = linspace(math.log10(lo), math.log10(hi), n)
+    return [float(lo), *(10.0**x for x in logs[1:-1]), float(hi)][:n]
 
 
 @dataclass
@@ -176,12 +200,11 @@ class KinkReport:
     grid_spacing: float
 
 
-def _central_derivatives(alpha: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _central_derivatives(alpha: list, y: list) -> tuple[list, list]:
     h = alpha[1] - alpha[0]
-    d1 = np.full_like(y, np.nan)
-    d2 = np.full_like(y, np.nan)
-    d1[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    d2[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+    inner = range(1, len(y) - 1)
+    d1 = [math.nan] + [(y[i + 1] - y[i - 1]) / (2.0 * h) for i in inner] + [math.nan]
+    d2 = [math.nan] + [(y[i + 1] - 2.0 * y[i] + y[i - 1]) / (h * h) for i in inner] + [math.nan]
     return d1, d2
 
 
@@ -196,7 +219,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     grid = cfg.grid()
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
-    cols: dict[str, list] = {"alpha": list(grid)}
+    cols: dict[str, list] = {"alpha": grid}
     if cfg.model == "oscillator":
         _sweep_oscillator(grid, fixed, cols)
     elif cfg.model == "spin-boson":
@@ -204,13 +227,10 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     else:
         _sweep_free_particle(grid, fixed, cols)
 
-    columns = {k: np.asarray(v) for k, v in cols.items()}
-    if "S" in columns and {"dS_dalpha", "d2S_dalpha2"} & set(outputs):
-        d1, d2 = _central_derivatives(grid, columns["S"].astype(float))
-        columns["dS_dalpha"] = d1
-        columns["d2S_dalpha2"] = d2
+    if "S" in cols and {"dS_dalpha", "d2S_dalpha2"} & set(outputs):
+        cols["dS_dalpha"], cols["d2S_dalpha2"] = _central_derivatives(grid, cols["S"])
 
-    names = ["alpha"] + [c for c in outputs if c in columns]
+    names = ["alpha"] + [c for c in outputs if c in cols]
     resolved = {
         "model": cfg.model,
         "alpha_min": cfg.alpha_min,
@@ -220,12 +240,12 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         **{k: fixed[k] for k in sorted(fixed)},
     }
     h = grid[1] - grid[0]
-    uniform = bool(np.allclose(np.diff(grid), h, rtol=0.0, atol=1e-9 * abs(h)))
+    uniform = all(abs(b - a - h) <= 1e-9 * abs(h) for a, b in zip(grid, grid[1:]))
     return SweepTable(
         config=resolved,
         column_names=names,
-        columns={k: columns[k] for k in names},
-        grid_spacing=float(h),
+        columns={k: cols[k] for k in names},
+        grid_spacing=h,
         uniform=uniform,
     )
 
@@ -246,7 +266,7 @@ def _sweep_oscillator(grid, fixed, cols):
         try:
             cols["S_expansion"].append(oscillator_entropy_expansion(m))
         except RegimeError:
-            cols["S_expansion"].append(np.nan)
+            cols["S_expansion"].append(math.nan)
 
 
 def _sweep_spin_boson(grid, fixed, cols):
@@ -258,7 +278,7 @@ def _sweep_spin_boson(grid, fixed, cols):
         # one solve per row: sigma_x (at T = 0) and the regime reuse it
         dr = delta_ren(point)
         sx = _max_rule_sigma_x(point, dr)
-        cols["delta_ren"].append(np.nan if dr is None else dr)
+        cols["delta_ren"].append(math.nan if dr is None else dr)
         cols["sigma_x"].append(sx)
         cols["S"].append(spin_entropy(sx))
         if s < 1:
@@ -299,25 +319,24 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
         raise ConfigError("detect_kink requires a uniformly spaced grid")
     if column not in table.columns:
         raise ConfigError(f"unknown column {column!r}")
-    y = np.asarray(table.columns[column], dtype=float)
+    y = [float(v) for v in table.columns[column]]
     if len(y) < 50:
         raise ConfigError(f"detect_kink needs >= 50 grid points, got {len(y)}")
-    if np.any(~np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise ConfigError(f"column {column!r} contains non-finite entries")
-    d2 = np.abs(y[2:] - 2.0 * y[1:-1] + y[:-2])
-    i = int(np.argmax(d2))
-    scale = float(np.max(np.abs(y))) or 1.0
+    d2 = [abs(y[j + 1] - 2.0 * y[j] + y[j - 1]) for j in range(1, len(y) - 1)]
+    i = max(range(len(d2)), key=d2.__getitem__)  # the first largest
+    scale = max(map(abs, y)) or 1.0
     floor = 1e-12 * scale
-    others = np.delete(d2, slice(max(0, i - 2), i + 3))
-    background = max(float(np.median(others)), floor)
-    ring = [j for j in (i - 3, i - 2, i + 2, i + 3) if 0 <= j < len(d2)]
-    local = max(float(np.median(d2[ring])), floor)
+    others = d2[: max(0, i - 2)] + d2[i + 3 :]
+    background = max(statistics.median(others), floor)
+    ring = [d2[j] for j in (i - 3, i - 2, i + 2, i + 3) if 0 <= j < len(d2)]
+    local = max(statistics.median(ring), floor)
     if d2[i] <= threshold * background or d2[i] <= threshold * local:
         return None
-    alpha = np.asarray(table.columns["alpha"], dtype=float)
     return KinkReport(
-        location=float(alpha[1:-1][i]),
-        strength=float(d2[i] / background),
+        location=float(table.columns["alpha"][i + 1]),
+        strength=d2[i] / background,
         order=2,
         grid_spacing=table.grid_spacing,
     )
@@ -331,10 +350,10 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
 @dataclass
 class RegimeMap:
     s: float
-    ratios: np.ndarray  # Delta0 / cutoff grid
-    alphas: np.ndarray
-    labels: np.ndarray  # shape (len(alphas), len(ratios)), regime names
-    transition_line: np.ndarray  # alpha = s * ratio per ratio column
+    ratios: list  # Delta0 / cutoff grid
+    alphas: list
+    labels: list  # one row of regime names per alpha: labels[i][j] at (alphas[i], ratios[j])
+    transition_line: list  # alpha = s * ratio per ratio column
 
 
 def regime_map(s: float, ratios, alphas) -> RegimeMap:
@@ -342,15 +361,15 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
     report the one-loop transition line alpha = s * Delta0/cutoff."""
     if not s < 1:
         raise RegimeError(f"regime map requires s < 1, got s = {s}")
-    ratios = np.asarray(ratios, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    labels = np.empty((len(alphas), len(ratios)), dtype=object)
+    ratios = [float(r) for r in ratios]
+    alphas = [float(a) for a in alphas]
+    labels = [[""] * len(ratios) for _ in alphas]
     for j, r in enumerate(ratios):
         for i, a in enumerate(alphas):
             point = SpinBosonPoint(delta0=r, bath=BathSpec(s=s, alpha=a, cutoff=1.0))
-            labels[i, j] = subohmic_regime(point).value
+            labels[i][j] = subohmic_regime(point).value
     return RegimeMap(
-        s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=s * ratios
+        s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=[s * r for r in ratios]
     )
 
 
@@ -376,6 +395,8 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
     read; the model's parameters default from MODEL_PARAMS.  `knobs` set
     the oscillator oracle's discretisation (n_modes, default 400; scheme,
     default logarithmic); the other oracles read none."""
+    import numpy as np
+
     if model not in MODELS:
         raise ConfigError(f"unknown oracle model {model!r}")
     reads = _ORACLE_READS[model]
@@ -509,8 +530,8 @@ def regime_map_from_doc(doc: dict) -> RegimeMap:
     the regime-map command): s and geometric ratio and alpha grids."""
     if doc.get("kind", "regime-map") != "regime-map":
         raise ConfigError(f"not a regime-map document: kind {doc['kind']!r}")
-    ratios = np.geomspace(doc["ratio_min"], doc["ratio_max"], doc["ratio_points"])
-    alphas = np.geomspace(doc["alpha_min"], doc["alpha_max"], doc["alpha_points"])
+    ratios = geomspace(doc["ratio_min"], doc["ratio_max"], doc["ratio_points"])
+    alphas = geomspace(doc["alpha_min"], doc["alpha_max"], doc["alpha_points"])
     return regime_map(doc["s"], ratios, alphas)
 
 
@@ -548,9 +569,9 @@ def format_value(x) -> str:
     JSON output; strings pass through unchanged."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     v = float(x)
     if math.isnan(v):

@@ -42,7 +42,7 @@ def test_bathspec_invariants():
         BathSpec(s=1.0, alpha=-0.1, cutoff=1.0)
     with pytest.raises(DomainError):
         BathSpec(s=1.0, alpha=0.1, cutoff=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):  # the cutoff is sharp; there is no other kind
         BathSpec(s=1.0, alpha=0.1, cutoff=1.0, cutoff_kind="drude")
 
 

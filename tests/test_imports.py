@@ -1,9 +1,13 @@
-"""Import hygiene: the package and every CLI command load numpy alone, and
+"""Import hygiene: the package and every closed-form CLI command run on the
+standard library alone, only the oracles load numpy (on first call), and
 no module under src/dissipent imports scipy, which is a test-only
 dependency.  Each runtime case runs in a fresh interpreter, since the test
-process has scipy loaded already."""
+process has numpy and scipy loaded already."""
 
 import ast
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -17,14 +21,15 @@ import dissipent
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `body` with its stdout swallowed, then prints its `result` and the
-# scipy modules loaded by then
+# scipy and numpy modules loaded by then
 PROBE = """\
 import contextlib, io, json, sys
 result = None
 with contextlib.redirect_stdout(io.StringIO()):
 {body}
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps({{"result": result, "scipy": loaded}}))
+loaded = {{lib: sorted(m for m in sys.modules if m.split(".")[0] == lib)
+          for lib in ("scipy", "numpy")}}
+print(json.dumps({{"result": result, **loaded}}))
 """
 
 # every function that once imported scipy on first use; sigma_x_deficit
@@ -46,9 +51,10 @@ result = [
 """
 
 
+@functools.cache
 def fresh(body: str) -> dict:
-    """`{"result", "scipy"}` of `body` run in a fresh interpreter with the
-    package on PYTHONPATH."""
+    """`{"result", "scipy", "numpy"}` of `body` run in a fresh interpreter
+    with the package on PYTHONPATH; each body runs once per session."""
     code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -56,6 +62,79 @@ def fresh(body: str) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def cli_body(argv) -> str:
+    """A probe body that runs the CLI on `argv` (None: imports the package)."""
+    if argv is None:
+        return "import dissipent"
+    return f"from dissipent.cli import main\nresult = main({argv!r})"
+
+
+def cli_stdout(argv) -> str:
+    """What `dissipent argv` writes to stdout, run in this process."""
+    from dissipent.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+# the package and the commands that evaluate closed forms only: each sweep
+# preset in both formats, a regime map and a kink run
+CLOSED_FORM = {
+    "import": None,
+    "preset-list": ["preset", "--list"],
+    **{
+        f"{name}-{fmt}": ["preset", name, "--format", fmt]
+        for name in ("fig1-spinboson", "fig1-oscillator", "subohmic-map")
+        for fmt in ("csv", "json")
+    },
+    "regime-map": ["regime-map", "--s", "0.5"],
+    "kink": ["kink", "--model", "spin-boson", "--alpha-min", "0.0005", "--alpha-max", "1.1995",
+             "--alpha-points", "400", "--column", "sigma_x"],
+    "sweep-free-particle": ["sweep", "--model", "free-particle", "--alpha-points", "50"],
+}
+ORACLE_COMMANDS = {
+    "oracle-oscillator": ["oracle", "--model", "oscillator", "--eta", "1.0"],
+    "oracle-oscillator-linear": ["oracle", "--model", "oscillator", "--eta", "1.0",
+                                 "--n-modes", "2000", "--scheme", "linear"],
+    "oracle-free-particle": ["oracle", "--model", "free-particle", "--eta", "1.0"],
+    "oracle-spin-boson": ["oracle", "--model", "spin-boson", "--sigma-x", "0.3"],
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM.values(), ids=CLOSED_FORM.keys())
+def test_closed_form_paths_load_no_numpy(argv):
+    out = fresh(cli_body(argv))
+    assert out["result"] in (None, 0)
+    assert out["numpy"] == []
+
+
+def test_oracles_module_is_loaded_with_the_package():
+    # the benchmark's tracer wraps these names only in modules already loaded
+    names = ("eigh", "discrete_bath_moments", "ring_kernel_entropy")
+    body = (
+        "import dissipent\n"
+        "mod = sys.modules.get('dissipent.oracles')\n"
+        f"result = mod is not None and [callable(getattr(mod, n, None)) for n in {names!r}]"
+    )
+    out = fresh(body)
+    assert out["result"] == [True] * len(names)
+    assert out["numpy"] == []
+
+
+@pytest.mark.parametrize("argv", ORACLE_COMMANDS.values(), ids=ORACLE_COMMANDS.keys())
+def test_oracle_commands_load_numpy_on_first_call(argv):
+    body = (
+        "from dissipent.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert main({argv!r}) == 0\n"
+        "result = out.getvalue()"
+    )
+    out = fresh(body)
+    assert out["result"] == cli_stdout(argv)
+    assert out["numpy"] and out["scipy"] == []
 
 
 @pytest.mark.parametrize(
@@ -87,11 +166,7 @@ def fresh(body: str) -> dict:
     ],
 )
 def test_no_scipy_is_loaded(argv):
-    if argv is None:
-        body = "import dissipent"
-    else:
-        body = f"from dissipent.cli import main\nresult = main({argv!r})"
-    out = fresh(body)
+    out = fresh(cli_body(argv))
     assert out["result"] in (None, 0)
     assert out["scipy"] == []
 

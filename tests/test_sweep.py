@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from dissipent import ConfigError, SweepConfig, detect_kink, oracle_run, run_sweep
 from dissipent.sweep import (
     SweepTable,
+    _central_derivatives,
+    geomspace,
+    linspace,
     preset_config,
     preset_kind,
     preset_names,
@@ -65,6 +70,69 @@ def test_branch_point_nudging():
     assert np.any(np.isclose(keep.grid(), 0.5, atol=1e-12))
 
 
+# ------------------------------------------------------------------ grids and stencils
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-12, 1e6)
+
+
+def bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@given(lo=finite, hi=finite, n=st.integers(0, 300))
+@example(lo=0.0, hi=5e-324, n=3)  # the step underflows to 0
+@example(lo=-1e308, hi=1e308, n=5)  # the span overflows
+@example(lo=-0.0, hi=1.0, n=1)  # a single point is 0 * span + lo
+def test_linspace_is_numpy_linspace_bit_for_bit(lo, hi, n):
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, n)
+    assert bits(linspace(lo, hi, n)) == bits(want)
+
+
+def test_grids_refuse_a_negative_count_and_nonpositive_bounds():
+    with pytest.raises(ConfigError):
+        linspace(0.0, 1.0, -1)
+    with pytest.raises(ConfigError):
+        geomspace(1.0, 0.0, 5)
+
+
+@given(lo=positive, hi=positive, n=st.integers(0, 300))
+def test_geomspace_has_exact_ends_and_tracks_numpy(lo, hi, n):
+    got, want = geomspace(lo, hi, n), np.geomspace(lo, hi, n)
+    assert len(got) == n
+    if n:
+        assert got[0] == lo and got[-1] == hi
+    # math.log10 and numpy's log10 can differ by an ulp; the points then
+    # move by up to ln(10) x a few ulps of the larger |log10| (one of the
+    # log, two of each side's linspace rounding) plus one of the power
+    ulp_log = math.ulp(max(abs(math.log10(lo)), abs(math.log10(hi))))
+    for g, w in zip(got, want.tolist()):
+        assert abs(g - w) <= math.ulp(w) + 4.0 * math.log(10.0) * w * ulp_log
+
+
+@given(lo=positive, hi=positive, n=st.integers(3, 300))
+def test_geomspace_is_within_one_ulp_of_numpy_on_the_same_logs(lo, hi, n):
+    assume(math.log10(lo) == np.log10(lo) and math.log10(hi) == np.log10(hi))
+    for g, w in zip(geomspace(lo, hi, n), np.geomspace(lo, hi, n).tolist()):
+        assert abs(g - w) <= math.ulp(w)
+
+
+@given(
+    y=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60),
+    lo=st.floats(-10.0, 10.0),
+    h=st.floats(1e-6, 1.0),
+)
+def test_list_stencils_are_the_numpy_stencils_bit_for_bit(y, lo, h):
+    alpha = [lo, lo + h]
+    d1, d2 = _central_derivatives(alpha, y)
+    a, step = np.asarray(y), alpha[1] - alpha[0]
+    want1, want2 = np.full_like(a, np.nan), np.full_like(a, np.nan)
+    want1[1:-1] = (a[2:] - a[:-2]) / (2.0 * step)
+    want2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (step * step)
+    assert bits(d1) == bits(want1) and bits(d2) == bits(want2)
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -82,14 +150,14 @@ def test_oscillator_sweep_columns_and_monotone():
 
 
 def test_spin_sweep_saturation_and_delta_ren(spin_table):
-    alpha = spin_table.columns["alpha"]
-    s_col = spin_table.columns["S"]
+    alpha = np.asarray(spin_table.columns["alpha"])
+    s_col = np.asarray(spin_table.columns["S"])
     i = int(np.argmin(np.abs(alpha - 0.8)))
     assert s_col[i] >= 0.95 * math.log(2.0)
     # delta_ren column becomes NaN once the root sinks below the bracket
     # floor (alpha ~ 0.87 at delta0/lambda0 = 0.01) and stays NaN in the
     # localized phase
-    dr = spin_table.columns["delta_ren"]
+    dr = np.asarray(spin_table.columns["delta_ren"])
     assert np.isnan(dr[alpha > 1.01]).all()
     assert np.isfinite(dr[alpha < 0.85]).all()
 
@@ -218,13 +286,13 @@ def test_regime_map_structure_and_line():
     ratios = np.array([1e-3, 0.8])
     alphas = np.array([1e-4, 2.5e-4, 1e-1])
     rmap = regime_map(0.5, ratios, alphas)
-    assert rmap.labels.shape == (3, 2)
+    assert [len(row) for row in rmap.labels] == [2, 2, 2]
     assert rmap.transition_line == pytest.approx(0.5 * ratios)
     # small-ratio column: line separates incoherent (below) from localized
-    assert rmap.labels[0, 0] == "DelocalizedIncoherent"  # alpha < s r
-    assert rmap.labels[2, 0] == "Localized"  # alpha > s r
+    assert rmap.labels[0][0] == "DelocalizedIncoherent"  # alpha < s r
+    assert rmap.labels[2][0] == "Localized"  # alpha > s r
     # ratio -> 1 column is coherent-dominated at these couplings
-    assert rmap.labels[0, 1] == "DelocalizedCoherent"
+    assert rmap.labels[0][1] == "DelocalizedCoherent"
     csv = regime_map_to_csv(rmap)
     assert "transition line" in csv
 
@@ -275,5 +343,5 @@ def test_presets_exist_and_load():
 
 def test_subohmic_map_preset_runs():
     rmap = preset_regime_map("subohmic-map")
-    labels = set(rmap.labels.ravel())
+    labels = {label for row in rmap.labels for label in row}
     assert {"DelocalizedCoherent", "DelocalizedIncoherent", "Localized"} <= labels
