@@ -53,7 +53,6 @@ from .spinboson import (
     kappa_tilde_flow,
     ohmic_ground_energy,
     ohmic_sigma_x_energy,
-    reduced_spin_state,
     sigma_x,
     sigma_x_deficit,
     spin_entropy,

@@ -51,7 +51,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-points", type=int, dest="n_points")
     for key, default in _PARAMS.items():
         parser.add_argument(f"--{key.replace('_', '-')}", type=type(default), dest=key)
-    parser.add_argument("--include-branch-points", action="store_true", default=None)
     parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="write here instead of stdout")
 

@@ -46,7 +46,6 @@ __all__ = [
     "FlowState",
     "Regime",
     "spin_entropy",
-    "reduced_spin_state",
     "delta_of_lambda",
     "delta_ren",
     "delta_ren_derivative",
@@ -140,10 +139,6 @@ def spin_entropy(sx: float) -> float:
         if lam > 0.0:
             s -= lam * math.log(lam)
     return s
-
-
-def reduced_spin_state(sx: float) -> ReducedSpinState:
-    return ReducedSpinState(sx=sx, sz=0.0, entropy=spin_entropy(sx))
 
 
 def delta_of_lambda(point: SpinBosonPoint, lam: float) -> float:

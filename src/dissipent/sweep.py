@@ -74,14 +74,6 @@ MODEL_PARAMS = {
 }
 MODELS = tuple(MODEL_PARAMS)
 
-# couplings at which closed forms have (removable or genuine) singular
-# points; grid values landing exactly there are nudged by half a spacing
-BRANCH_ALPHAS = {
-    "oscillator": (1.0 / math.pi,),
-    "spin-boson": (0.5, 1.0),
-    "free-particle": (),
-}
-
 _DEFAULT_OUTPUTS = {
     "free-particle": ("eta", "a", "a_l2", "S", "dS_dalpha", "d2S_dalpha2"),
     "oscillator": (
@@ -121,7 +113,6 @@ class SweepConfig:
     fixed: dict = field(default_factory=dict)
     outputs: tuple = ()
     fmt: str = "csv"
-    include_branch_points: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -147,14 +138,6 @@ class SweepConfig:
 
     def resolved_fixed(self) -> dict:
         return {**MODEL_PARAMS[self.model], **self.fixed}
-
-    def grid(self) -> list[float]:
-        g = linspace(self.alpha_min, self.alpha_max, self.n_points)
-        if not self.include_branch_points:
-            h = (self.alpha_max - self.alpha_min) / (self.n_points - 1)
-            for b in BRANCH_ALPHAS[self.model]:
-                g = [x + 0.5 * h if abs(x - b) <= 1e-12 else x for x in g]
-        return g
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -188,8 +171,6 @@ class SweepTable:
     config: dict
     column_names: list
     columns: dict
-    grid_spacing: float
-    uniform: bool
 
 
 @dataclass(frozen=True)
@@ -216,7 +197,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     produce NaN entries rather than aborting the sweep.
     """
     fixed = cfg.resolved_fixed()
-    grid = cfg.grid()
+    grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
     cols: dict[str, list] = {"alpha": grid}
@@ -236,17 +217,12 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         "alpha_min": cfg.alpha_min,
         "alpha_max": cfg.alpha_max,
         "n_points": cfg.n_points,
-        "include_branch_points": cfg.include_branch_points,
         **{k: fixed[k] for k in sorted(fixed)},
     }
-    h = grid[1] - grid[0]
-    uniform = all(abs(b - a - h) <= 1e-9 * abs(h) for a, b in zip(grid, grid[1:]))
     return SweepTable(
         config=resolved,
         column_names=names,
         columns={k: cols[k] for k in names},
-        grid_spacing=h,
-        uniform=uniform,
     )
 
 
@@ -305,7 +281,7 @@ def _sweep_free_particle(grid, fixed, cols):
 def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkReport | None:
     """Locate a derivative discontinuity in a sweep column.
 
-    Computes second finite differences D2 on the uniform grid and flags the
+    Computes second finite differences D2 on the sweep grid and flags the
     cell where |D2| exceeds threshold times the median |D2| elsewhere
     (cells within 2 of the candidate are excluded from the background).  A
     genuine kink is an isolated spike, so the candidate must also exceed
@@ -315,11 +291,12 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
     median on exactly-flat stretches and against roundoff on linear data.
     Returns None when no cell qualifies.
     """
-    if not table.uniform:
-        raise ConfigError("detect_kink requires a uniformly spaced grid")
     if column not in table.columns:
         raise ConfigError(f"unknown column {column!r}")
-    y = [float(v) for v in table.columns[column]]
+    try:
+        y = [float(v) for v in table.columns[column]]
+    except (TypeError, ValueError):
+        raise ConfigError(f"column {column!r} is not numeric") from None
     if len(y) < 50:
         raise ConfigError(f"detect_kink needs >= 50 grid points, got {len(y)}")
     if not all(map(math.isfinite, y)):
@@ -334,11 +311,12 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
     local = max(statistics.median(ring), floor)
     if d2[i] <= threshold * background or d2[i] <= threshold * local:
         return None
+    alpha = table.columns["alpha"]
     return KinkReport(
-        location=float(table.columns["alpha"][i + 1]),
+        location=float(alpha[i + 1]),
         strength=d2[i] / background,
         order=2,
-        grid_spacing=table.grid_spacing,
+        grid_spacing=float(alpha[1] - alpha[0]),
     )
 
 
@@ -463,14 +441,12 @@ SWEEP_KEYS = {
     "fixed": {},
     "outputs": (),
     "format": "csv",
-    "include_branch_points": False,
 }
 
 
-# the type a document value must have, by the type of its default; bool is
-# an int in Python, so it is refused where a number is asked for
+# the type a document value must have, by the type of its default; no
+# default is a bool, and a bool (an int in Python) is refused everywhere
 _TYPES = {
-    bool: ((bool,), "true or false"),
     int: ((numbers.Integral,), "an integer"),
     float: ((numbers.Real,), "a number"),
     str: ((str,), "a string"),
@@ -481,7 +457,7 @@ _TYPES = {
 
 def _check_type(name: str, value, default) -> None:
     kinds, what = _TYPES[type(default)]
-    if not isinstance(value, kinds) or (isinstance(value, bool) and type(default) is not bool):
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
@@ -521,7 +497,6 @@ def sweep_config(doc: dict) -> SweepConfig:
         fixed=dict(d["fixed"]),
         outputs=tuple(d["outputs"]),
         fmt=d["format"],
-        include_branch_points=d["include_branch_points"],
     )
 
 
@@ -535,8 +510,8 @@ def regime_map_from_doc(doc: dict) -> RegimeMap:
     return regime_map(doc["s"], ratios, alphas)
 
 
-# figure-reproduction presets ship as JSON documents next to the code;
-# sweep grids start half a spacing off zero so no point lands on a branch value
+# figure-reproduction presets ship as JSON documents next to the code; their
+# sweep grids are cell midpoints, 0.0005 + k/1000
 def preset_doc(name: str) -> dict:
     from importlib import resources
 
@@ -569,8 +544,6 @@ def format_value(x) -> str:
     JSON output; strings pass through unchanged."""
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, numbers.Integral):
         return str(int(x))
     v = float(x)

@@ -107,6 +107,25 @@ def test_kink_none_is_null(tmp_path):
     assert out.read_text().strip() == "null"
 
 
+def test_kink_on_a_label_column_is_config_error(capsys):
+    rc = run_cli(
+        [
+            "kink", "--model", "spin-boson", "--s", "0.5", "--alpha-min", "0.01",
+            "--alpha-max", "0.9", "--alpha-points", "60", "--column", "regime",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and "regime" in err
+
+
+def test_include_branch_points_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--model", "oscillator", "--include-branch-points"])
+    assert exc.value.code == 2
+    assert "--include-branch-points" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = run_cli(
@@ -166,10 +185,11 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
         ({"model": "oscillator", "n_point": 40}, "n_point"),  # typo'd key
         ({**OSC, "outputs": ["S", "entropy"]}, "entropy"),  # unknown output
         ({**OSC, "fmt": "json"}, "fmt"),  # "format" is the only spelling
+        ({**OSC, "include_branch_points": False}, "include_branch_points"),  # a removed key
         ('{"model": "oscillator",', "JSON"),  # invalid JSON
         ("[1, 2]", "object"),  # not an object
     ],
-    ids=["unknown-key", "unknown-output", "fmt-key", "invalid-json", "top-level-list"],
+    ids=["unknown-key", "unknown-output", "fmt-key", "branch-key", "invalid-json", "top-level-list"],
 )
 def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
     rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])
@@ -242,12 +262,10 @@ def test_regime_map_defaults_are_the_subohmic_map_preset(capsys):
         ({**OSC, "alpha_min": "x"}, "alpha_min"),
         ({**OSC, "outputs": "S"}, "outputs"),  # was read as ["S"]
         ({**OSC, "n_points": "30"}, "n_points"),
-        ({**OSC, "include_branch_points": "false"}, "include_branch_points"),
         ({**OSC, "fixed": {"omega0": "1"}}, "omega0"),
         ({**OSC, "fixed": {"omega0": True}}, "omega0"),  # a bool is no number
     ],
-    ids=["fixed-list", "alpha-str", "outputs-str", "n-points-str", "branch-str",
-         "param-str", "param-bool"],
+    ids=["fixed-list", "alpha-str", "outputs-str", "n-points-str", "param-str", "param-bool"],
 )
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, doc, word):
     rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -56,18 +57,57 @@ def test_config_validation_errors():
         ).validate()
 
 
-def test_branch_point_nudging():
-    cfg = SweepConfig(
-        model="spin-boson", alpha_min=0.4, alpha_max=0.6, n_points=201,
-        fixed={"delta0": 1.0, "lambda0": 100.0},
-    )
-    grid = cfg.grid()
-    assert not np.any(np.isclose(grid, 0.5, atol=1e-12))
-    keep = SweepConfig(
-        model="spin-boson", alpha_min=0.4, alpha_max=0.6, n_points=201,
-        fixed={"delta0": 1.0, "lambda0": 100.0}, include_branch_points=True,
-    )
-    assert np.any(np.isclose(keep.grid(), 0.5, atol=1e-12))
+# grids through the couplings the paper singles out: 1/pi (kappa = 1) for
+# the oscillator, 1/2 and 1 for the Ohmic spin-boson model
+BRANCH_GRIDS = {
+    "oscillator": ((0.0, 2.0 / math.pi), (1.0 / math.pi,)),
+    "spin-boson": ((0.0, 1.0), (0.5, 1.0)),
+}
+
+
+@functools.cache
+def branch_sweep(model):
+    (lo, hi), _ = BRANCH_GRIDS[model]
+    return run_sweep(SweepConfig(model=model, alpha_min=lo, alpha_max=hi, n_points=101))
+
+
+@pytest.mark.parametrize("model", sorted(BRANCH_GRIDS))
+def test_sweep_grid_is_plain_linspace_through_branch_couplings(model):
+    (lo, hi), branches = BRANCH_GRIDS[model]
+    alpha = branch_sweep(model).columns["alpha"]
+    assert bits(alpha) == bits(linspace(lo, hi, 101))
+    assert alpha[-1] == hi
+    for b in branches:
+        assert min(abs(a - b) for a in alpha) <= 1e-12
+
+
+@pytest.mark.parametrize("model", sorted(BRANCH_GRIDS))
+def test_derivatives_at_branch_couplings_are_stencils_of_the_true_spacing(model):
+    tab = branch_sweep(model)
+    a, S = tab.columns["alpha"], tab.columns["S"]
+    h = a[1] - a[0]
+    scale = max(map(abs, S))
+    for i in range(1, len(a) - 1):
+        hm, hp = a[i] - a[i - 1], a[i + 1] - a[i]
+        d1 = (S[i + 1] - S[i - 1]) / (hm + hp)
+        d2 = 2.0 * ((S[i + 1] - S[i]) / hp - (S[i] - S[i - 1]) / hm) / (hm + hp)
+        assert abs(tab.columns["dS_dalpha"][i] - d1) <= 1e-12 * scale / h
+        assert abs(tab.columns["d2S_dalpha2"][i] - d2) <= 1e-12 * scale / h**2
+
+
+def test_oscillator_entropy_slope_falls_smoothly_through_one_over_pi():
+    tab = branch_sweep("oscillator")
+    d1 = tab.columns["dS_dalpha"]
+    assert all(x > y for x, y in zip(d1[1:-2], d1[2:-1]))
+    assert [round(x, 3) for x in d1[48:53]] == [0.641, 0.622, 0.603, 0.586, 0.569]
+    # README discrepancy 1: no kink in S at kappa = 1, on a grid that holds 1/pi
+    assert detect_kink(tab, "S") is None
+
+
+def test_detect_kink_on_a_grid_through_one_half():
+    rep = detect_kink(branch_sweep("spin-boson"), "sigma_x")
+    assert rep is not None
+    assert rep.location == 0.5 and rep.grid_spacing == 0.01
 
 
 # ------------------------------------------------------------------ grids and stencils
@@ -190,7 +230,6 @@ def test_detect_kink_linear_column_returns_none():
     y = 3.0 * alpha + 1.0
     tab = SweepTable(
         config={}, column_names=["alpha", "y"], columns={"alpha": alpha, "y": y},
-        grid_spacing=alpha[1] - alpha[0], uniform=True,
     )
     assert detect_kink(tab, "y", threshold=5.0) is None
 
@@ -205,22 +244,20 @@ def test_detect_kink_finds_spin_boson_crossover(spin_table):
 
 def test_detect_kink_preconditions():
     alpha = np.linspace(0, 1, 60)
-    tab = SweepTable(
-        config={}, column_names=["alpha", "y"],
-        columns={"alpha": alpha, "y": alpha**2},
-        grid_spacing=alpha[1] - alpha[0], uniform=False,
-    )
-    with pytest.raises(ConfigError):
-        detect_kink(tab, "y")
     short = SweepTable(
         config={}, column_names=["alpha", "y"],
         columns={"alpha": alpha[:30], "y": alpha[:30]},
-        grid_spacing=alpha[1] - alpha[0], uniform=True,
     )
     with pytest.raises(ConfigError):
         detect_kink(short, "y")
     with pytest.raises(ConfigError):
         detect_kink(short, "missing")
+    labels = SweepTable(
+        config={}, column_names=["alpha", "regime"],
+        columns={"alpha": alpha, "regime": ["Delocalized"] * 60},
+    )
+    with pytest.raises(ConfigError, match="regime"):
+        detect_kink(labels, "regime")
 
 
 # ------------------------------------------------------------------ oracle runs
