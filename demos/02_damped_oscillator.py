@@ -11,10 +11,11 @@ import numpy as np
 
 from dissipent import (
     OscillatorParams,
+    RegimeError,
     alpha_from_kappa,
     discrete_bath_moments,
     gaussian_entropy,
-    oscillator_entropy,
+    oscillator_entropy_expansion,
     oscillator_f,
     oscillator_moments,
 )
@@ -39,8 +40,8 @@ for k in [0.25, 0.5, 1.0, 1.5, 2.0, 2.5]:
     m = oscillator_moments(p)
     s_exact = gaussian_entropy(m.nu)
     try:
-        s_exp = f"{oscillator_entropy(p, 'expansion'):12.5f}"
-    except Exception:
+        s_exp = f"{oscillator_entropy_expansion(m):12.5f}"
+    except RegimeError:
         s_exp = "   (nu <= 1)"
     print(f"{alpha_from_kappa(k):7.4f} {k:7.3f} {m.nu:8.4f} {s_exact:9.5f} {s_exp}")
 

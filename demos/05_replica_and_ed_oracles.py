@@ -40,19 +40,9 @@ print(f"  exact Gaussian S(5): {gaussian_entropy(5.0):.8f}")
 print("\ntwo-mode exact diagonalisation, coupling scale sweep (fock cut 8):")
 print(f"{'scale':>6} {'|<sigma_x>|':>12} {'<sigma_z>':>10} {'S':>9}")
 for g in [0.0, 0.5, 1.0, 1.5, 2.0]:
-    bath = DiscreteBath(
-        omegas=np.array([0.6, 1.4]),
-        couplings=g * np.array([0.3, 0.5]),
-        scheme="manual",
-        convention="spin",
-    )
+    bath = DiscreteBath(omegas=np.array([0.6, 1.4]), couplings=g * np.array([0.3, 0.5]))
     st = spin_boson_ed(1.0, bath, fock_cut=8)
     print(f"{g:6g} {st.sx:12.6f} {st.sz:10.1e} {st.entropy:9.6f}")
 
-bath = DiscreteBath(
-    omegas=np.array([0.6, 1.4]),
-    couplings=np.array([0.3, 0.5]),
-    scheme="manual",
-    convention="spin",
-)
+bath = DiscreteBath(omegas=np.array([0.6, 1.4]), couplings=np.array([0.3, 0.5]))
 print(f"\nfock-truncation check |sx(8) - sx(7)| = {ed_fock_convergence(1.0, bath, 8):.2e}")

@@ -25,7 +25,6 @@ from .gaussian import (
     oscillator_moments,
 )
 from .oracles import (
-    CovarianceResult,
     DiscreteBath,
     discrete_bath_moments,
     discretize_oscillator_bath,

@@ -37,10 +37,13 @@ from .sweep import (
 
 # every model parameter, each with its default (omega_c is shared)
 _PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.items()}
-# the oracle inputs; those that are model parameters default from MODEL_PARAMS
-_ORACLE_INPUTS = ("eta", "omega0", "omega_c", "length", "sigma_x")
-# the oscillator oracle's knobs; unset, they take its defaults (400, logarithmic)
-_ORACLE_KNOBS = ("n_modes", "scheme")
+# the oracle flags, each with how it is parsed; an unset one takes the
+# default of the chosen oracle
+_ORACLE_FLAGS = {
+    **dict.fromkeys(("eta", "omega0", "omega_c", "length", "sigma_x"), {"type": float}),
+    "n_modes": {"type": int},
+    "scheme": {"choices": ["logarithmic", "linear"]},
+}
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -107,9 +110,8 @@ def _cmd_regime_map(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
-    knobs = {key: getattr(args, key) for key in _ORACLE_KNOBS if getattr(args, key) is not None}
-    _emit(oracle_to_csv(oracle_run(args.model, params, knobs)), args.output)
+    params = {key: getattr(args, key) for key in _ORACLE_FLAGS if getattr(args, key) is not None}
+    _emit(oracle_to_csv(oracle_run(args.model, params)), args.output)
     return 0
 
 
@@ -158,10 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
     p_oracle.add_argument("--model", required=True, choices=MODELS)
-    for key in _ORACLE_INPUTS:
-        p_oracle.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p_oracle.add_argument("--n-modes", type=int)
-    p_oracle.add_argument("--scheme", choices=["logarithmic", "linear"])
+    for key, how in _ORACLE_FLAGS.items():
+        p_oracle.add_argument(f"--{key.replace('_', '-')}", dest=key, **how)
     p_oracle.add_argument("--output")
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -255,19 +255,13 @@ def gaussian_entropy(nu: float) -> float:
     return s
 
 
-def oscillator_entropy(p: OscillatorParams, method: str = "exact") -> float:
-    """Ground-state entanglement entropy of the damped oscillator.
-
-    method="exact" evaluates the single-mode Gaussian entropy S(nu);
-    method="expansion" applies the eps-expansion (RegimeError if nu <= 1).
-    Sweeps report both so the approximation gap is visible.
+def oscillator_entropy(p: OscillatorParams) -> float:
+    """Ground-state entanglement entropy of the damped oscillator: the
+    exact single-mode Gaussian entropy S(nu).  The eps-expansion is
+    oscillator_entropy_expansion(oscillator_moments(p)); sweeps report
+    both so the approximation gap is visible.
     """
-    m = oscillator_moments(p)
-    if method == "exact":
-        return gaussian_entropy(m.nu)
-    if method == "expansion":
-        return oscillator_entropy_expansion(m)
-    raise DomainError(f"unknown method {method!r}; expected 'exact' or 'expansion'")
+    return gaussian_entropy(oscillator_moments(p).nu)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
-from .gaussian import GaussianKernel, OscillatorParams, gaussian_entropy
+from .gaussian import GaussianKernel, MomentPair, OscillatorParams, gaussian_entropy
 from .spinboson import ReducedSpinState
 
 __all__ = [
-    "CovarianceResult",
     "DiscreteBath",
     "gaussian_entropy",  # re-exported from gaussian, where the closed form lives
     "discretize_oscillator_bath",
@@ -58,15 +57,14 @@ __all__ = [
 class DiscreteBath:
     """A finite set of bath modes (omega_k, lambda_k).
 
-    convention = "oscillator": couplings reproduce J(w) = (pi/2) sum_k
+    The coupling convention is that of the function that built the bath:
+    discretize_oscillator_bath's couplings reproduce J(w) = (pi/2) sum_k
     (lambda_k^2/omega_k) delta(w - omega_k) (coordinate-coupled bath with
-    counterterm); convention = "spin": J(w) = sum_k lambda_k^2 delta(w - omega_k).
+    counterterm), discretize_spin_bath's J(w) = sum_k lambda_k^2 delta(w - omega_k).
     """
 
     omegas: np.ndarray
     couplings: np.ndarray
-    scheme: str
-    convention: str
 
     @property
     def n_modes(self) -> int:
@@ -117,39 +115,23 @@ def discretize_oscillator_bath(
     # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
     omegas = (2.0 / 3.0) * (hi**3 - lo**3) / (hi**2 - lo**2)
     couplings = np.sqrt((2.0 / math.pi) * omegas * bin_j)
-    return DiscreteBath(omegas=omegas, couplings=couplings, scheme=scheme, convention="oscillator")
+    return DiscreteBath(omegas=omegas, couplings=couplings)
 
 
-def discretize_spin_bath(
-    bath: BathSpec,
-    n_modes: int,
-    scheme: str = "logarithmic",
-    omega_min_frac: float = 1e-3,
-) -> DiscreteBath:
-    """Discretise a power-law bath for the spin-coupled model:
+def discretize_spin_bath(bath: BathSpec, n_modes: int, scheme: str = "logarithmic") -> DiscreteBath:
+    """Discretise a power-law bath for the spin-coupled model between
+    1e-3 * cutoff and the cutoff:
     lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1)."""
     import numpy as np
 
     if n_modes < 1:
         raise ConfigError("need at least one mode")
-    edges = _bin_edges(omega_min_frac * bath.cutoff, bath.cutoff, n_modes, scheme)
+    edges = _bin_edges(1e-3 * bath.cutoff, bath.cutoff, n_modes, scheme)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
     bin_j = 2.0 * bath.alpha * bath.cutoff ** (1.0 - s) * (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
     omegas = 0.5 * (lo + hi)
-    return DiscreteBath(
-        omegas=omegas, couplings=np.sqrt(bin_j), scheme=scheme, convention="spin"
-    )
-
-
-@dataclass(frozen=True)
-class CovarianceResult:
-    q2: float
-    p2: float
-
-    @property
-    def nu(self) -> float:
-        return math.sqrt(self.q2 * self.p2)
+    return DiscreteBath(omegas=omegas, couplings=np.sqrt(bin_j))
 
 
 # a moment is returned only when its error estimate is below this fraction
@@ -166,7 +148,7 @@ def discrete_bath_moments(
     n_modes: int,
     scheme: str = "logarithmic",
     omega_min: float | None = None,
-) -> CovarianceResult:
+) -> MomentPair:
     """Ground-state <q^2>, <p^2> of the oscillator coupled to a discretised
     Ohmic bath, exact for the discrete modes.
 
@@ -258,7 +240,7 @@ def discrete_bath_moments(
                 f"resolvent quadrature error estimate {err / moment:.1e} of a moment "
                 f"exceeds {_MOMENT_REL_ERR:g}"
             )
-    return CovarianceResult(q2=scaled[0] / w0, p2=scaled[1] * w0)
+    return MomentPair(q2=scaled[0] / w0, p2=scaled[1] * w0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +333,7 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     return TracePowerResult(direct=direct, closed_form=closed)
 
 
-def kernel_eigenvalue_entropy(kernel: GaussianKernel, tail_tol: float = 1e-14) -> tuple[float, float]:
+def kernel_eigenvalue_entropy(kernel: GaussianKernel) -> tuple[float, float]:
     """(series, closed) entropy of the geometric eigenvalue ladder implied
     by the replica traces: Tr rho^n = e^n / (1-(1-e)^n) resums to
     eigenvalues lambda_k = e (1-e)^k, whose entropy is
@@ -359,14 +341,14 @@ def kernel_eigenvalue_entropy(kernel: GaussianKernel, tail_tol: float = 1e-14) -
         S = -ln e - (1-e) ln(1-e) / e.
 
     The series is summed term by term until the dropped tail (bounded by
-    the remaining geometric weight) is below tail_tol.
+    the remaining geometric weight) is below 1e-14.
     """
     e = _eps_tilde(kernel)
     s_closed = -math.log(e) - (1.0 - e) * math.log1p(-e) / e
     s_series = 0.0
     weight = 1.0  # remaining total weight sum_{j>=k} lambda_j = (1-e)^k
     k = 0
-    while weight > tail_tol:
+    while weight > 1e-14:
         lam = e * weight
         s_series -= lam * math.log(lam)
         weight *= 1.0 - e

@@ -66,10 +66,6 @@ __all__ = [
 # declared to have no root (deep sub-Ohmic scaling regime)
 BRACKET_FLOOR = 1e-15
 
-# calibration of the flow free energy against the Ohmic branch formulas;
-# the quadrature reproduces every branch exactly with C = 1
-FLOW_ENERGY_CONSTANT = 1.0
-
 # Delta0/cutoff above which the tunneling scale is "of the order of the
 # cutoff" and the self-consistent (Franck-Condon) scaling is trusted for
 # the coherent sub-Ohmic corner
@@ -85,13 +81,11 @@ class SpinBosonPoint:
     delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff
     bath : BathSpec carrying (s, alpha, cutoff)
     temperature : T >= 0 (enters only through the flow lower limit)
-    scaling_constant : the overall constant C of the ground-state energy
     """
 
     delta0: float
     bath: BathSpec
     temperature: float = 0.0
-    scaling_constant: float = FLOW_ENERGY_CONSTANT
 
     def __post_init__(self):
         if not self.delta0 > 0:
@@ -102,8 +96,6 @@ class SpinBosonPoint:
             )
         if self.temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        if not self.scaling_constant > 0:
-            raise DomainError("scaling_constant must be > 0")
 
     @property
     def ratio(self) -> float:
@@ -228,7 +220,7 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
     return None if dr is None else _implicit_slope(point, dr)
 
 
-def delocalized_log_derivative(point: SpinBosonPoint, step: float = 1e-5) -> float:
+def delocalized_log_derivative(point: SpinBosonPoint) -> float:
     """d ln(d Delta_ren / d Delta0) / d alpha on the delocalized branch.
 
     This is the quantity that carries the weak non-analyticity at the Ohmic
@@ -237,7 +229,8 @@ def delocalized_log_derivative(point: SpinBosonPoint, step: float = 1e-5) -> flo
         ln(r) / (1 - alpha)^2 + 1 / (1 - alpha),       r = Delta0 / cutoff,
 
     which scales with ln(cutoff / Delta0) at fixed distance from alpha = 1.
-    For s != 1 a central finite difference (re-solving Delta_ren) is used.
+    For s != 1 a central finite difference of step 1e-5 * max(alpha, 1)
+    (re-solving Delta_ren) is used.
     """
     a = point.bath.alpha
     if point.bath.is_ohmic:
@@ -248,14 +241,12 @@ def delocalized_log_derivative(point: SpinBosonPoint, step: float = 1e-5) -> flo
 
     def ln_deriv(alpha: float) -> float:
         b = BathSpec(s=point.bath.s, alpha=alpha, cutoff=point.bath.cutoff)
-        d = delta_ren_derivative(
-            SpinBosonPoint(point.delta0, b, point.temperature, point.scaling_constant)
-        )
+        d = delta_ren_derivative(SpinBosonPoint(point.delta0, b, point.temperature))
         if d is None:
             raise RegimeError("no delocalized branch at alpha = %g" % alpha)
         return math.log(d)
 
-    h = step * max(a, 1.0)
+    h = 1e-5 * max(a, 1.0)
     return (ln_deriv(a + h) - ln_deriv(a - h)) / (2.0 * h)
 
 
@@ -267,12 +258,12 @@ def delocalized_log_derivative(point: SpinBosonPoint, step: float = 1e-5) -> flo
 def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     """Ground-state energy gain of the Ohmic (s = 1) two-level system.
 
-    Piecewise in alpha with r = Delta0/cutoff and C the scaling constant:
+    Piecewise in alpha with r = Delta0/cutoff:
 
-        0 < alpha < 1/2 : C/(1-2a) * [Delta0 r^(a/(1-a)) - Delta0 r]
-        alpha = 1/2     : 2 C Delta0 r ln(1/r)            (the 0/0 limit)
-        1/2 < alpha < 1 : C/(2a-1) * [Delta0 r - Delta0 r^(a/(1-a))]
-        alpha >= 1      : C Delta0 r / (2a - 1)
+        0 < alpha < 1/2 : 1/(1-2a) * [Delta0 r^(a/(1-a)) - Delta0 r]
+        alpha = 1/2     : 2 Delta0 r ln(1/r)            (the 0/0 limit)
+        1/2 < alpha < 1 : 1/(2a-1) * [Delta0 r - Delta0 r^(a/(1-a))]
+        alpha >= 1      : Delta0 r / (2a - 1)
 
     The alpha >= 1 branch keeps the 1/(2a-1) factor so that the piecewise
     form coincides with the flow quadrature (Delta_ren = 0 there); all
@@ -283,15 +274,14 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     a = point.bath.alpha
     if a <= 0:
         raise DomainError("ohmic_ground_energy is defined for alpha > 0")
-    c = point.scaling_constant
     r = point.ratio
     d0 = point.delta0
     if abs(a - 0.5) < _HALF_TOL:
-        return 2.0 * c * d0 * r * math.log(1.0 / r)
+        return 2.0 * d0 * r * math.log(1.0 / r)
     if a >= 1.0:
-        return c * d0 * r / (2.0 * a - 1.0)
+        return d0 * r / (2.0 * a - 1.0)
     # branches below and above 1/2 are the same analytic expression
-    return c / (1.0 - 2.0 * a) * (d0 * r ** (a / (1.0 - a)) - d0 * r)
+    return 1.0 / (1.0 - 2.0 * a) * (d0 * r ** (a / (1.0 - a)) - d0 * r)
 
 
 def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
@@ -301,14 +291,13 @@ def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
     if not point.bath.is_ohmic:
         raise RegimeError(f"requires s = 1, got s = {point.bath.s}")
     a = point.bath.alpha
-    c = point.scaling_constant
     r = point.ratio
     if abs(a - 0.5) < _HALF_TOL:
-        val = 4.0 * c * r * (2.0 * math.log(1.0 / r) - 1.0)
+        val = 4.0 * r * (2.0 * math.log(1.0 / r) - 1.0)
     elif a >= 1.0:
-        val = 4.0 * c * r / (2.0 * a - 1.0)
+        val = 4.0 * r / (2.0 * a - 1.0)
     else:
-        val = 2.0 * c / (1.0 - 2.0 * a) * (r ** (a / (1.0 - a)) / (1.0 - a) - 2.0 * r)
+        val = 2.0 / (1.0 - 2.0 * a) * (r ** (a / (1.0 - a)) / (1.0 - a) - 2.0 * r)
     return min(1.0, max(0.0, val))
 
 
@@ -358,9 +347,7 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
 
     def gap(alpha: float) -> float:
         b = BathSpec(s=point.bath.s, alpha=alpha, cutoff=point.bath.cutoff)
-        d = delta_ren_derivative(
-            SpinBosonPoint(point.delta0, b, 0.0, point.scaling_constant)
-        )
+        d = delta_ren_derivative(SpinBosonPoint(point.delta0, b))
         if d is None:
             return -1.0
         return d - 2.0 * point.ratio
@@ -403,14 +390,14 @@ def _log_integral(integrand: Callable[[float], float], lower: float) -> float:
 
 
 def flow_free_energy(point: SpinBosonPoint) -> float:
-    """F = C * integral_{max(T, Delta_ren)}^{cutoff} (Delta(L)/L)^2 dL
+    """F = integral_{max(T, Delta_ren)}^{cutoff} (Delta(L)/L)^2 dL
     by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
     estimate exceeds 1e-8 of F.
 
     With Delta_ren = 0 (no self-consistent solution) the lower limit is T;
     at T = 0 the integrand's decay makes the integral converge on its own
     and a floor of 1e-30 * cutoff is used.  For s = 1 this reproduces every
-    branch of the closed-form ground energy with C = 1.
+    branch of the closed-form ground energy.
     """
     dr = delta_ren(point)
     lower = max(point.temperature, dr if dr is not None else 0.0)
@@ -427,7 +414,7 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
         d = d0 * math.exp(-adiabatic_exponent(point.bath, lam))
         return d * d / lam  # (Delta/L)^2 * L, the log-space measure
 
-    return point.scaling_constant * _log_integral(integrand, math.log(lower / cutoff))
+    return _log_integral(integrand, math.log(lower / cutoff))
 
 
 def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:

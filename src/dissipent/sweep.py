@@ -70,7 +70,7 @@ __all__ = [
 MODEL_PARAMS = {
     "free-particle": {"omega_c": 100.0, "length": 100.0, "dim": 1},
     "oscillator": {"omega0": 1.0, "omega_c": 100.0},
-    "spin-boson": {"delta0": 1.0, "lambda0": 100.0, "s": 1.0, "temperature": 0.0},
+    "spin-boson": {"delta0": 1.0, "lambda0": 100.0, "s": 1.0},
 }
 MODELS = tuple(MODEL_PARAMS)
 
@@ -115,9 +115,6 @@ class SweepConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not self.alpha_min < self.alpha_max:
@@ -246,12 +243,12 @@ def _sweep_oscillator(grid, fixed, cols):
 
 
 def _sweep_spin_boson(grid, fixed, cols):
-    d0, l0, s, temp = fixed["delta0"], fixed["lambda0"], fixed["s"], fixed["temperature"]
+    d0, l0, s = fixed["delta0"], fixed["lambda0"], fixed["s"]
     for key in ("delta_ren", "sigma_x", "S", "regime"):
         cols[key] = []
     for a in grid:
-        point = SpinBosonPoint(delta0=d0, bath=BathSpec(s=s, alpha=a, cutoff=l0), temperature=temp)
-        # one solve per row: sigma_x (at T = 0) and the regime reuse it
+        point = SpinBosonPoint(delta0=d0, bath=BathSpec(s=s, alpha=a, cutoff=l0))
+        # one solve per row: sigma_x and the regime reuse it
         dr = delta_ren(point)
         sx = _max_rule_sigma_x(point, dr)
         cols["delta_ren"].append(math.nan if dr is None else dr)
@@ -356,40 +353,39 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 # ---------------------------------------------------------------------------
 
 
-# oracle model -> the inputs it reads, the first one required
+# oracle model -> the inputs it reads, each with its default; the first
+# one has none and is required
 _ORACLE_READS = {
-    "free-particle": ("eta", "omega_c", "length", "dim"),
-    "oscillator": ("eta", "omega0", "omega_c"),
-    "spin-boson": ("sigma_x",),
+    "free-particle": {"eta": None, **MODEL_PARAMS["free-particle"]},
+    "oscillator": {
+        "eta": None,
+        **MODEL_PARAMS["oscillator"],
+        "n_modes": 400,
+        "scheme": "logarithmic",
+    },
+    "spin-boson": {"sigma_x": None},
 }
-# oracle model -> the knobs it reads, with their defaults
-_ORACLE_KNOBS = {"oscillator": {"n_modes": 400, "scheme": "logarithmic"}}
 
 
-def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict]:
+def oracle_run(model: str, params: dict) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
     absolute and relative deviation columns.  `params` must hold eta
     (sigma_x for the spin-boson model) and nothing the oracle does not
-    read; the model's parameters default from MODEL_PARAMS.  `knobs` set
-    the oscillator oracle's discretisation (n_modes, default 400; scheme,
-    default logarithmic); the other oracles read none."""
+    read.  The model's parameters default from MODEL_PARAMS; the
+    oscillator oracle also reads its discretisation, n_modes (default
+    400) and scheme (default logarithmic)."""
     import numpy as np
 
     if model not in MODELS:
         raise ConfigError(f"unknown oracle model {model!r}")
     reads = _ORACLE_READS[model]
-    if reads[0] not in params:
-        raise ConfigError(f"the {model} oracle needs {reads[0]}")
+    required = next(iter(reads))
+    if required not in params:
+        raise ConfigError(f"the {model} oracle needs {required}")
     unread = sorted(set(params) - set(reads))
     if unread:
         raise ConfigError(f"the {model} oracle does not read {unread}; it reads {', '.join(reads)}")
-    par = {**MODEL_PARAMS[model], **params}
-    knob_defaults = _ORACLE_KNOBS.get(model, {})
-    unread = sorted(set(knobs or {}) - set(knob_defaults))
-    if unread:
-        knob_names = ", ".join(knob_defaults) or "none"
-        raise ConfigError(f"the {model} oracle does not read {unread}; its knobs: {knob_names}")
-    knobs = {**knob_defaults, **(knobs or {})}
+    par = {**reads, **params}
     rows = []
 
     def row(name, analytic, oracle):
@@ -406,7 +402,7 @@ def oracle_run(model: str, params: dict, knobs: dict | None = None) -> list[dict
     if model == "oscillator":
         p = OscillatorParams(omega0=par["omega0"], eta=par["eta"], omega_c=par["omega_c"])
         m = oscillator_moments(p)
-        cov = discrete_bath_moments(p, n_modes=int(knobs["n_modes"]), scheme=knobs["scheme"])
+        cov = discrete_bath_moments(p, n_modes=int(par["n_modes"]), scheme=par["scheme"])
         row("q2", m.q2, cov.q2)
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)

@@ -311,12 +311,7 @@ def test_criterion_10_subohmic_rg():
 
 def test_criterion_11_ed_qualitative_oracle():
     def bath(scale):
-        return DiscreteBath(
-            omegas=np.array([0.6, 1.4]),
-            couplings=scale * np.array([0.3, 0.5]),
-            scheme="manual",
-            convention="spin",
-        )
+        return DiscreteBath(omegas=np.array([0.6, 1.4]), couplings=scale * np.array([0.3, 0.5]))
 
     scales = [0.0, 0.5, 1.0, 1.5, 2.0]
     states = [spin_boson_ed(1.0, bath(g), fock_cut=8) for g in scales]

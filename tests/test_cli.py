@@ -126,6 +126,14 @@ def test_include_branch_points_flag_is_gone(capsys):
     assert "--include-branch-points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "kink"])
+def test_temperature_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--model", "spin-boson", "--temperature", "0.5"])
+    assert exc.value.code == 2
+    assert "--temperature" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = run_cli(
@@ -188,8 +196,13 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
         ({**OSC, "include_branch_points": False}, "include_branch_points"),  # a removed key
         ('{"model": "oscillator",', "JSON"),  # invalid JSON
         ("[1, 2]", "object"),  # not an object
+        # a removed parameter: the spin-boson sweep is at T = 0
+        ({**OSC, "model": "spin-boson", "fixed": {"temperature": 0.0}}, "temperature"),
     ],
-    ids=["unknown-key", "unknown-output", "fmt-key", "branch-key", "invalid-json", "top-level-list"],
+    ids=[
+        "unknown-key", "unknown-output", "fmt-key", "branch-key", "invalid-json",
+        "top-level-list", "temperature-param",
+    ],
 )
 def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
     rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])

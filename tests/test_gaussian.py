@@ -179,14 +179,13 @@ def test_expansion_vs_exact_at_nu_ten():
 
 def test_oscillator_entropy_methods():
     p0 = OscillatorParams(omega0=1.0, eta=0.0, omega_c=100.0)
-    assert oscillator_entropy(p0, "exact") == pytest.approx(0.0, abs=1e-12)
+    assert oscillator_entropy(p0) == pytest.approx(0.0, abs=1e-12)
     p2 = OscillatorParams(omega0=1.0, eta=4.0, omega_c=100.0)  # kappa = 2
     # frozen: both routes computed once and pinned; the expansion is far
     # outside its small-eps regime here (nu barely above 1)
-    assert oscillator_entropy(p2, "exact") == pytest.approx(0.9597334071121655, rel=1e-10)
-    assert oscillator_entropy(p2, "expansion") == pytest.approx(0.618517647255258, rel=1e-10)
-    with pytest.raises(DomainError):
-        oscillator_entropy(p2, "bogus")
+    assert oscillator_entropy(p2) == pytest.approx(0.9597334071121655, rel=1e-10)
+    m2 = oscillator_moments(p2)
+    assert oscillator_entropy_expansion(m2) == pytest.approx(0.618517647255258, rel=1e-10)
 
 
 def test_oscillator_entropy_monotone_in_kappa():

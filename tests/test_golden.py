@@ -71,12 +71,12 @@ MAPS = ("subohmic-map",)  # regime-map presets
 # (kappa = 0.4 and 1.5 at omega0 = 1), each on both discretisation schemes
 ORACLES = {
     f"oracle-oscillator-eta{eta:g}-{tag}": (
-        "oscillator", {"eta": eta}, {"n_modes": n, "scheme": scheme}
+        "oscillator", {"eta": eta, "n_modes": n, "scheme": scheme}
     )
     for eta in (0.8, 3.0)
     for tag, n, scheme in (("log400", 400, "logarithmic"), ("lin2000", 2000, "linear"))
 }
-ORACLES["oracle-free-particle-eta1"] = ("free-particle", {"eta": 1.0}, None)
+ORACLES["oracle-free-particle-eta1"] = ("free-particle", {"eta": 1.0})
 
 
 def _cell(x) -> str:

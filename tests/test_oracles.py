@@ -13,6 +13,8 @@ from dissipent import (
     MomentPair,
     NumericalError,
     OscillatorParams,
+    SpinBosonPoint,
+    delocalized_log_derivative,
     discrete_bath_moments,
     discretize_oscillator_bath,
     discretize_spin_bath,
@@ -20,9 +22,11 @@ from dissipent import (
     gaussian_entropy,
     kernel_eigenvalue_entropy,
     kernel_from_moments,
+    oscillator_entropy,
     oscillator_entropy_expansion,
     oscillator_f,
     oscillator_moments,
+    oracle_run,
     ring_kernel_entropy,
     ring_kernel_eigenvalues,
     spin_boson_ed,
@@ -182,6 +186,7 @@ def test_discrete_bath_grid_raises_no_integration_warning():
                     for n_modes in (16, 400, 4000):
                         p = OscillatorParams(omega0=1.0, eta=eta, omega_c=omega_c)
                         cov = discrete_bath_moments(p, n_modes, scheme)
+                        assert isinstance(cov, MomentPair)
                         assert cov.nu >= 0.5
 
 
@@ -337,12 +342,7 @@ def test_series_entropy_reconstruction():
 
 
 def two_mode_bath(scale=1.0):
-    return DiscreteBath(
-        omegas=np.array([0.6, 1.4]),
-        couplings=scale * np.array([0.3, 0.5]),
-        scheme="manual",
-        convention="spin",
-    )
+    return DiscreteBath(omegas=np.array([0.6, 1.4]), couplings=scale * np.array([0.3, 0.5]))
 
 
 def test_ed_decoupled_spin():
@@ -372,9 +372,7 @@ def test_ed_fock_truncation_converged():
 
 
 def test_ed_dimension_guard():
-    big = DiscreteBath(
-        omegas=np.ones(4), couplings=np.ones(4), scheme="manual", convention="spin"
-    )
+    big = DiscreteBath(omegas=np.ones(4), couplings=np.ones(4))
     with pytest.raises(ConfigError):
         spin_boson_ed(1.0, big, fock_cut=10)  # 2 * 10^4 > 2^14
 
@@ -384,3 +382,32 @@ def test_ed_reduced_state_from_discretized_bath():
     st = spin_boson_ed(1.0, bath, fock_cut=5)
     assert abs(st.sz) < 1e-10
     assert 0.0 < st.sx <= 1.0
+
+
+# ------------------------------------------------------------------ removed settings
+
+BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SpinBosonPoint(delta0=1.0, bath=BATH, scaling_constant=1.0),
+        lambda: delocalized_log_derivative(SpinBosonPoint(1.0, BATH), step=1e-5),
+        lambda: oscillator_entropy(OscillatorParams(1.0, 4.0, 100.0), "expansion"),
+        lambda: DiscreteBath(omegas=np.ones(2), couplings=np.ones(2), scheme="manual"),
+        lambda: DiscreteBath(omegas=np.ones(2), couplings=np.ones(2), convention="spin"),
+        lambda: discretize_spin_bath(BATH, 3, omega_min_frac=1e-3),
+        lambda: kernel_eigenvalue_entropy(kernel_ab(100.0), tail_tol=1e-14),
+        lambda: oracle_run("oscillator", {"eta": 1.0}, {"n_modes": 400}),
+    ],
+    ids=[
+        "scaling_constant", "step", "method", "scheme", "convention", "omega_min_frac",
+        "tail_tol", "knobs",
+    ],
+)
+def test_removed_settings_are_refused(call):
+    # settings with one value in use are constants; oracle_run reads n_modes
+    # and scheme from params
+    with pytest.raises(TypeError):
+        call()

@@ -29,7 +29,7 @@ def spin_cfg(**kw):
         alpha_min=0.0005,
         alpha_max=1.1995,
         n_points=1200,
-        fixed={"delta0": 1.0, "lambda0": 100.0, "s": 1.0, "temperature": 0.0},
+        fixed={"delta0": 1.0, "lambda0": 100.0, "s": 1.0},
     )
     base.update(kw)
     return SweepConfig(**base)
@@ -45,16 +45,16 @@ def spin_table():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        SweepConfig(model="bogus", alpha_min=0.0, alpha_max=1.0, n_points=10).validate()
+        SweepConfig(model="bogus", alpha_min=0.0, alpha_max=1.0, n_points=10)
     with pytest.raises(ConfigError):
-        SweepConfig(model="oscillator", alpha_min=1.0, alpha_max=0.5, n_points=10).validate()
+        SweepConfig(model="oscillator", alpha_min=1.0, alpha_max=0.5, n_points=10)
     with pytest.raises(ConfigError):
-        SweepConfig(model="oscillator", alpha_min=0.0, alpha_max=1.0, n_points=2).validate()
+        SweepConfig(model="oscillator", alpha_min=0.0, alpha_max=1.0, n_points=2)
     with pytest.raises(ConfigError):
         SweepConfig(
             model="oscillator", alpha_min=0.1, alpha_max=1.0, n_points=10,
             fixed={"delta0": 1.0},
-        ).validate()
+        )
 
 
 # grids through the couplings the paper singles out: 1/pi (kappa = 1) for
@@ -282,24 +282,14 @@ def test_oracle_run_free_particle():
         ("oscillator", {"eta": 1.0, "length": 10.0}, "length"),
         ("spin-boson", {"sigma_x": 0.5, "eta": 1.0}, "eta"),
         ("spin-boson", {"sigma_x": 0.5, "delta0": 1.0}, "delta0"),
+        ("free-particle", {"eta": 1.0, "n_modes": 5}, "n_modes"),
+        ("spin-boson", {"sigma_x": 0.5, "scheme": "linear"}, "scheme"),
+        ("oscillator", {"eta": 1.0, "n_mode": 100}, "n_mode"),
     ],
 )
 def test_oracle_run_refuses_what_it_does_not_read(model, params, word):
     with pytest.raises(ConfigError, match=word):
         oracle_run(model, params)
-
-
-@pytest.mark.parametrize(
-    "model, params, knobs, word",
-    [
-        ("free-particle", {"eta": 1.0}, {"n_modes": 5}, "n_modes"),
-        ("spin-boson", {"sigma_x": 0.5}, {"scheme": "linear"}, "scheme"),
-        ("oscillator", {"eta": 1.0}, {"n_mode": 100}, "n_mode"),
-    ],
-)
-def test_oracle_run_refuses_knobs_it_does_not_read(model, params, knobs, word):
-    with pytest.raises(ConfigError, match=word):
-        oracle_run(model, params, knobs)
 
 
 def test_oracle_run_free_particle_takes_dim_one():
@@ -361,6 +351,7 @@ def test_header_echoes_resolved_config(spin_table):
     assert "# delta0 = 1" in csv
     assert "# lambda0 = 100" in csv
     assert "# model = spin-boson" in csv
+    assert "temperature" not in csv  # the sweep is at T = 0; it has no such setting
 
 
 # ------------------------------------------------------------------ presets
