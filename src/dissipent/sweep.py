@@ -3,7 +3,8 @@
 A sweep evaluates one model over a uniform coupling grid and returns a
 table whose header echoes the fully resolved configuration.  All numbers
 are printed with 12 significant digits so that repeated runs are
-byte-identical; CSV and JSON emissions share the same formatter.
+byte-identical; CSV and JSON emissions share the same formatter, and each
+table is written through one row template.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import statistics
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .bath import BathSpec
 from .errors import ConfigError, RegimeError
@@ -298,6 +299,8 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
         raise ConfigError(f"detect_kink needs >= 50 grid points, got {len(y)}")
     if not all(map(math.isfinite, y)):
         raise ConfigError(f"column {column!r} contains non-finite entries")
+    import statistics  # only here: it loads fractions and decimal
+
     d2 = [abs(y[j + 1] - 2.0 * y[j] + y[j - 1]) for j in range(1, len(y) - 1)]
     i = max(range(len(d2)), key=d2.__getitem__)  # the first largest
     scale = max(map(abs, y)) or 1.0
@@ -537,41 +540,76 @@ def preset_regime_map(name: str) -> RegimeMap:
 
 def format_value(x) -> str:
     """Canonical 12-significant-digit representation used by both CSV and
-    JSON output; strings pass through unchanged."""
+    JSON output; strings pass through unchanged.  `.12g` prints every NaN,
+    whatever its sign, as nan."""
+    if type(x) is float:
+        return f"{x:.12g}"
     if isinstance(x, str):
         return x
     if isinstance(x, numbers.Integral):
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
+    return f"{float(x):.12g}"
 
 
-def _csv(comments, names, rows) -> str:
+def _row_template(columns, sep: str, quote=None) -> tuple[str, list]:
+    """The `%` template of one table row, its fields joined by `sep`, and
+    the columns that fill it: `template % row` for each row of
+    zip(*cells) writes the row.
+
+    A column whose cells are all Python floats goes in as %.12g, which
+    prints every float exactly as format_value does; any other column is
+    written once through format_value and goes in as %s.  With `quote`
+    (JSON's string encoder) the float fields are put in double quotes and
+    the other cells are passed through it, so each cell is a JSON string.
+    """
+    fields, cells = [], []
+    for col in columns:
+        if set(map(type, col)) == {float}:
+            fields.append('"%.12g"' if quote else "%.12g")
+            cells.append(col)
+        else:
+            text = [format_value(x) for x in col]
+            fields.append("%s")
+            cells.append([quote(t) for t in text] if quote else text)
+    return sep.join(fields), cells
+
+
+def _csv(comments, names, columns) -> str:
     """`# `-prefixed comment lines, a header row, then one line per row of
-    values, each cell written by format_value; LF line endings."""
+    the columns, written through one row template; LF line endings."""
+    template, cells = _row_template(columns, ",")
     lines = [f"# {c}" for c in comments] + [",".join(names)]
-    lines += [",".join(format_value(x) for x in r) for r in rows]
+    lines += [template % r for r in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
-def _rows(table: SweepTable):
-    return zip(*(table.columns[c] for c in table.column_names))
+def _columns(table: SweepTable) -> list:
+    return [table.columns[c] for c in table.column_names]
 
 
 def table_to_csv(table: SweepTable) -> str:
     config = [f"{k} = {format_value(table.config[k])}" for k in sorted(table.config)]
-    return _csv(["dissipent sweep", *config], table.column_names, _rows(table))
+    return _csv(["dissipent sweep", *config], table.column_names, _columns(table))
 
 
 def table_to_json(table: SweepTable) -> str:
-    doc = {
-        "config": {k: format_value(v) for k, v in sorted(table.config.items())},
-        "columns": table.column_names,
-        "rows": [[format_value(x) for x in r] for r in _rows(table)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The table as json.dumps(doc, indent=2, sort_keys=True) writes it,
+    byte for byte, with every value a format_value string."""
+    head = json.dumps(
+        {
+            "config": {k: format_value(v) for k, v in table.config.items()},
+            "columns": table.column_names,
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    template, cells = _row_template(_columns(table), ",\n      ", encode_basestring_ascii)
+    row = "    [\n      " + template + "\n    ]"
+    rows = [row % r for r in zip(*cells)]
+    array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    # sort_keys puts "rows" last, after "columns" and "config": its array
+    # goes in before the head's closing "\n}"
+    return head[:-2] + ',\n  "rows": ' + array + "\n}\n"
 
 
 def regime_map_to_csv(rmap: RegimeMap) -> str:
@@ -581,8 +619,8 @@ def regime_map_to_csv(rmap: RegimeMap) -> str:
         "transition line: alpha = s * delta0_over_lambda0",
     ]
     header = ["alpha\\ratio"] + [format_value(r) for r in rmap.ratios]
-    return _csv(comments, header, ([a, *labels] for a, labels in zip(rmap.alphas, rmap.labels)))
+    return _csv(comments, header, [rmap.alphas, *zip(*rmap.labels)])
 
 
 def oracle_to_csv(rows: list[dict]) -> str:
-    return _csv([], list(rows[0]), (r.values() for r in rows))
+    return _csv([], list(rows[0]), [[r[k] for r in rows] for k in rows[0]])

@@ -233,6 +233,18 @@ def test_every_model_parameter_is_a_sweep_flag():
             assert type(getattr(args, key)) is type(default)
 
 
+def test_main_reuses_one_parser_that_carries_nothing_between_calls(capsys):
+    from dissipent import cli
+
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    small = ["sweep", "--model", "oscillator", "--alpha-points", "5"]
+    assert run_cli([*small, "--omega0", "2", "--format", "json"]) == 0
+    assert run_cli(["kink", "--threshold", "1"]) == 2
+    capsys.readouterr()
+    assert vars(cli._parser().parse_args(small)) == vars(build_parser().parse_args(small))
+
+
 # ---------------------------------------------------- one sweep-document path
 
 

@@ -1,8 +1,8 @@
 """Import hygiene: the package and every closed-form CLI command run on the
-standard library alone, only the oracles load numpy (on first call), and
-no module under src/dissipent imports scipy, which is a test-only
-dependency.  Each runtime case runs in a fresh interpreter, since the test
-process has numpy and scipy loaded already."""
+standard library alone, only the oracles load numpy (on first call), only
+kink detection loads statistics, and no module under src/dissipent imports
+scipy, which is a test-only dependency.  Each runtime case runs in a fresh
+interpreter, since the test process has numpy and scipy loaded already."""
 
 import ast
 import contextlib
@@ -21,14 +21,14 @@ import dissipent
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `body` with its stdout swallowed, then prints its `result` and the
-# scipy and numpy modules loaded by then
+# scipy, numpy and statistics modules loaded by then
 PROBE = """\
 import contextlib, io, json, sys
 result = None
 with contextlib.redirect_stdout(io.StringIO()):
 {body}
 loaded = {{lib: sorted(m for m in sys.modules if m.split(".")[0] == lib)
-          for lib in ("scipy", "numpy")}}
+          for lib in ("scipy", "numpy", "statistics")}}
 print(json.dumps({{"result": result, **loaded}}))
 """
 
@@ -53,7 +53,7 @@ result = [
 
 @functools.cache
 def fresh(body: str) -> dict:
-    """`{"result", "scipy", "numpy"}` of `body` run in a fresh interpreter
+    """`{"result", "scipy", "numpy", "statistics"}` of `body` run in a fresh interpreter
     with the package on PYTHONPATH; each body runs once per session."""
     code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -109,6 +109,13 @@ def test_closed_form_paths_load_no_numpy(argv):
     out = fresh(cli_body(argv))
     assert out["result"] in (None, 0)
     assert out["numpy"] == []
+
+
+@pytest.mark.parametrize("name", ["import", "sweep-free-particle", "kink"])
+def test_statistics_is_loaded_only_to_detect_a_kink(name):
+    # statistics loads fractions and decimal, a share of every cold start
+    out = fresh(cli_body(CLOSED_FORM[name]))
+    assert out["statistics"] == (["statistics"] if name == "kink" else [])
 
 
 def test_oracles_module_is_loaded_with_the_package():

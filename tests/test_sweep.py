@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from dissipent import ConfigError, SweepConfig, detect_kink, oracle_run, run_swe
 from dissipent.sweep import (
     SweepTable,
     _central_derivatives,
+    format_value,
     geomspace,
     linspace,
     preset_config,
     preset_kind,
     preset_names,
     preset_regime_map,
+    oracle_to_csv,
     regime_map,
     regime_map_to_csv,
     table_to_csv,
@@ -337,6 +341,138 @@ def test_csv_and_json_contain_identical_values(spin_table):
     header, first = body[0].split(","), body[1].split(",")
     assert header == doc["columns"]
     assert first == doc["rows"][0]
+
+
+# The per-cell writers the row templates replaced, kept as the reference
+# the writers must match byte for byte.
+
+
+def old_format_value(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, numbers.Integral):
+        return str(int(x))
+    v = float(x)
+    if math.isnan(v):
+        return "nan"
+    return f"{v:.12g}"
+
+
+def old_csv(comments, names, rows) -> str:
+    lines = [f"# {c}" for c in comments] + [",".join(names)]
+    lines += [",".join(old_format_value(x) for x in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def old_rows(table):
+    return zip(*(table.columns[c] for c in table.column_names))
+
+
+def old_table_to_csv(table) -> str:
+    config = [f"{k} = {old_format_value(table.config[k])}" for k in sorted(table.config)]
+    return old_csv(["dissipent sweep", *config], table.column_names, old_rows(table))
+
+
+def old_table_to_json(table) -> str:
+    doc = {
+        "config": {k: old_format_value(v) for k, v in sorted(table.config.items())},
+        "columns": table.column_names,
+        "rows": [[old_format_value(x) for x in r] for r in old_rows(table)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def old_regime_map_to_csv(rmap) -> str:
+    comments = [
+        "dissipent regime-map",
+        f"s = {old_format_value(rmap.s)}",
+        "transition line: alpha = s * delta0_over_lambda0",
+    ]
+    header = ["alpha\\ratio"] + [old_format_value(r) for r in rmap.ratios]
+    return old_csv(comments, header, ([a, *labels] for a, labels in zip(rmap.alphas, rmap.labels)))
+
+
+def old_oracle_to_csv(rows) -> str:
+    return old_csv([], list(rows[0]), (r.values() for r in rows))
+
+
+SUBOHMIC = {"delta0": 20.0, "lambda0": 100.0, "s": 0.5}
+WRITER_SWEEPS = {
+    # past alpha = 1 delta_ren has no root (NaN cells); s = 1 has no regime
+    "ohmic-to-1.2": spin_cfg(alpha_min=0.01, alpha_max=1.2, n_points=120),
+    "subohmic": spin_cfg(alpha_min=0.01, alpha_max=1.2, n_points=120, fixed=SUBOHMIC),
+    "free-particle": SweepConfig(model="free-particle", alpha_min=0.01, alpha_max=50.0,
+                                 n_points=100),
+    "oscillator": SweepConfig(model="oscillator", alpha_min=0.0, alpha_max=2.5, n_points=100),
+}
+# every kind of cell: ints, numpy floats, infinities, a negative zero, NaN,
+# strings that JSON escapes, and a column of mixed types
+HAND_BUILT = SweepTable(
+    config={"model": 'a"b\\é', "n": 3, "w": np.float64(0.1), "x": -0.0},
+    column_names=["alpha", "i", "f64", "edge", "text", "mixed"],
+    columns={
+        "alpha": [0.1, 0.2, 0.3],
+        "i": [1, -2, 2**70],
+        "f64": [np.float64(0.1), np.float64(np.inf), np.float64(np.nan)],
+        "edge": [math.inf, -math.inf, -0.0],
+        "text": ['a"b\\é', "", "tab\there"],
+        "mixed": [1, 2.5e-300, "nan"],
+    },
+)
+EMPTY = SweepTable(config={"model": "x"}, column_names=["alpha", "S"],
+                   columns={"alpha": [], "S": []})
+
+
+@functools.cache
+def writer_table(name):
+    if name in preset_names():
+        return run_sweep(preset_config(name))
+    return run_sweep(WRITER_SWEEPS[name])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fig1-oscillator", "fig1-spinboson", *WRITER_SWEEPS, "hand-built", "empty"],
+)
+def test_table_writers_match_the_per_cell_writers(name):
+    table = {"hand-built": HAND_BUILT, "empty": EMPTY}.get(name) or writer_table(name)
+    assert table_to_csv(table) == old_table_to_csv(table)
+    assert table_to_json(table) == old_table_to_json(table)
+
+
+def test_writer_sweeps_hold_the_cells_they_stand_for():
+    ohmic = writer_table("ohmic-to-1.2").columns
+    assert any(map(math.isnan, ohmic["delta_ren"])) and set(ohmic["regime"]) == {""}
+    subohmic = writer_table("subohmic").columns
+    assert {"DelocalizedCoherent", "Localized"} <= set(subohmic["regime"])
+
+
+def test_regime_map_and_oracle_writers_match_the_per_cell_writers():
+    rmaps = [preset_regime_map(name) for name in preset_names() if preset_kind(name) != "sweep"]
+    rmaps.append(regime_map(0.5, [1e-3, 0.8], [1e-4, 2.5e-4, 1e-1]))
+    assert rmaps and all(regime_map_to_csv(m) == old_regime_map_to_csv(m) for m in rmaps)
+    runs = [
+        oracle_run("oscillator", {"eta": 0.8, "n_modes": 200}),
+        oracle_run("free-particle", {"eta": 1.0}),
+        oracle_run("spin-boson", {"sigma_x": 0.3}),
+        [{"observable": 'a"b', "analytic": 1, "oracle": np.float64(-0.0), "abs_dev": math.nan}],
+    ]
+    for rows in runs:
+        assert oracle_to_csv(rows) == old_oracle_to_csv(rows)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(-math.nan)
+@example(5e-324)
+def test_float_template_field_prints_what_format_value_prints(x):
+    # the row templates write a column of floats with %.12g
+    assert "%.12g" % x == format_value(x) == old_format_value(x)
+
+
+def test_format_value_of_other_types_is_unchanged():
+    for x in ("", 'a"b', 7, -3, True, np.int64(5), np.float64(0.25), np.float32(0.1), 2**70):
+        assert format_value(x) == old_format_value(x)
 
 
 def test_sweep_determinism_in_process():
