@@ -5,7 +5,7 @@ super-Ohmic baths.  Closed forms throughout are backed by independent
 brute-force oracles (bath discretisation, ring eigenvalue sums, replica
 determinants, truncated-Fock exact diagonalisation)."""
 
-from .bath import BathSpec, adiabatic_exponent, spectral_density
+from .bath import BathSpec, adiabatic_exponent
 from .errors import ConfigError, DomainError, NumericalError, RegimeError
 from .gaussian import (
     FreeParticleParams,
@@ -44,7 +44,6 @@ from .spinboson import (
     SpinBosonPoint,
     coherence_crossover_alpha,
     delocalized_log_derivative,
-    delta_of_lambda,
     delta_ren,
     delta_ren_derivative,
     flow_free_energy,

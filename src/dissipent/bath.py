@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["BathSpec", "spectral_density", "adiabatic_exponent"]
+__all__ = ["BathSpec", "adiabatic_exponent"]
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,6 @@ class BathSpec:
     @property
     def is_ohmic(self) -> bool:
         return abs(self.s - 1.0) < 1e-12
-
-
-def spectral_density(bath: BathSpec, omega):
-    """J(omega) for a scalar or array of frequencies.
-
-    Raises DomainError for negative frequencies.  Zero above the cutoff.
-    """
-    import numpy as np
-
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
-        raise DomainError("spectral density is defined for omega >= 0")
-    j = 2.0 * bath.alpha * np.power(w, bath.s) * bath.cutoff ** (1.0 - bath.s)
-    j = np.where(w > bath.cutoff, 0.0, j)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(j)
-    return j
 
 
 def adiabatic_exponent(bath: BathSpec, lambda_low: float) -> float:

@@ -21,6 +21,7 @@ from .sweep import (
     MODELS,
     SWEEP_KEYS,
     KinkReport,
+    _ORACLE_READS,
     detect_kink,
     format_value,
     oracle_run,
@@ -41,7 +42,7 @@ _PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.i
 # the oracle flags, each with how it is parsed; an unset one takes the
 # default of the chosen oracle
 _ORACLE_FLAGS = {
-    **dict.fromkeys(("eta", "omega0", "omega_c", "length", "sigma_x"), {"type": float}),
+    **dict.fromkeys(("eta", "omega0", "omega_c", "length"), {"type": float}),
     "n_modes": {"type": int},
     "scheme": {"choices": ["logarithmic", "linear"]},
 }
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_regime_map)
 
     p_oracle = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
-    p_oracle.add_argument("--model", required=True, choices=MODELS)
+    p_oracle.add_argument("--model", required=True, choices=list(_ORACLE_READS))
     for key, how in _ORACLE_FLAGS.items():
         p_oracle.add_argument(f"--{key.replace('_', '-')}", dest=key, **how)
     p_oracle.add_argument("--output")

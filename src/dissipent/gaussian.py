@@ -35,9 +35,6 @@ __all__ = [
     "alpha_from_kappa",
 ]
 
-# local window around kappa = 1 where the direct formulas lose precision
-_KAPPA_SERIES_WINDOW = 1e-8
-
 
 def kappa_from_alpha(alpha: float) -> float:
     return math.pi * alpha
@@ -72,6 +69,7 @@ class FreeParticleParams:
 @dataclass(frozen=True)
 class FreeParticleResult:
     entropy: float
+    a: float  # kernel width, free_particle_kernel_width
     a_l2: float  # a * L**2, the argument of the leading logarithm
 
 
@@ -88,13 +86,13 @@ def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
 
         S = (d/2) * (ln(a L**2) + 1 - ln pi),
 
-    returned together with a*L**2 for diagnostics.  S is only positive for
+    returned together with the kernel width a and a*L**2.  S is only positive for
     a L**2 > pi / e; the formula is evaluated for any positive a L**2.
     """
     a = free_particle_kernel_width(p)
     a_l2 = a * p.length**2
     s = 0.5 * p.dim * (math.log(a_l2) + 1.0 - math.log(math.pi))
-    return FreeParticleResult(entropy=s, a_l2=a_l2)
+    return FreeParticleResult(entropy=s, a=a, a_l2=a_l2)
 
 
 @dataclass(frozen=True)
@@ -121,32 +119,31 @@ class OscillatorParams:
 
 def oscillator_f(kappa: float) -> float:
     """Ground-state position-variance function f(kappa), with
-    <q^2> = f(kappa) / (2 omega0).
+    <q^2> = f(kappa) / (2 omega0).  With t = kappa - 1 and R = sqrt(|t (2+t)|)
+    = sqrt(|kappa^2 - 1|):
 
-    Overdamped branch (kappa > 1):
+        overdamped  (kappa > 1):  f = (2/pi) acosh(kappa) / R,
+        underdamped (kappa < 1):  f = (2/pi) arctan(R/kappa) / R.
 
-        f = (1/pi) ln[(kappa + sqrt(kappa^2-1)) / (kappa - sqrt(kappa^2-1))]
-            / sqrt(kappa^2-1)
-
-    which continues analytically to kappa < 1 as
-
-        f = (2/pi) arctan(sqrt(1-kappa^2)/kappa) / sqrt(1-kappa^2).
-
-    The continuation is forced: <q^2> is real and kappa -> 0 must recover
-    the undamped ground state (f = 1).  The point kappa = 1 is a removable
-    singularity with limit 2/pi; within |kappa-1| < 1e-8 a short Taylor
-    series is used because both closed forms lose precision there.
+    acosh(kappa) = log1p(t + R) = (1/2) ln[(kappa + R) / (kappa - R)], taken
+    without the cancellation of kappa - R and without overflow up to the
+    largest double; R is formed as sqrt(t) sqrt(2+t) for the same reason.
+    The underdamped form is the analytic continuation of the overdamped
+    one, forced because <q^2> is real and kappa -> 0 must recover the
+    undamped ground state (f = 1).  kappa = 1 is a removable singularity:
+    there f = 2/pi exactly, and next to it each form keeps full precision,
+    so no series window is needed.
     """
-    if kappa < 0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    if not 0.0 <= kappa < math.inf:
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
     t = kappa - 1.0
-    if abs(t) < _KAPPA_SERIES_WINDOW:
-        return (2.0 / math.pi) * (1.0 - t / 3.0 + 2.0 * t * t / 15.0)
-    if kappa < 1.0:
+    if t > 0.0:
+        root = math.sqrt(t) * math.sqrt(2.0 + t)
+        return (2.0 / math.pi) * math.acosh(kappa) / root
+    if t < 0.0:
         root = math.sqrt((1.0 - kappa) * (1.0 + kappa))
         return (2.0 / math.pi) * math.atan2(root, kappa) / root
-    root = math.sqrt((kappa - 1.0) * (kappa + 1.0))
-    return (1.0 / math.pi) * math.log((kappa + root) / (kappa - root)) / root
+    return 2.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -207,10 +204,12 @@ def oscillator_moments(p: OscillatorParams) -> MomentPair:
             f"moment formulas need omega_c > omega0 (got {p.omega_c} <= {p.omega0})"
         )
     k = p.kappa
-    q2 = oscillator_f(k) / (2.0 * p.omega0)
-    p2 = p.omega0**2 * (1.0 - 2.0 * k * k) * q2 + (
-        2.0 * p.omega0 * k / math.pi
-    ) * math.log(p.omega_c / p.omega0)
+    f = oscillator_f(k)
+    q2 = f / (2.0 * p.omega0)
+    # omega0 factored out, so that omega0^2 neither overflows nor underflows
+    p2 = p.omega0 * (
+        (1.0 - 2.0 * k * k) * f / 2.0 + (2.0 * k / math.pi) * math.log(p.omega_c / p.omega0)
+    )
     if p2 <= 0:
         raise RegimeError(
             f"<p^2> = {p2} <= 0: the large-cutoff formula is invalid at kappa={k}, "
@@ -239,20 +238,20 @@ def oscillator_entropy_expansion(m: MomentPair) -> float:
 
 def gaussian_entropy(nu: float) -> float:
     """Exact von Neumann entropy of a single-mode Gaussian state with
-    symplectic eigenvalue nu >= 1/2:
+    symplectic eigenvalue nu >= 1/2,
 
         S(nu) = (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
-    S(1/2) = 0 and S -> ln(nu) + 1 for large nu.
+    evaluated with d = nu - 1/2 as S = log1p(d) + d log1p(1/d), which
+    neither rounds nu + 1/2 before the log nor subtracts two large terms.
+    S(1/2) = 0 exactly (d <= 0 gives 0), and S -> ln(nu) + 1 for large nu.
     """
     if nu < 0.5 - 1e-12:
         raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {nu}")
-    up = nu + 0.5
-    dn = max(nu - 0.5, 0.0)
-    s = up * math.log(up)
-    if dn > 0.0:
-        s -= dn * math.log(dn)
-    return s
+    d = nu - 0.5
+    if d <= 0.0:
+        return 0.0
+    return math.log1p(d) + d * math.log1p(1.0 / d)
 
 
 def oscillator_entropy(p: OscillatorParams) -> float:

@@ -33,6 +33,7 @@ by bisection, so nothing here needs scipy.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +47,6 @@ __all__ = [
     "FlowState",
     "Regime",
     "spin_entropy",
-    "delta_of_lambda",
     "delta_ren",
     "delta_ren_derivative",
     "delocalized_log_derivative",
@@ -71,14 +71,13 @@ BRACKET_FLOOR = 1e-15
 # the coherent sub-Ohmic corner
 SCALING_TRUST_MIN_RATIO = 0.1
 
-_HALF_TOL = 1e-9  # |alpha - 1/2| below which the log branch of E is used
-
 
 @dataclass(frozen=True)
 class SpinBosonPoint:
     """A point in spin-boson parameter space.
 
-    delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff
+    delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff, with
+             delta0 / cutoff a normal (not subnormal) double
     bath : BathSpec carrying (s, alpha, cutoff)
     temperature : T >= 0 (enters only through the flow lower limit)
     """
@@ -96,6 +95,8 @@ class SpinBosonPoint:
             )
         if self.temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
+        if self.ratio < sys.float_info.min:  # 1/r would overflow
+            raise DomainError(f"delta0/cutoff = {self.ratio} is subnormal")
 
     @property
     def ratio(self) -> float:
@@ -131,11 +132,6 @@ def spin_entropy(sx: float) -> float:
         if lam > 0.0:
             s -= lam * math.log(lam)
     return s
-
-
-def delta_of_lambda(point: SpinBosonPoint, lam: float) -> float:
-    """Running tunneling amplitude Delta(L) = Delta0 exp(-X(L))."""
-    return point.delta0 * math.exp(-adiabatic_exponent(point.bath, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +251,30 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _ohmic_log_and_g(point: SpinBosonPoint) -> tuple[float, float]:
+    """(ln r, g) for the Ohmic energies, 0 < alpha < 1: with
+    x = (2a-1) ln(r) / (1-a), r^(a/(1-a)) - r = r expm1(x), and
+    g = expm1(x) / x, which is 1 at x = 0 (alpha = 1/2)."""
+    a = point.bath.alpha
+    log_r = math.log(point.ratio)
+    x = (2.0 * a - 1.0) * log_r / (1.0 - a)
+    return log_r, (math.expm1(x) / x if x else 1.0)
+
+
 def ohmic_ground_energy(point: SpinBosonPoint) -> float:
-    """Ground-state energy gain of the Ohmic (s = 1) two-level system.
+    """Ground-state energy gain of the Ohmic (s = 1) two-level system,
+    with r = Delta0/cutoff:
 
-    Piecewise in alpha with r = Delta0/cutoff:
+        0 < alpha < 1 : E = [Delta0 r^(a/(1-a)) - Delta0 r] / (1-2a)
+                          = -Delta0 r ln(r) g / (1-a),   g as above
+        alpha >= 1    : E = Delta0 r / (2a - 1)
 
-        0 < alpha < 1/2 : 1/(1-2a) * [Delta0 r^(a/(1-a)) - Delta0 r]
-        alpha = 1/2     : 2 Delta0 r ln(1/r)            (the 0/0 limit)
-        1/2 < alpha < 1 : 1/(2a-1) * [Delta0 r - Delta0 r^(a/(1-a))]
-        alpha >= 1      : Delta0 r / (2a - 1)
-
-    The alpha >= 1 branch keeps the 1/(2a-1) factor so that the piecewise
-    form coincides with the flow quadrature (Delta_ren = 0 there); all
-    branches are continuous, including across alpha = 1.
+    The first line is one analytic function of alpha: at alpha = 1/2 its
+    0/0 is removed exactly (g = 1, E = 2 Delta0 r ln(1/r)), and expm1 keeps
+    full precision next to it, so there is no window around 1/2.  The
+    alpha >= 1 branch keeps the 1/(2a-1) factor so that the piecewise form
+    coincides with the flow quadrature (Delta_ren = 0 there); E is
+    continuous across alpha = 1.
     """
     if not point.bath.is_ohmic:
         raise RegimeError(f"ohmic_ground_energy requires s = 1, got s = {point.bath.s}")
@@ -275,29 +282,27 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     if a <= 0:
         raise DomainError("ohmic_ground_energy is defined for alpha > 0")
     r = point.ratio
-    d0 = point.delta0
-    if abs(a - 0.5) < _HALF_TOL:
-        return 2.0 * d0 * r * math.log(1.0 / r)
     if a >= 1.0:
-        return d0 * r / (2.0 * a - 1.0)
-    # branches below and above 1/2 are the same analytic expression
-    return 1.0 / (1.0 - 2.0 * a) * (d0 * r ** (a / (1.0 - a)) - d0 * r)
+        return point.delta0 * r / (2.0 * a - 1.0)
+    log_r, g = _ohmic_log_and_g(point)
+    return -point.delta0 * r * log_r * g / (1.0 - a)
 
 
 def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
-    """|<sigma_x>| = 2 dE/dDelta0 from the exact branch formulas, clipped
-    to [0, 1].  This is the energy-route coherence; the max-rule sigma_x
-    below is the one used for crossover analysis."""
+    """|<sigma_x>| = 2 dE/dDelta0 from the closed-form energy, clipped to
+    [0, 1]: (2r/(1-a)) (-g ln(r)/(1-a) - 1) for alpha < 1, with g as in
+    ohmic_ground_energy, and 4r/(2a-1) for alpha >= 1.  This is the
+    energy-route coherence; the max-rule sigma_x below is the one used for
+    crossover analysis."""
     if not point.bath.is_ohmic:
         raise RegimeError(f"requires s = 1, got s = {point.bath.s}")
     a = point.bath.alpha
     r = point.ratio
-    if abs(a - 0.5) < _HALF_TOL:
-        val = 4.0 * r * (2.0 * math.log(1.0 / r) - 1.0)
-    elif a >= 1.0:
+    if a >= 1.0:
         val = 4.0 * r / (2.0 * a - 1.0)
     else:
-        val = 2.0 / (1.0 - 2.0 * a) * (r ** (a / (1.0 - a)) / (1.0 - a) - 2.0 * r)
+        log_r, g = _ohmic_log_and_g(point)
+        val = 2.0 * r / (1.0 - a) * (-g * log_r / (1.0 - a) - 1.0)
     return min(1.0, max(0.0, val))
 
 
@@ -450,15 +455,18 @@ def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:
     """Closed-form solution of the one-loop flow d kt / d ell = kt^2 - s*kt
     with ell = ln(cutoff / lambda):
 
-        kt(ell) = s * kt0 / (kt0 + (s - kt0) * exp(s * ell)).
+        kt(ell) = s * kt0 / (kt0 + (s - kt0) * exp(s * ell)),
 
-    kt0 = s is the (unstable) fixed point and stays put; kt0 < s flows to
-    zero as (lambda/cutoff)^s with a relative offset kt0/(s - kt0) deep in
-    the flow.
+    taken for 0 <= kt0 <= s and ell >= 0 with exp(-s ell) = (lambda/cutoff)^s
+    in numerator and denominator, which underflows deep in the flow rather
+    than overflowing.  kt0 = s is the (unstable) fixed point and stays put;
+    kt0 < s flows to zero as (lambda/cutoff)^s with a relative offset
+    kt0/(s - kt0) deep in the flow.
     """
     if kappa_tilde0 == s:
         return s
-    return s * kappa_tilde0 / (kappa_tilde0 + (s - kappa_tilde0) * math.exp(s * ell))
+    decay = math.exp(-s * ell)
+    return s * kappa_tilde0 * decay / (kappa_tilde0 * decay + (s - kappa_tilde0))
 
 
 def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:

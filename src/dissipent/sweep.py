@@ -24,7 +24,6 @@ from .gaussian import (
     oscillator_entropy_expansion,
     oscillator_moments,
     free_particle_entropy,
-    free_particle_kernel_width,
     gaussian_entropy,
 )
 from .oracles import (
@@ -271,7 +270,7 @@ def _sweep_free_particle(grid, fixed, cols):
         )
         res = free_particle_entropy(p)
         cols["eta"].append(eta)
-        cols["a"].append(free_particle_kernel_width(p))
+        cols["a"].append(res.a)
         cols["a_l2"].append(res.a_l2)
         cols["S"].append(res.entropy)
 
@@ -357,7 +356,8 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 
 
 # oracle model -> the inputs it reads, each with its default; the first
-# one has none and is required
+# one has none and is required.  This is the one list of oracles; the
+# spin-boson model has none yet.
 _ORACLE_READS = {
     "free-particle": {"eta": None, **MODEL_PARAMS["free-particle"]},
     "oscillator": {
@@ -366,21 +366,20 @@ _ORACLE_READS = {
         "n_modes": 400,
         "scheme": "logarithmic",
     },
-    "spin-boson": {"sigma_x": None},
 }
 
 
 def oracle_run(model: str, params: dict) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
-    absolute and relative deviation columns.  `params` must hold eta
-    (sigma_x for the spin-boson model) and nothing the oracle does not
+    absolute and relative deviation columns, for a model of
+    _ORACLE_READS.  `params` must hold eta and nothing the oracle does not
     read.  The model's parameters default from MODEL_PARAMS; the
     oscillator oracle also reads its discretisation, n_modes (default
     400) and scheme (default logarithmic)."""
     import numpy as np
 
-    if model not in MODELS:
-        raise ConfigError(f"unknown oracle model {model!r}")
+    if model not in _ORACLE_READS:
+        raise ConfigError(f"no oracle for model {model!r}; oracles: {', '.join(_ORACLE_READS)}")
     reads = _ORACLE_READS[model]
     required = next(iter(reads))
     if required not in params:
@@ -414,14 +413,8 @@ def oracle_run(model: str, params: dict) -> list[dict]:
             raise ConfigError(f"the free-particle oracle is one-dimensional, got dim = {par['dim']}")
         p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"], dim=1)
         res = free_particle_entropy(p)
-        a = free_particle_kernel_width(p)
-        row("S", res.entropy, ring_kernel_entropy(a, p.length))
-        row("trace", 1.0, float(np.sum(ring_kernel_eigenvalues(a, p.length))))
-    else:
-        sx = par["sigma_x"]
-        lam = np.array([(1.0 + sx) / 2.0, (1.0 - sx) / 2.0])
-        lam = lam[lam > 0]
-        row("S", spin_entropy(sx), float(-np.sum(lam * np.log(lam))))
+        row("S", res.entropy, ring_kernel_entropy(res.a, p.length))
+        row("trace", 1.0, float(np.sum(ring_kernel_eigenvalues(res.a, p.length))))
     return rows
 
 

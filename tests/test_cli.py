@@ -137,12 +137,37 @@ def test_temperature_flag_is_gone(capsys, command):
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = run_cli(
-        ["oracle", "--model", "spin-boson", "--sigma-x", "0.5", "--output", str(out)]
+        ["oracle", "--model", "free-particle", "--eta", "1.0", "--output", str(out)]
     )
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("observable,")
     assert lines[1].split(",")[0] == "S"
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--model", "spin-boson"], "spin-boson"),
+        (["--model", "oscillator", "--sigma-x", "0.5"], "--sigma-x"),
+    ],
+    ids=["model", "sigma-x"],
+)
+def test_spin_boson_oracle_is_gone(capsys, argv, word):
+    # it compared spin_entropy with the same eigenvalue sum, so it checked nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["oracle", "--eta", "1.0", *argv])
+    assert exc.value.code == 2
+    assert word in capsys.readouterr().err
+
+
+def test_oracle_past_the_moment_formulas_is_a_regime_error(capsys):
+    # kappa = 1e8: oscillator_f is finite, and <p^2> of the large-cutoff
+    # formula is negative
+    rc = run_cli(["oracle", "--model", "oscillator", "--eta", "2e8"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("regime error: <p^2>") and "large-cutoff" in err
 
 
 def test_preset_list(capsys):
@@ -217,7 +242,7 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model, need", [("oscillator", "eta"), ("spin-boson", "sigma_x")])
+@pytest.mark.parametrize("model, need", [("oscillator", "eta"), ("free-particle", "eta")])
 def test_oracle_without_its_input_is_config_error(capsys, model, need):
     rc = run_cli(["oracle", "--model", model])
     assert rc == 2
@@ -309,11 +334,10 @@ def test_flag_over_a_mistyped_fixed_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, word",
     [
-        (["--model", "spin-boson", "--sigma-x", "0.5", "--eta", "1.0"], "eta"),
         (["--model", "oscillator", "--eta", "1.0", "--length", "10.0"], "length"),
         (["--model", "free-particle", "--eta", "1.0", "--omega0", "2.0"], "omega0"),
     ],
-    ids=["spin-boson-eta", "oscillator-length", "free-particle-omega0"],
+    ids=["oscillator-length", "free-particle-omega0"],
 )
 def test_oracle_input_it_does_not_read_is_config_error(capsys, argv, word):
     rc = run_cli(["oracle", *argv])
@@ -327,9 +351,8 @@ def test_oracle_input_it_does_not_read_is_config_error(capsys, argv, word):
     [
         (["--model", "free-particle", "--eta", "1.0", "--n-modes", "5"], "n_modes"),
         (["--model", "free-particle", "--eta", "1.0", "--scheme", "linear"], "scheme"),
-        (["--model", "spin-boson", "--sigma-x", "0.5", "--n-modes", "400"], "n_modes"),
     ],
-    ids=["free-particle-n-modes", "free-particle-scheme", "spin-boson-n-modes"],
+    ids=["free-particle-n-modes", "free-particle-scheme"],
 )
 def test_oracle_knob_it_does_not_read_is_config_error(capsys, argv, word):
     rc = run_cli(["oracle", *argv])

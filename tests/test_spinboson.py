@@ -16,7 +16,6 @@ from dissipent import (
     adiabatic_exponent,
     coherence_crossover_alpha,
     delocalized_log_derivative,
-    delta_of_lambda,
     delta_ren,
     delta_ren_derivative,
     flow_free_energy,
@@ -100,7 +99,7 @@ def test_delta_ren_subohmic_near_cutoff():
     dr = delta_ren(pt)
     assert dr is not None
     # self-consistency residual vanishes
-    assert dr == pytest.approx(delta_of_lambda(pt, dr), rel=1e-12)
+    assert dr == pytest.approx(pt.delta0 * math.exp(-adiabatic_exponent(pt.bath, dr)), rel=1e-12)
 
 
 def test_delta_ren_monotone_in_alpha():

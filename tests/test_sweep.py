@@ -267,11 +267,6 @@ def test_detect_kink_preconditions():
 # ------------------------------------------------------------------ oracle runs
 
 
-def test_oracle_run_spin_entropy_row():
-    rows = oracle_run("spin-boson", {"sigma_x": 0.5})
-    assert rows[0]["rel_dev"] < 1e-12
-
-
 def test_oracle_run_free_particle():
     rows = {r["observable"]: r for r in oracle_run("free-particle", {"eta": 1.0})}
     assert rows["S"]["rel_dev"] < 0.01
@@ -284,10 +279,10 @@ def test_oracle_run_free_particle():
         ("free-particle", {"eta": 1.0, "dim": 3}, "one-dimensional"),
         ("free-particle", {"eta": 1.0, "omega0": 2.0}, "omega0"),
         ("oscillator", {"eta": 1.0, "length": 10.0}, "length"),
-        ("spin-boson", {"sigma_x": 0.5, "eta": 1.0}, "eta"),
-        ("spin-boson", {"sigma_x": 0.5, "delta0": 1.0}, "delta0"),
+        ("oscillator", {"eta": 1.0, "delta0": 1.0}, "delta0"),
+        ("spin-boson", {"eta": 1.0}, "no oracle"),
         ("free-particle", {"eta": 1.0, "n_modes": 5}, "n_modes"),
-        ("spin-boson", {"sigma_x": 0.5, "scheme": "linear"}, "scheme"),
+        ("oscillator", {"eta": 1.0, "sigma_x": 0.5}, "sigma_x"),
         ("oscillator", {"eta": 1.0, "n_mode": 100}, "n_mode"),
     ],
 )
@@ -454,7 +449,6 @@ def test_regime_map_and_oracle_writers_match_the_per_cell_writers():
     runs = [
         oracle_run("oscillator", {"eta": 0.8, "n_modes": 200}),
         oracle_run("free-particle", {"eta": 1.0}),
-        oracle_run("spin-boson", {"sigma_x": 0.3}),
         [{"observable": 'a"b', "analytic": 1, "oracle": np.float64(-0.0), "abs_dev": math.nan}],
     ]
     for rows in runs:
