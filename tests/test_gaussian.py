@@ -99,8 +99,9 @@ def test_f_continuity_bound_at_crossover():
 
 
 def test_f_domain():
-    with pytest.raises(DomainError):
-        oscillator_f(-0.5)
+    for kappa in (-0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            oscillator_f(kappa)
 
 
 def test_alpha_kappa_mapping():

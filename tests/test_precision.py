@@ -138,6 +138,8 @@ def test_oscillator_f(kappa):
        log_uniform(1.0, 1e100))
 @example(1.0, 1e8, 100.0)
 @example(1.0, 1.0, 100.0)
+@example(1e200, 0.5, 100.0)  # omega0^2 is past the largest double
+@example(1e-200, 0.5, 100.0)  # omega0^2 is below the smallest
 def test_oscillator_moments(omega0, kappa, cutoff_ratio):
     p = OscillatorParams(omega0=omega0, eta=2.0 * omega0 * kappa, omega_c=omega0 * cutoff_ratio)
     w0, eta, wc = map(mp.mpf, (p.omega0, p.eta, p.omega_c))

@@ -308,6 +308,13 @@ def test_ohmic_energy_wrong_model():
         ohmic_ground_energy(point(0.5, 0.3, 0.01))
 
 
+def test_subnormal_ratio_is_a_domain_error():
+    # 1/r overflows below the smallest normal double, and so can expm1 in
+    # the Ohmic energies
+    with pytest.raises(DomainError, match="subnormal"):
+        point(1.0, 1e-6, 1e-310, cutoff=1.0)
+
+
 def test_ohmic_sigma_x_energy_values():
     # alpha -> 0: clipped to 1
     assert ohmic_sigma_x_energy(point(1.0, 1e-12, 0.01)) == 1.0
