@@ -66,8 +66,27 @@ def adiabatic_exponent(bath: BathSpec, lambda_low: float) -> float:
         raise DomainError(
             f"lambda_low must lie in (0, cutoff], got {lambda_low} with cutoff {bath.cutoff}"
         )
-    log_ratio = math.log(lambda_low / bath.cutoff)  # <= 0
+    return _log_exponent(bath)(math.log(lambda_low / bath.cutoff))[0]
+
+
+def _log_exponent(bath: BathSpec, expm1=math.expm1):
+    """The exponent as a function of u = ln(L/cutoff) <= 0: a function
+    mapping u to (X, dX/du),
+
+        s = 1:  X = -alpha u,                          dX/du = -alpha
+        else :  X = -alpha expm1((s-1) u) / (s-1),     dX/du = -alpha e^((s-1) u)
+
+    with alpha and s - 1 bound once and dX/du taken from the same expm1.
+    Pass numpy's expm1 to evaluate it on an array of u.
+    """
+    alpha = bath.alpha
     if bath.is_ohmic:
-        return -bath.alpha * log_ratio
-    # -expm1 keeps precision when s is close to 1 or L close to the cutoff
-    return -bath.alpha * math.expm1((bath.s - 1.0) * log_ratio) / (bath.s - 1.0)
+        return lambda u: (-alpha * u, -alpha)
+    sm1 = bath.s - 1.0
+
+    def exponent(u):
+        # expm1 keeps precision when s is close to 1 or L close to the cutoff
+        e = expm1(sm1 * u)
+        return -alpha * e / sm1, -alpha * (1.0 + e)
+
+    return exponent

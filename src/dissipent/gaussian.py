@@ -73,12 +73,30 @@ class FreeParticleResult:
     a_l2: float  # a * L**2, the argument of the leading logarithm
 
 
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num / den) for positive num and den, also where the quotient is
+    past the largest double: there it is ln(num) - ln(den), which loses
+    nothing because the log is large."""
+    q = num / den
+    return math.log(q) if q < math.inf else math.log(num) - math.log(den)
+
+
 def free_particle_kernel_width(p: FreeParticleParams) -> float:
     """Width coefficient a of the reduced kernel exp(-a (x - x')**2) / L,
 
-        a = (1/4) (eta / pi) ln(1 + omega_c**2 / eta**2).
+        a = (1/4) (eta / pi) ln(1 + x**2),   x = omega_c / eta,
+
+    taken without forming x**2 where it would leave the normal doubles:
+    for x > 1 as (eta / 4 pi) (2 ln x + log1p(x**-2)), and for x <= 1 as
+    (omega_c x / 4 pi) log1p(x**2) / x**2, whose last factor is 1 where
+    x**2 underflows.
     """
-    return 0.25 * (p.eta / math.pi) * math.log1p((p.omega_c / p.eta) ** 2)
+    x = p.omega_c / p.eta
+    if x > 1.0:
+        log1p_x2 = 2.0 * _log_ratio(p.omega_c, p.eta) + math.log1p(1.0 / x / x)
+        return 0.25 * (p.eta / math.pi) * log1p_x2
+    y = x * x
+    return 0.25 * (p.omega_c / math.pi) * x * (math.log1p(y) / y if y else 1.0)
 
 
 def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
@@ -208,7 +226,7 @@ def oscillator_moments(p: OscillatorParams) -> MomentPair:
     q2 = f / (2.0 * p.omega0)
     # omega0 factored out, so that omega0^2 neither overflows nor underflows
     p2 = p.omega0 * (
-        (1.0 - 2.0 * k * k) * f / 2.0 + (2.0 * k / math.pi) * math.log(p.omega_c / p.omega0)
+        (1.0 - 2.0 * k * k) * f / 2.0 + (2.0 * k / math.pi) * _log_ratio(p.omega_c, p.omega0)
     )
     if p2 <= 0:
         raise RegimeError(

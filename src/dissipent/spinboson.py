@@ -38,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .bath import BathSpec, adiabatic_exponent
+from .bath import BathSpec, _log_exponent
 from .errors import DomainError, NumericalError, RegimeError
 
 __all__ = [
@@ -139,18 +139,17 @@ def spin_entropy(sx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_residual(point: SpinBosonPoint, t: float) -> float:
-    """h(t) = t - ln(r) + X(e^t * cutoff) with t = ln(Delta/cutoff);
-    a root of h is a fixed point of the self-consistency map."""
-    lam = math.exp(t) * point.bath.cutoff
-    return t - math.log(point.ratio) + adiabatic_exponent(point.bath, lam)
-
-
 def delta_ren(point: SpinBosonPoint) -> float | None:
     """Self-consistent solution of Delta = Delta0 * exp(-X(Delta)).
 
-    Solved for t = ln(Delta/cutoff) as a root of h above.  h(0) = -ln r > 0
-    and h'' = -alpha (s-1) e^((s-1) t), so h is convex for s < 1: a root
+    Solved for t = ln(Delta/cutoff) as a root of
+
+        h(t) = t - ln(r) + X(t),   X(t) = -alpha t (s = 1),
+                                   X(t) = -alpha expm1((s-1) t) / (s-1) (else),
+
+    the exponent written in t, so that L = e^t cutoff is never formed.
+    h(0) = -ln r > 0, h' = 1 - alpha e^((s-1) t) and
+    h'' = -alpha (s-1) e^((s-1) t), so h is convex for s < 1: a root
     above t_f = ln(BRACKET_FLOOR) exists iff h <= 0 at its minimum
     ln(alpha)/(1-s) clamped to [t_f, 0], and Newton from t = 0 falls
     monotonically to the largest root, the first fixed point met flowing
@@ -165,6 +164,8 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     if bath.alpha == 0.0:
         return point.delta0
 
+    log_r = math.log(point.ratio)
+    exponent = _log_exponent(bath)
     t_floor = math.log(BRACKET_FLOOR)
     if bath.s < 1.0:
         lowest = min(max(math.log(bath.alpha) / (1.0 - bath.s), t_floor), 0.0)
@@ -172,21 +173,21 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     else:
         lowest = t = t_floor
         sign = -1.0  # h < 0 below the root: steps go up
-    if _log_residual(point, lowest) > 0.0:
+    if lowest - log_r + exponent(lowest)[0] > 0.0:
         return None
 
     # monotone Newton: h keeps its starting sign and h' > 0 along the way;
     # either failing means the iterate sits on the root to rounding
     for _ in range(100):
-        h = _log_residual(point, t)
-        dh = 1.0 - bath.alpha * math.exp((bath.s - 1.0) * t)
+        x, dx = exponent(t)
+        h, dh = t - log_r + x, 1.0 + dx
         if not (sign * h > 0.0 and dh > 0.0):
             break
         step = h / dh
         t -= step
         if abs(step) <= 1e-15 * abs(t):
             break
-    if abs(_log_residual(point, t)) > 1e-9:
+    if abs(t - log_r + exponent(t)[0]) > 1e-9:
         raise NumericalError("delta_ren solver failed to converge")
     if t <= t_floor:
         return None
@@ -380,15 +381,13 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_integral(integrand: Callable[[float], float], lower: float) -> float:
-    """Integral of integrand(u) over [lower, 0] by the package's
-    Gauss-Legendre rule; NumericalError if its error estimate exceeds 1e-8
-    of the value."""
-    import numpy as np
-
+def _log_integral(integrand: Callable, lower: float) -> float:
+    """Integral over [lower, 0] of integrand, which maps an array of u to
+    an array of values, by the package's Gauss-Legendre rule;
+    NumericalError if its error estimate exceeds 1e-8 of the value."""
     from ._quadrature import gauss_legendre
 
-    val, err = gauss_legendre(np.vectorize(integrand, otypes=[float]), lower, 0.0)
+    val, err = gauss_legendre(integrand, lower, 0.0)
     if val != 0.0 and err > 1e-8 * abs(val):
         raise NumericalError(f"flow quadrature error {err / abs(val):.2e} above 1e-8")
     return float(val)
@@ -412,12 +411,15 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
     if lower >= cutoff:
         return 0.0
 
-    d0 = point.delta0
+    import numpy as np
 
-    def integrand(u: float) -> float:
-        lam = math.exp(u) * cutoff
-        d = d0 * math.exp(-adiabatic_exponent(point.bath, lam))
-        return d * d / lam  # (Delta/L)^2 * L, the log-space measure
+    exponent = _log_exponent(point.bath, np.expm1)
+    d0_r = point.delta0 * point.ratio
+
+    def integrand(u):
+        # (Delta/L)^2 * L, the log-space measure, with Delta = Delta0 e^-X
+        # and L = e^u cutoff: Delta0 r e^(-2X - u)
+        return d0_r * np.exp(-2.0 * exponent(u)[0] - u)
 
     return _log_integral(integrand, math.log(lower / cutoff))
 
@@ -465,7 +467,12 @@ def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:
     """
     if kappa_tilde0 == s:
         return s
-    decay = math.exp(-s * ell)
+    return _kappa_tilde_of_decay(kappa_tilde0, s, math.exp(-s * ell))
+
+
+def _kappa_tilde_of_decay(kappa_tilde0, s, decay):
+    """kappa_tilde_flow for kt0 != s, given decay = exp(-s ell) (a float or
+    an array)."""
     return s * kappa_tilde0 * decay / (kappa_tilde0 * decay + (s - kappa_tilde0))
 
 
@@ -480,16 +487,18 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
     by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
     estimate exceeds 1e-8 of the value.
     """
-    cutoff = point.bath.cutoff
+    import numpy as np
+
     kt0 = point.kappa_tilde0
     s = point.bath.s
+    r = point.ratio
 
-    def integrand(u: float) -> float:
-        lam = math.exp(u) * cutoff
-        kt = kappa_tilde_flow(kt0, s, -u)  # ell = ln(cutoff/lam) = -u
-        return kt * point.delta0 / lam  # (kt * Delta0 / L^2) * L
+    def integrand(u):
+        # (kt * Delta0 / L^2) * L with L = e^u cutoff and ell = -u
+        kt = s if kt0 == s else _kappa_tilde_of_decay(kt0, s, np.exp(s * u))
+        return kt * r * np.exp(-u)
 
-    return _log_integral(integrand, math.log(lambda_stop / cutoff))
+    return _log_integral(integrand, math.log(lambda_stop / point.bath.cutoff))
 
 
 def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:
@@ -540,22 +549,25 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
     the <sigma_x> deficit integral diverges for s < 1, so no coherent
     oscillations survive in the scaling limit.
     """
-    return _classify(point, lambda: delta_ren(point))
+    def solve():
+        dr = delta_ren(point)
+        return None if dr is None else dr / point.bath.cutoff
+
+    return _classify(point.bath.s, point.bath.alpha, point.ratio, solve)
 
 
-def _classify(point: SpinBosonPoint, solve: Callable[[], float | None]) -> Regime:
-    """The rule of subohmic_regime; `solve()` returns delta_ren(point) and
-    is called only where the rule needs it."""
-    s = point.bath.s
+def _classify(s: float, alpha: float, r: float, solve: Callable[[], float | None]) -> Regime:
+    """The rule of subohmic_regime at exponent s, coupling alpha and
+    r = Delta0/cutoff; `solve()` returns Delta_ren/cutoff (None where
+    delta_ren is None) and is called only where the rule needs it, so that
+    Delta_ren >= Delta0^2/cutoff reads Delta_ren/cutoff >= r^2."""
     if s >= 1:
         raise RegimeError(f"subohmic_regime requires s < 1, got s = {s}")
-    alpha = point.bath.alpha
     if alpha == 0.0:
         return Regime.DELOCALIZED_COHERENT
-    r = point.ratio
     if r >= SCALING_TRUST_MIN_RATIO:
         dr = solve()
-        if dr is not None and dr >= point.delta0 * r:
+        if dr is not None and dr >= r * r:
             return Regime.DELOCALIZED_COHERENT
     if alpha > s * r:
         return Regime.LOCALIZED

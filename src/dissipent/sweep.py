@@ -37,7 +37,6 @@ from .spinboson import (
     _max_rule_sigma_x,
     delta_ren,
     spin_entropy,
-    subohmic_regime,
 )
 
 __all__ = [
@@ -255,7 +254,8 @@ def _sweep_spin_boson(grid, fixed, cols):
         cols["sigma_x"].append(sx)
         cols["S"].append(spin_entropy(sx))
         if s < 1:
-            cols["regime"].append(_classify(point, lambda: dr).value)
+            dr_over_cutoff = None if dr is None else dr / l0
+            cols["regime"].append(_classify(s, a, point.ratio, lambda: dr_over_cutoff).value)
         else:
             cols["regime"].append("")
 
@@ -340,11 +340,20 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
         raise RegimeError(f"regime map requires s < 1, got s = {s}")
     ratios = [float(r) for r in ratios]
     alphas = [float(a) for a in alphas]
-    labels = [[""] * len(ratios) for _ in alphas]
-    for j, r in enumerate(ratios):
-        for i, a in enumerate(alphas):
-            point = SpinBosonPoint(delta0=r, bath=BathSpec(s=s, alpha=a, cutoff=1.0))
-            labels[i][j] = subohmic_regime(point).value
+    # each axis value is validated once, one bath per alpha row and one
+    # point per ratio column; a cell builds its point only to solve
+    baths = [BathSpec(s=s, alpha=a, cutoff=1.0) for a in alphas]
+    free = BathSpec(s=s, alpha=0.0, cutoff=1.0)
+    for r in ratios:
+        SpinBosonPoint(delta0=r, bath=free)
+    labels = []
+    for bath in baths:
+        row = []
+        for r in ratios:
+            # with cutoff = 1, delta_ren is the Delta_ren/cutoff _classify takes
+            solve = lambda: delta_ren(SpinBosonPoint(delta0=r, bath=bath))
+            row.append(_classify(s, bath.alpha, r, solve).value)
+        labels.append(row)
     return RegimeMap(
         s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=[s * r for r in ratios]
     )

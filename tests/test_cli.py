@@ -79,6 +79,11 @@ def test_exit_code_regime_error(capsys):
     assert "regime error" in capsys.readouterr().err
 
 
+def test_exit_code_regime_map_ratio_past_the_cutoff(capsys):
+    assert run_cli(["regime-map", "--s", "0.5", "--ratio-max", "1.5"]) == 2
+    assert "delta0 must be below the cutoff" in capsys.readouterr().err
+
+
 def test_kink_subcommand(tmp_path):
     out = tmp_path / "kink.json"
     rc = run_cli(

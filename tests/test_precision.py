@@ -7,7 +7,10 @@ alpha = 1/2, nu = 1/2, |sigma_x| = 1, kt0 = s).  kappa spans the doubles.
 Frequencies and other scales are drawn from [1e-100, 1e100] and
 dimensionless ratios from that range or a part of it, so that the squares
 and products the formulas form stay normal doubles; the spin-boson cutoff
-is drawn from [1e-50, 1e50], since E ~ Delta0^2 / cutoff.
+is drawn from [1e-50, 1e50], since E ~ Delta0^2 / cutoff.  The free
+particle's kernel width forms no square, so its eta and omega_c span
+[1e-300, 1e300], and the oscillator moments are also checked where
+omega_c/omega0 is past the largest double.
 
 Every input gives one of two results:
 
@@ -134,14 +137,7 @@ def test_oscillator_f(kappa):
     check("oscillator_f", evaluate(oscillator_f, kappa), f_ref(kappa), 1e-15 / EPS)
 
 
-@given(log_uniform(1e-100, 1e100), st.one_of(log_uniform(1e-100, 1e100), near(1.0)),
-       log_uniform(1.0, 1e100))
-@example(1.0, 1e8, 100.0)
-@example(1.0, 1.0, 100.0)
-@example(1e200, 0.5, 100.0)  # omega0^2 is past the largest double
-@example(1e-200, 0.5, 100.0)  # omega0^2 is below the smallest
-def test_oscillator_moments(omega0, kappa, cutoff_ratio):
-    p = OscillatorParams(omega0=omega0, eta=2.0 * omega0 * kappa, omega_c=omega0 * cutoff_ratio)
+def check_moments(p):
     w0, eta, wc = map(mp.mpf, (p.omega0, p.eta, p.omega_c))
     k = eta / (2 * w0)
     f = f_ref(k)
@@ -163,6 +159,26 @@ def test_oscillator_moments(omega0, kappa, cutoff_ratio):
     log_cond = 1 + 1 / mp.log(wc / w0)
     scale = w0 * f * (1 + 2 * k * k) / 2 + abs(log_term) * log_cond
     check("oscillator_moments.p2", m.p2, p2, 16, scale)
+
+
+@given(log_uniform(1e-100, 1e100), st.one_of(log_uniform(1e-100, 1e100), near(1.0)),
+       log_uniform(1.0, 1e100))
+@example(1.0, 1e8, 100.0)
+@example(1.0, 1.0, 100.0)
+@example(1e200, 0.5, 100.0)  # omega0^2 is past the largest double
+@example(1e-200, 0.5, 100.0)  # omega0^2 is below the smallest
+def test_oscillator_moments(omega0, kappa, cutoff_ratio):
+    check_moments(
+        OscillatorParams(omega0=omega0, eta=2.0 * omega0 * kappa, omega_c=omega0 * cutoff_ratio)
+    )
+
+
+@given(st.sampled_from([(1e-200, 1e-200, 1e200), (1e-300, 1e-290, 1e300), (1e-250, 0.0, 1e250),
+                        (1e-9, 3.0, 1e300)]))
+def test_oscillator_moments_past_the_largest_cutoff_ratio(params):
+    # (omega0, eta, omega_c) with omega_c/omega0 past the largest double;
+    # its log is not
+    check_moments(OscillatorParams(*params))
 
 
 def gaussian_entropy_ref(nu):
@@ -214,12 +230,16 @@ def test_oscillator_entropy_expansion(q2, nu):
 # ------------------------------------------------------------------ free particle
 
 
-@given(log_uniform(1e-100, 1e100), log_uniform(1e-100, 1e100))
-def test_free_particle_kernel_width(eta, cutoff_ratio):
-    p = FreeParticleParams(eta=eta, omega_c=eta * cutoff_ratio, length=1.0)
+@given(log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300))
+@example(1.0, 1e200)  # (omega_c/eta)^2 is past the largest double
+@example(1e100, 1e-60)  # (omega_c/eta)^2 is below the smallest, a is not
+@example(1e-10, 1e300)  # omega_c/eta itself is past the largest double
+def test_free_particle_kernel_width(eta, omega_c):
+    p = FreeParticleParams(eta=eta, omega_c=omega_c, length=1.0)
     e, wc = mp.mpf(p.eta), mp.mpf(p.omega_c)
     want = e / (4 * mp.pi) * mp.log1p((wc / e) ** 2)
-    # omega_c/eta rounded, squared and log1p'd: condition number <= 2
+    # x = omega_c/eta rounded and its log taken, or x^2 formed and log1p'd:
+    # condition number <= 2
     check("free_particle_kernel_width", evaluate(free_particle_kernel_width, p), want, 8)
 
 

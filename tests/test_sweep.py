@@ -8,7 +8,17 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from dissipent import ConfigError, SweepConfig, detect_kink, oracle_run, run_sweep
+from dissipent import (
+    BathSpec,
+    ConfigError,
+    DomainError,
+    SpinBosonPoint,
+    SweepConfig,
+    detect_kink,
+    oracle_run,
+    run_sweep,
+    subohmic_regime,
+)
 from dissipent.sweep import (
     SweepTable,
     _central_derivatives,
@@ -321,6 +331,54 @@ def test_regime_map_structure_and_line():
     assert rmap.labels[0][1] == "DelocalizedCoherent"
     csv = regime_map_to_csv(rmap)
     assert "transition line" in csv
+
+
+@pytest.mark.parametrize(
+    "ratios, alphas",
+    [
+        ([1e-3, 1.0], [0.1]),  # Delta0 = cutoff
+        ([1e-3, 1.5], [0.0]),  # the free spin never solves
+        ([1e-310, 1e-3], [0.1]),  # a subnormal ratio
+        ([1e-3, 1e-2], [0.1, -0.1]),  # a negative coupling
+        ([0.5, 1.5], [1e-4]),
+    ],
+)
+def test_regime_map_refuses_bad_axis_values(ratios, alphas):
+    # also where no cell of the bad row or column needs Delta_ren (r < 0.1
+    # or alpha = 0)
+    with pytest.raises(DomainError):
+        regime_map(0.5, ratios, alphas)
+
+
+AXIS_RATIO = st.one_of(st.floats(1e-4, 0.95), st.sampled_from([0.1, 1e-3]))
+AXIS_ALPHA = st.one_of(st.floats(0.0, 3.0), st.just(0.0))
+
+
+@given(
+    st.floats(0.05, 0.95),
+    st.lists(AXIS_RATIO, min_size=1, max_size=4),
+    st.lists(AXIS_ALPHA, min_size=1, max_size=4),
+)
+def test_regime_map_labels_are_subohmic_regime(s, ratios, alphas):
+    rmap = regime_map(s, ratios, alphas)
+    want = [
+        [subohmic_regime(SpinBosonPoint(r, BathSpec(s, a, 1.0))).value for r in ratios]
+        for a in alphas
+    ]
+    assert rmap.labels == want
+
+
+@given(st.floats(0.05, 0.95), st.floats(1.0, 90.0), st.floats(1e-4, 1.0))
+@example(0.5, 20.0, 0.04)
+def test_subohmic_sweep_regime_is_subohmic_regime(s, delta0, alpha_max):
+    # cutoff 100, not 1: Delta_ren >= Delta0^2/cutoff must keep its units
+    fixed = {"delta0": delta0, "lambda0": 100.0, "s": s}
+    table = run_sweep(spin_cfg(alpha_min=0.0, alpha_max=alpha_max, n_points=9, fixed=fixed))
+    want = [
+        subohmic_regime(SpinBosonPoint(delta0, BathSpec(s, a, 100.0))).value
+        for a in table.columns["alpha"]
+    ]
+    assert table.columns["regime"] == want
 
 
 # ------------------------------------------------------------------ serialisation
