@@ -76,7 +76,7 @@ def _sweep_doc(args) -> dict:
 def _sweep_text(doc: dict) -> str:
     cfg = sweep_config(doc)
     table = run_sweep(cfg)
-    return table_to_json(table) if cfg.fmt == "json" else table_to_csv(table)
+    return table_to_json(table) if cfg.format == "json" else table_to_csv(table)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -125,6 +125,8 @@ def _cmd_preset(args) -> int:
         raise ConfigError("preset name required (or --list)")
     doc = preset_doc(args.name)
     if doc["kind"] == "regime-map":
+        if args.format == "json":
+            raise ConfigError(f"preset {args.name} is a regime map, written as CSV only")
         text = regime_map_to_csv(regime_map_from_doc(doc))
     else:
         text = _sweep_text(_lay_flags(doc, args))

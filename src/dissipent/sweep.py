@@ -1,8 +1,12 @@
 """Deterministic parameter sweeps, kink detection and figure-data emission.
 
 A sweep evaluates one model over a uniform coupling grid and returns a
-table whose header echoes the fully resolved configuration.  All numbers
-are printed with 12 significant digits so that repeated runs are
+table whose header echoes the fully resolved configuration.  Each model
+has one row generator, which yields the model's own columns for each grid
+point; run_sweep transposes its rows into columns and adds the derivative
+columns of S.  SweepConfig is the sweep document: its fields are the
+document's keys (after "kind"), with their defaults and type checks.  All
+numbers are printed with 12 significant digits so that repeated runs are
 byte-identical; CSV and JSON emissions share the same formatter, and each
 table is written through one row template.
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 from .bath import BathSpec
@@ -75,45 +79,36 @@ MODELS = tuple(MODEL_PARAMS)
 
 _DEFAULT_OUTPUTS = {
     "free-particle": ("eta", "a", "a_l2", "S", "dS_dalpha", "d2S_dalpha2"),
-    "oscillator": (
-        "kappa",
-        "q2",
-        "p2",
-        "nu",
-        "S",
-        "S_expansion",
-        "dS_dalpha",
-        "d2S_dalpha2",
-    ),
-    "spin-boson": (
-        "delta_ren",
-        "sigma_x",
-        "S",
-        "dS_dalpha",
-        "d2S_dalpha2",
-        "regime",
-    ),
+    "oscillator": ("kappa", "q2", "p2", "nu", "S", "S_expansion", "dS_dalpha", "d2S_dalpha2"),
+    "spin-boson": ("delta_ren", "sigma_x", "S", "dS_dalpha", "d2S_dalpha2", "regime"),
 }
+# the columns run_sweep takes by central differences of S
+_STENCIL = frozenset(("dS_dalpha", "d2S_dalpha2"))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep description, validated on construction; `fixed` holds model
-    parameters (the others take their MODEL_PARAMS defaults).
+    """The sweep document, validated on construction: every field but
+    `model` has the document's default, and a value must have the type of
+    its default (a number where the default is a float).  `fixed` holds
+    model parameters (the others take their MODEL_PARAMS defaults).
 
     For the free particle the grid variable is the friction eta itself
     (the model has no reference frequency to form a dimensionless alpha).
     """
 
     model: str
-    alpha_min: float
-    alpha_max: float
-    n_points: int
+    alpha_min: float = 0.01
+    alpha_max: float = 1.0
+    n_points: int = 100
     fixed: dict = field(default_factory=dict)
     outputs: tuple = ()
-    fmt: str = "csv"
+    format: str = "csv"
 
     def __post_init__(self) -> None:
+        for f in fields(self)[1:]:  # model has no default; MODELS holds its values
+            default = f.default_factory() if f.default is MISSING else f.default
+            _check_type(f.name, getattr(self, f.name), default)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not self.alpha_min < self.alpha_max:
@@ -122,8 +117,8 @@ class SweepConfig:
             )
         if self.n_points < 3:
             raise ConfigError(f"n_points must be >= 3, got {self.n_points}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
         for key, val in self.fixed.items():
             if key not in MODEL_PARAMS[self.model]:
                 raise ConfigError(f"unknown parameter {key!r} for model {self.model}")
@@ -131,9 +126,33 @@ class SweepConfig:
         for name in self.outputs:
             if name not in _DEFAULT_OUTPUTS[self.model]:
                 raise ConfigError(f"unknown output {name!r} for model {self.model}")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ConfigError(f"outputs must not repeat a column, got {list(self.outputs)}")
 
     def resolved_fixed(self) -> dict:
         return {**MODEL_PARAMS[self.model], **self.fixed}
+
+
+# A sweep document (a sweep preset, or a --config file with the CLI flags
+# laid over it) has these keys and no others
+SWEEP_KEYS = ("kind", *(f.name for f in fields(SweepConfig)))
+
+
+# the type a document value must have, by the type of its default; no
+# default is a bool, and a bool (an int in Python) is refused everywhere
+_TYPES = {
+    int: ((numbers.Integral,), "an integer"),
+    float: ((numbers.Real,), "a number"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    tuple: ((list, tuple), "a list"),
+}
+
+
+def _check_type(name: str, value, default) -> None:
+    kinds, what = _TYPES[type(default)]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -196,18 +215,13 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
-    cols: dict[str, list] = {"alpha": grid}
-    if cfg.model == "oscillator":
-        _sweep_oscillator(grid, fixed, cols)
-    elif cfg.model == "spin-boson":
-        _sweep_spin_boson(grid, fixed, cols)
-    else:
-        _sweep_free_particle(grid, fixed, cols)
-
-    if "S" in cols and {"dS_dalpha", "d2S_dalpha2"} & set(outputs):
+    rows = _ROWS[cfg.model](grid, *(fixed[k] for k in MODEL_PARAMS[cfg.model]))
+    own = [c for c in _DEFAULT_OUTPUTS[cfg.model] if c not in _STENCIL]
+    cols = {"alpha": grid, **dict(zip(own, map(list, zip(*rows, strict=True)), strict=True))}
+    if not _STENCIL.isdisjoint(outputs):
         cols["dS_dalpha"], cols["d2S_dalpha2"] = _central_derivatives(grid, cols["S"])
 
-    names = ["alpha"] + [c for c in outputs if c in cols]
+    names = ["alpha", *outputs]
     resolved = {
         "model": cfg.model,
         "alpha_min": cfg.alpha_min,
@@ -222,57 +236,51 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     )
 
 
-def _sweep_oscillator(grid, fixed, cols):
-    w0, wc = fixed["omega0"], fixed["omega_c"]
-    for key in ("kappa", "q2", "p2", "nu", "S", "S_expansion"):
-        cols[key] = []
+# Each model's row generator takes the grid and the model parameters in
+# MODEL_PARAMS order, and yields one tuple per grid point: the row's own
+# columns in _DEFAULT_OUTPUTS order, without the stencil columns.
+
+
+def _oscillator_rows(grid, omega0, omega_c):
     for a in grid:
         k = kappa_from_alpha(a)
-        p = OscillatorParams(omega0=w0, eta=2.0 * k * w0, omega_c=wc)
+        p = OscillatorParams(omega0=omega0, eta=2.0 * k * omega0, omega_c=omega_c)
         m = oscillator_moments(p)
-        cols["kappa"].append(k)
-        cols["q2"].append(m.q2)
-        cols["p2"].append(m.p2)
-        cols["nu"].append(m.nu)
-        cols["S"].append(gaussian_entropy(m.nu))
         try:
-            cols["S_expansion"].append(oscillator_entropy_expansion(m))
+            s_expansion = oscillator_entropy_expansion(m)
         except RegimeError:
-            cols["S_expansion"].append(math.nan)
+            s_expansion = math.nan
+        yield k, m.q2, m.p2, m.nu, gaussian_entropy(m.nu), s_expansion
 
 
-def _sweep_spin_boson(grid, fixed, cols):
-    d0, l0, s = fixed["delta0"], fixed["lambda0"], fixed["s"]
-    for key in ("delta_ren", "sigma_x", "S", "regime"):
-        cols[key] = []
+def _spin_boson_rows(grid, delta0, lambda0, s):
     for a in grid:
-        point = SpinBosonPoint(delta0=d0, bath=BathSpec(s=s, alpha=a, cutoff=l0))
+        point = SpinBosonPoint(delta0=delta0, bath=BathSpec(s=s, alpha=a, cutoff=lambda0))
         # one solve per row: sigma_x and the regime reuse it
         dr = delta_ren(point)
         sx = _max_rule_sigma_x(point, dr)
-        cols["delta_ren"].append(math.nan if dr is None else dr)
-        cols["sigma_x"].append(sx)
-        cols["S"].append(spin_entropy(sx))
         if s < 1:
-            dr_over_cutoff = None if dr is None else dr / l0
-            cols["regime"].append(_classify(s, a, point.ratio, lambda: dr_over_cutoff).value)
+            dr_over_cutoff = None if dr is None else dr / lambda0
+            regime = _classify(s, a, point.ratio, lambda: dr_over_cutoff).value
         else:
-            cols["regime"].append("")
+            regime = ""
+        yield math.nan if dr is None else dr, sx, spin_entropy(sx), regime
 
 
-def _sweep_free_particle(grid, fixed, cols):
+def _free_particle_rows(grid, omega_c, length, dim):
     # for this model the grid variable is the friction itself
-    for key in ("eta", "a", "a_l2", "S"):
-        cols[key] = []
     for eta in grid:
-        p = FreeParticleParams(
-            eta=eta, omega_c=fixed["omega_c"], length=fixed["length"], dim=int(fixed["dim"])
+        res = free_particle_entropy(
+            FreeParticleParams(eta=eta, omega_c=omega_c, length=length, dim=int(dim))
         )
-        res = free_particle_entropy(p)
-        cols["eta"].append(eta)
-        cols["a"].append(res.a)
-        cols["a_l2"].append(res.a_l2)
-        cols["S"].append(res.entropy)
+        yield eta, res.a, res.a_l2, res.entropy
+
+
+_ROWS = {
+    "free-particle": _free_particle_rows,
+    "oscillator": _oscillator_rows,
+    "spin-boson": _spin_boson_rows,
+}
 
 
 def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkReport | None:
@@ -282,12 +290,18 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
     cell where |D2| exceeds threshold times the median |D2| elsewhere
     (cells within 2 of the candidate are excluded from the background).  A
     genuine kink is an isolated spike, so the candidate must also exceed
-    threshold times its own neighbourhood at distance 2-3 cells; smooth but
-    strongly curved stretches (where D2 varies slowly cell to cell) do not
-    qualify.  A floor of 1e-12 times the column scale guards against a zero
-    median on exactly-flat stretches and against roundoff on linear data.
-    Returns None when no cell qualifies.
+    threshold times its own neighbourhood at distance 2-3 cells on both
+    sides; smooth but strongly curved stretches (where D2 varies slowly
+    cell to cell) do not qualify.  The candidate is therefore the largest
+    D2 among the cells with that full ring, 3 or more cells from either end
+    of D2: at the ends a one-sided ring lets a log-curved column pass.  A
+    floor of 1e-12 times the column scale guards against a zero median on
+    exactly-flat stretches and against roundoff on linear data.  The
+    threshold must be a finite number above 1.  Returns None when no cell
+    qualifies.
     """
+    if not (threshold > 1 and math.isfinite(threshold)):
+        raise ConfigError(f"threshold must be a finite number above 1, got {threshold}")
     if column not in table.columns:
         raise ConfigError(f"unknown column {column!r}")
     try:
@@ -301,13 +315,12 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
     import statistics  # only here: it loads fractions and decimal
 
     d2 = [abs(y[j + 1] - 2.0 * y[j] + y[j - 1]) for j in range(1, len(y) - 1)]
-    i = max(range(len(d2)), key=d2.__getitem__)  # the first largest
+    # the first largest among the cells with a full ring
+    i = max(range(3, len(d2) - 3), key=d2.__getitem__)
     scale = max(map(abs, y)) or 1.0
     floor = 1e-12 * scale
-    others = d2[: max(0, i - 2)] + d2[i + 3 :]
-    background = max(statistics.median(others), floor)
-    ring = [d2[j] for j in (i - 3, i - 2, i + 2, i + 3) if 0 <= j < len(d2)]
-    local = max(statistics.median(ring), floor)
+    background = max(statistics.median(d2[: i - 2] + d2[i + 3 :]), floor)
+    local = max(statistics.median(d2[j] for j in (i - 3, i - 2, i + 2, i + 3)), floor)
     if d2[i] <= threshold * background or d2[i] <= threshold * local:
         return None
     alpha = table.columns["alpha"]
@@ -335,11 +348,14 @@ class RegimeMap:
 
 def regime_map(s: float, ratios, alphas) -> RegimeMap:
     """Classify every (Delta0/cutoff, alpha) cell of a sub-Ohmic model and
-    report the one-loop transition line alpha = s * Delta0/cutoff."""
+    report the one-loop transition line alpha = s * Delta0/cutoff.  Both
+    axes must hold at least one value."""
     if not s < 1:
         raise RegimeError(f"regime map requires s < 1, got s = {s}")
     ratios = [float(r) for r in ratios]
     alphas = [float(a) for a in alphas]
+    if not (ratios and alphas):
+        raise ConfigError("a regime map needs at least one ratio and one alpha")
     # each axis value is validated once, one bath per alpha row and one
     # point per ratio column; a cell builds its point only to solve
     baths = [BathSpec(s=s, alpha=a, cutoff=1.0) for a in alphas]
@@ -431,37 +447,6 @@ def oracle_run(model: str, params: dict) -> list[dict]:
 # sweep and regime-map documents, presets and serialisation
 # ---------------------------------------------------------------------------
 
-# A sweep document (a sweep preset, or a --config file with the CLI flags
-# laid over it) has these keys and no others; "model" has no default.
-SWEEP_KEYS = {
-    "kind": "sweep",
-    "model": None,
-    "alpha_min": 0.01,
-    "alpha_max": 1.0,
-    "n_points": 100,
-    "fixed": {},
-    "outputs": (),
-    "format": "csv",
-}
-
-
-# the type a document value must have, by the type of its default; no
-# default is a bool, and a bool (an int in Python) is refused everywhere
-_TYPES = {
-    int: ((numbers.Integral,), "an integer"),
-    float: ((numbers.Real,), "a number"),
-    str: ((str,), "a string"),
-    dict: ((dict,), "an object"),
-    tuple: ((list, tuple), "a list"),
-}
-
-
-def _check_type(name: str, value, default) -> None:
-    kinds, what = _TYPES[type(default)]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
 def read_doc(path) -> dict:
     """The JSON object in a preset or config file; a missing or unreadable
     file, invalid JSON and anything but an object are ConfigErrors."""
@@ -477,28 +462,16 @@ def read_doc(path) -> dict:
 
 
 def sweep_config(doc: dict) -> SweepConfig:
-    """The (validated) SweepConfig of a sweep document; each value must
-    have the type of its default (a number where the default is a float)."""
+    """The (validated) SweepConfig of a sweep document: "kind" and the
+    fields of SweepConfig, of which only "model" is required."""
     if doc.get("kind", "sweep") != "sweep":
         raise ConfigError(f"not a sweep document: kind {doc['kind']!r}")
     unknown = sorted(set(doc) - set(SWEEP_KEYS))
     if unknown:
         raise ConfigError(f"unknown sweep key(s) {unknown}; known: {', '.join(SWEEP_KEYS)}")
-    d = {**SWEEP_KEYS, **doc}
-    if d["model"] is None:
+    if "model" not in doc:
         raise ConfigError("model is required (flag --model or config file)")
-    for key, default in SWEEP_KEYS.items():
-        if default is not None:
-            _check_type(key, d[key], default)
-    return SweepConfig(
-        model=d["model"],
-        alpha_min=d["alpha_min"],
-        alpha_max=d["alpha_max"],
-        n_points=int(d["n_points"]),
-        fixed=dict(d["fixed"]),
-        outputs=tuple(d["outputs"]),
-        fmt=d["format"],
-    )
+    return SweepConfig(**{k: v for k, v in doc.items() if k != "kind"})
 
 
 def regime_map_from_doc(doc: dict) -> RegimeMap:

@@ -84,6 +84,30 @@ def test_exit_code_regime_map_ratio_past_the_cutoff(capsys):
     assert "delta0 must be below the cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["regime-map", "--s", "0.5", "--ratio-points", "0"], "one ratio and one alpha"),
+        (["regime-map", "--s", "0.5", "--alpha-points", "0"], "one ratio and one alpha"),
+        (["preset", "subohmic-map", "--format", "json"], "CSV only"),  # printed CSV
+        (["kink", "--model", "free-particle", "--alpha-points", "60", "--threshold", "nan"],
+         "threshold"),
+        (["kink", "--model", "free-particle", "--alpha-points", "60", "--threshold", "0.5"],
+         "threshold"),
+    ],
+    ids=["no-ratios", "no-alphas", "map-preset-json", "threshold-nan", "threshold-half"],
+)
+def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
+    assert run_cli(argv) == 2
+    assert word in capsys.readouterr().err
+
+
+def test_repeated_output_in_a_config_is_config_error(tmp_path, capsys):
+    doc = {"model": "oscillator", "outputs": ["S", "S"], "n_points": 3}
+    assert run_cli(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_kink_subcommand(tmp_path):
     out = tmp_path / "kink.json"
     rc = run_cli(

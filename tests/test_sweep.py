@@ -20,6 +20,7 @@ from dissipent import (
     subohmic_regime,
 )
 from dissipent.sweep import (
+    SWEEP_KEYS,
     SweepTable,
     _central_derivatives,
     format_value,
@@ -32,6 +33,7 @@ from dissipent.sweep import (
     oracle_to_csv,
     regime_map,
     regime_map_to_csv,
+    sweep_config,
     table_to_csv,
     table_to_json,
 )
@@ -69,6 +71,39 @@ def test_config_validation_errors():
             model="oscillator", alpha_min=0.1, alpha_max=1.0, n_points=10,
             fixed={"delta0": 1.0},
         )
+
+
+@pytest.mark.parametrize(
+    "kw, word",
+    [
+        ({"n_points": 10.0}, "n_points"),  # was a TypeError inside run_sweep
+        ({"fixed": [1]}, "fixed"),  # was an AttributeError
+        ({"alpha_min": "0.1"}, "alpha_min"),
+        ({"outputs": "S"}, "outputs"),
+        ({"format": None}, "format"),
+    ],
+)
+def test_sweep_config_refuses_mistyped_values(kw, word):
+    grid = {"alpha_min": 0.1, "alpha_max": 1.0, "n_points": 10}
+    with pytest.raises(ConfigError, match=word):
+        SweepConfig(model="oscillator", **{**grid, **kw})
+
+
+def test_sweep_config_refuses_a_repeated_output():
+    with pytest.raises(ConfigError, match="repeat"):
+        SweepConfig(
+            model="oscillator", alpha_min=0.1, alpha_max=1.0, n_points=3, outputs=("S", "S")
+        )
+
+
+def test_sweep_config_is_the_sweep_document():
+    # the document defaults live on the dataclass, and the keys are its fields
+    cfg = SweepConfig(model="oscillator")
+    assert (cfg.alpha_min, cfg.alpha_max, cfg.n_points, cfg.format) == (0.01, 1.0, 100, "csv")
+    assert sweep_config({"kind": "sweep", "model": "oscillator"}) == cfg
+    assert SWEEP_KEYS == (
+        "kind", "model", "alpha_min", "alpha_max", "n_points", "fixed", "outputs", "format",
+    )
 
 
 # grids through the couplings the paper singles out: 1/pi (kappa = 1) for
@@ -274,6 +309,33 @@ def test_detect_kink_preconditions():
         detect_kink(labels, "regime")
 
 
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [(0.01, 1.0, 60), (0.01, 50.0, 2000)],  # a kink at eta = 0.027 and 0.035 before
+    ids=["default-range", "oracles-range"],
+)
+def test_free_particle_has_no_kink_at_the_grid_start(lo, hi, n):
+    # the paper's no-kink case: the log-curved first cells are no spike
+    tab = run_sweep(SweepConfig(model="free-particle", alpha_min=lo, alpha_max=hi, n_points=n))
+    assert detect_kink(tab, "S") is None
+
+
+def test_detect_kink_spike_at_a_full_ring_from_the_end():
+    # the nearest cell to the end whose ring of cells 2-3 away is two-sided
+    alpha = linspace(0.0, 1.0, 60)
+    y = [0.0] * 60
+    y[4] = 1.0  # D2 index 3
+    tab = SweepTable(config={}, column_names=["alpha", "y"], columns={"alpha": alpha, "y": y})
+    assert detect_kink(tab, "y").location == alpha[4]
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0, 0.5, 1.0])
+def test_detect_kink_refuses_a_threshold_not_above_one(spin_table, threshold):
+    # below 1 the largest cell of any column passed as a kink
+    with pytest.raises(ConfigError, match="threshold"):
+        detect_kink(spin_table, "sigma_x", threshold=threshold)
+
+
 # ------------------------------------------------------------------ oracle runs
 
 
@@ -347,6 +409,12 @@ def test_regime_map_refuses_bad_axis_values(ratios, alphas):
     # also where no cell of the bad row or column needs Delta_ren (r < 0.1
     # or alpha = 0)
     with pytest.raises(DomainError):
+        regime_map(0.5, ratios, alphas)
+
+
+@pytest.mark.parametrize("ratios, alphas", [([], [0.1]), ([0.1], []), ([], [])])
+def test_regime_map_refuses_an_empty_axis(ratios, alphas):
+    with pytest.raises(ConfigError, match="one ratio and one alpha"):
         regime_map(0.5, ratios, alphas)
 
 
