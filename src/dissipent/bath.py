@@ -38,12 +38,12 @@ class BathSpec:
     cutoff: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise DomainError(f"bath exponent s must be > 0, got {self.s}")
-        if self.alpha < 0:
-            raise DomainError(f"coupling alpha must be >= 0, got {self.alpha}")
-        if not self.cutoff > 0:
-            raise DomainError(f"cutoff must be > 0, got {self.cutoff}")
+        if not 0 < self.s < math.inf:
+            raise DomainError(f"bath exponent s must be finite and > 0, got {self.s}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"coupling alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.cutoff < math.inf:
+            raise DomainError(f"cutoff must be finite and > 0, got {self.cutoff}")
 
     @property
     def is_ohmic(self) -> bool:

@@ -39,13 +39,9 @@ from .sweep import (
 
 # every model parameter, each with its default (omega_c is shared)
 _PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.items()}
-# the oracle flags, each with how it is parsed; an unset one takes the
-# default of the chosen oracle
-_ORACLE_FLAGS = {
-    **dict.fromkeys(("eta", "omega0", "omega_c", "length"), {"type": float}),
-    "n_modes": {"type": int},
-    "scheme": {"choices": ["logarithmic", "linear"]},
-}
+# every oracle input, each with its default (eta has none and is a float);
+# an unset flag takes the default of the chosen oracle
+_ORACLE_INPUTS = {key: val for reads in _ORACLE_READS.values() for key, val in reads.items()}
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +108,7 @@ def _cmd_regime_map(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = {key: getattr(args, key) for key in _ORACLE_FLAGS if getattr(args, key) is not None}
+    params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
     _emit(oracle_to_csv(oracle_run(args.model, params)), args.output)
     return 0
 
@@ -164,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
     p_oracle.add_argument("--model", required=True, choices=list(_ORACLE_READS))
-    for key, how in _ORACLE_FLAGS.items():
-        p_oracle.add_argument(f"--{key.replace('_', '-')}", dest=key, **how)
+    for key, default in _ORACLE_INPUTS.items():
+        kind = float if default is None else type(default)
+        p_oracle.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
     p_oracle.add_argument("--output")
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -56,14 +56,14 @@ class FreeParticleParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise DomainError(f"eta must be > 0, got {self.eta}")
-        if not self.omega_c > 0:
-            raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
-        if not self.length > 0:
-            raise DomainError(f"length must be > 0, got {self.length}")
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not 0 < self.eta < math.inf:
+            raise DomainError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0 < self.omega_c < math.inf:
+            raise DomainError(f"omega_c must be finite and > 0, got {self.omega_c}")
+        if not 0 < self.length < math.inf:
+            raise DomainError(f"length must be finite and > 0, got {self.length}")
+        if not 1 <= self.dim < math.inf:
+            raise DomainError(f"dim must be finite and >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ class OscillatorParams:
     omega_c: float
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise DomainError(f"omega0 must be > 0, got {self.omega0}")
-        if self.eta < 0:
-            raise DomainError(f"eta must be >= 0, got {self.eta}")
-        if not self.omega_c > 0:
-            raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
+        if not 0 < self.omega0 < math.inf:
+            raise DomainError(f"omega0 must be finite and > 0, got {self.omega0}")
+        if not 0 <= self.eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
+        if not 0 < self.omega_c < math.inf:
+            raise DomainError(f"omega_c must be finite and > 0, got {self.omega_c}")
 
     @property
     def kappa(self) -> float:

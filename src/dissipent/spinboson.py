@@ -148,13 +148,11 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
                                    X(t) = -alpha expm1((s-1) t) / (s-1) (else),
 
     the exponent written in t, so that L = e^t cutoff is never formed.
-    h(0) = -ln r > 0, h' = 1 - alpha e^((s-1) t) and
-    h'' = -alpha (s-1) e^((s-1) t), so h is convex for s < 1: a root
-    above t_f = ln(BRACKET_FLOOR) exists iff h <= 0 at its minimum
-    ln(alpha)/(1-s) clamped to [t_f, 0], and Newton from t = 0 falls
+    _root_at_or_above decides whether a root lies above
+    t_f = ln(BRACKET_FLOOR).  For s < 1 (h convex) Newton from t = 0 falls
     monotonically to the largest root, the first fixed point met flowing
-    down from the cutoff.  For s >= 1, h is concave: a root exists iff
-    h(t_f) < 0, it is unique, and Newton from t_f rises monotonically to it.
+    down from the cutoff; for s >= 1 (h concave, one root) Newton from t_f
+    rises monotonically to it.
 
     Returns None exactly when no root lies above BRACKET_FLOOR * cutoff;
     that is a value, not an error (localized Ohmic phase alpha >= 1, or
@@ -167,14 +165,10 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     log_r = math.log(point.ratio)
     exponent = _log_exponent(bath)
     t_floor = math.log(BRACKET_FLOOR)
-    if bath.s < 1.0:
-        lowest = min(max(math.log(bath.alpha) / (1.0 - bath.s), t_floor), 0.0)
-        t, sign = 0.0, 1.0  # h > 0 above the root: steps go down
-    else:
-        lowest = t = t_floor
-        sign = -1.0  # h < 0 below the root: steps go up
-    if lowest - log_r + exponent(lowest)[0] > 0.0:
+    if not _root_at_or_above(bath, exponent, log_r, t_floor):
         return None
+    # Newton steps down from 0 (h > 0 above the root) or up from t_f (h < 0 below it)
+    t, sign = (0.0, 1.0) if bath.s < 1.0 else (t_floor, -1.0)
 
     # monotone Newton: h keeps its starting sign and h' > 0 along the way;
     # either failing means the iterate sits on the root to rounding
@@ -192,6 +186,20 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     if t <= t_floor:
         return None
     return math.exp(t) * bath.cutoff
+
+
+def _root_at_or_above(bath: BathSpec, exponent, log_r: float, t_low: float) -> bool:
+    """Whether delta_ren's h(t) = t - ln r + X(t) has a root in [t_low, 0],
+    given exponent = _log_exponent(bath), log_r = ln r < 0 and alpha > 0.
+
+    h(0) = -ln r > 0 and h'' = -alpha (s-1) e^((s-1) t).  So a root lies
+    there iff h <= 0 at t_low for s >= 1 (h concave, one root), and for
+    s < 1 (h convex) at its minimum ln(alpha)/(1-s) clamped to [t_low, 0].
+    """
+    t = t_low
+    if bath.s < 1.0:
+        t = min(max(math.log(bath.alpha) / (1.0 - bath.s), t_low), 0.0)
+    return t - log_r + exponent(t)[0] <= 0.0
 
 
 def _implicit_slope(point: SpinBosonPoint, dr: float) -> float:
@@ -549,26 +557,21 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
     the <sigma_x> deficit integral diverges for s < 1, so no coherent
     oscillations survive in the scaling limit.
     """
-    def solve():
-        dr = delta_ren(point)
-        return None if dr is None else dr / point.bath.cutoff
-
-    return _classify(point.bath.s, point.bath.alpha, point.ratio, solve)
+    return _classify(point.bath, point.ratio)
 
 
-def _classify(s: float, alpha: float, r: float, solve: Callable[[], float | None]) -> Regime:
-    """The rule of subohmic_regime at exponent s, coupling alpha and
-    r = Delta0/cutoff; `solve()` returns Delta_ren/cutoff (None where
-    delta_ren is None) and is called only where the rule needs it, so that
-    Delta_ren >= Delta0^2/cutoff reads Delta_ren/cutoff >= r^2."""
-    if s >= 1:
-        raise RegimeError(f"subohmic_regime requires s < 1, got s = {s}")
-    if alpha == 0.0:
+def _classify(bath: BathSpec, r: float) -> Regime:
+    """The rule of subohmic_regime at r = Delta0/cutoff.  Delta_ren >=
+    Delta0^2/cutoff says that delta_ren's h has a root at or above ln r^2:
+    its existence test at t_low = ln r^2, with no solve."""
+    if bath.s >= 1:
+        raise RegimeError(f"subohmic_regime requires s < 1, got s = {bath.s}")
+    if bath.alpha == 0.0:
         return Regime.DELOCALIZED_COHERENT
     if r >= SCALING_TRUST_MIN_RATIO:
-        dr = solve()
-        if dr is not None and dr >= r * r:
+        log_r = math.log(r)
+        if _root_at_or_above(bath, _log_exponent(bath), log_r, 2.0 * log_r):
             return Regime.DELOCALIZED_COHERENT
-    if alpha > s * r:
+    if bath.alpha > bath.s * r:
         return Regime.LOCALIZED
     return Regime.DELOCALIZED_INCOHERENT

@@ -41,6 +41,7 @@ from .spinboson import (
     _max_rule_sigma_x,
     delta_ren,
     spin_entropy,
+    subohmic_regime,
 )
 
 __all__ = [
@@ -256,14 +257,9 @@ def _oscillator_rows(grid, omega0, omega_c):
 def _spin_boson_rows(grid, delta0, lambda0, s):
     for a in grid:
         point = SpinBosonPoint(delta0=delta0, bath=BathSpec(s=s, alpha=a, cutoff=lambda0))
-        # one solve per row: sigma_x and the regime reuse it
         dr = delta_ren(point)
         sx = _max_rule_sigma_x(point, dr)
-        if s < 1:
-            dr_over_cutoff = None if dr is None else dr / lambda0
-            regime = _classify(s, a, point.ratio, lambda: dr_over_cutoff).value
-        else:
-            regime = ""
+        regime = subohmic_regime(point).value if s < 1 else ""
         yield math.nan if dr is None else dr, sx, spin_entropy(sx), regime
 
 
@@ -350,26 +346,18 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
     """Classify every (Delta0/cutoff, alpha) cell of a sub-Ohmic model and
     report the one-loop transition line alpha = s * Delta0/cutoff.  Both
     axes must hold at least one value."""
+    free = BathSpec(s=s, alpha=0.0, cutoff=1.0)  # first: s = nan is a DomainError
     if not s < 1:
         raise RegimeError(f"regime map requires s < 1, got s = {s}")
     ratios = [float(r) for r in ratios]
     alphas = [float(a) for a in alphas]
     if not (ratios and alphas):
         raise ConfigError("a regime map needs at least one ratio and one alpha")
-    # each axis value is validated once, one bath per alpha row and one
-    # point per ratio column; a cell builds its point only to solve
+    # each axis value is validated once: a bath per alpha row, a point per ratio column
     baths = [BathSpec(s=s, alpha=a, cutoff=1.0) for a in alphas]
-    free = BathSpec(s=s, alpha=0.0, cutoff=1.0)
     for r in ratios:
         SpinBosonPoint(delta0=r, bath=free)
-    labels = []
-    for bath in baths:
-        row = []
-        for r in ratios:
-            # with cutoff = 1, delta_ren is the Delta_ren/cutoff _classify takes
-            solve = lambda: delta_ren(SpinBosonPoint(delta0=r, bath=bath))
-            row.append(_classify(s, bath.alpha, r, solve).value)
-        labels.append(row)
+    labels = [[_classify(bath, r).value for r in ratios] for bath in baths]
     return RegimeMap(
         s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=[s * r for r in ratios]
     )
@@ -382,9 +370,11 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 
 # oracle model -> the inputs it reads, each with its default; the first
 # one has none and is required.  This is the one list of oracles; the
-# spin-boson model has none yet.
+# spin-boson model has none yet.  The ring oracle is one-dimensional: it
+# reads no dim.
 _ORACLE_READS = {
-    "free-particle": {"eta": None, **MODEL_PARAMS["free-particle"]},
+    "free-particle": {"eta": None, "omega_c": MODEL_PARAMS["free-particle"]["omega_c"],
+                      "length": MODEL_PARAMS["free-particle"]["length"]},
     "oscillator": {
         "eta": None,
         **MODEL_PARAMS["oscillator"],
@@ -434,9 +424,7 @@ def oracle_run(model: str, params: dict) -> list[dict]:
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)
     elif model == "free-particle":
-        if par["dim"] != 1:
-            raise ConfigError(f"the free-particle oracle is one-dimensional, got dim = {par['dim']}")
-        p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"], dim=1)
+        p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"])
         res = free_particle_entropy(p)
         row("S", res.entropy, ring_kernel_entropy(res.a, p.length))
         row("trace", 1.0, float(np.sum(ring_kernel_eigenvalues(res.a, p.length))))

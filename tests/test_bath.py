@@ -14,6 +14,10 @@ def test_bathspec_invariants():
         BathSpec(s=1.0, alpha=-0.1, cutoff=1.0)
     with pytest.raises(DomainError):
         BathSpec(s=1.0, alpha=0.1, cutoff=0.0)
+    for field in ("s", "alpha", "cutoff"):
+        for bad in (math.inf, math.nan):  # alpha = nan passed the alpha < 0 test
+            with pytest.raises(DomainError, match="must be finite"):
+                BathSpec(**{"s": 0.5, "alpha": 0.1, "cutoff": 1.0, field: bad})
     with pytest.raises(TypeError):  # the cutoff is sharp; there is no other kind
         BathSpec(s=1.0, alpha=0.1, cutoff=1.0, cutoff_kind="drude")
 

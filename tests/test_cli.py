@@ -102,6 +102,29 @@ def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
     assert word in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["sweep", "--model", "spin-boson", "--alpha-max", "inf", "--alpha-points", "3"],
+         "alpha must be finite"),
+        (["sweep", "--model", "spin-boson", "--s", "inf"], "s must be finite"),
+        (["sweep", "--model", "free-particle", "--omega-c", "inf"], "omega_c must be finite"),
+        (["sweep", "--model", "free-particle", "--length", "inf"], "length must be finite"),
+        (["sweep", "--model", "oscillator", "--omega-c", "inf"], "omega_c must be finite"),
+        (["oracle", "--model", "free-particle", "--eta", "inf"], "eta must be finite"),
+        (["regime-map", "--s", "0.5", "--alpha-max", "inf"], "alpha must be finite"),
+        (["regime-map", "--s", "nan"], "s must be finite"),
+    ],
+    ids=["sb-alpha-max", "sb-s", "fp-omega-c", "fp-length", "osc-omega-c", "oracle-eta",
+         "map-alpha-max", "map-s-nan"],
+)
+def test_non_finite_parameter_is_config_error(capsys, argv, word):
+    # these printed inf or NaN rows, or ended in a traceback or a regime error
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and word in captured.err
+
+
 def test_repeated_output_in_a_config_is_config_error(tmp_path, capsys):
     doc = {"model": "oscillator", "outputs": ["S", "S"], "n_points": 3}
     assert run_cli(["sweep", "--config", write_config(tmp_path, doc)]) == 2

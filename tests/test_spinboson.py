@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -534,6 +535,45 @@ def test_regime_free_spin_row_is_delocalized():
 def test_regime_wrong_model():
     with pytest.raises(RegimeError):
         subohmic_regime(point(1.0, 0.1, 0.01))
+
+
+@given(
+    st.floats(0.02, 0.999),
+    st.floats(0.0, 3.0),
+    st.floats(0.1, 1.0, exclude_max=True),
+    st.floats(1e-3, 1e3),
+)
+def test_subohmic_regime_is_the_rule_on_delta_ren(s, alpha, ratio, cutoff):
+    # subohmic_regime decides Delta_ren >= Delta0^2/cutoff by a sign test;
+    # here the rule is written with the solver's root.  Within rounding of
+    # r^2 that comparison is noise (next to r = 1, where both sides are
+    # 1 - O(ulp)); test_subohmic_regime_next_to_ratio_one covers that band.
+    assume(ratio * cutoff < cutoff)
+    pt = point(s, alpha, ratio, cutoff)
+    r = pt.ratio
+    dr = delta_ren(pt)
+    assume(dr is None or abs(dr / cutoff - r * r) > 1e-12 * r * r)
+    if alpha == 0.0 or (r >= 0.1 and dr is not None and dr / cutoff >= r * r):
+        want = Regime.DELOCALIZED_COHERENT
+    elif alpha > s * r:
+        want = Regime.LOCALIZED
+    else:
+        want = Regime.DELOCALIZED_INCOHERENT
+    assert subohmic_regime(pt) is want
+
+
+@pytest.mark.parametrize("k", [47, 50, 52])
+@pytest.mark.parametrize("alpha", [0.49, 0.502, 0.51])
+def test_subohmic_regime_next_to_ratio_one(k, alpha):
+    # r = 1 - 2^-k: Delta_ren/cutoff and r^2 are equal to rounding, so a
+    # solve cannot tell the corner; h rises on [ln r^2, 0] (alpha < 1), so
+    # the regime is coherent iff h(ln r^2) <= 0, here at 50 digits
+    s, r = 0.5, 1.0 - 2.0**-k
+    with mpmath.workdps(50):
+        t = 2 * mpmath.log(r)
+        h = t / 2 - alpha * mpmath.expm1((s - 1) * t) / (s - 1)
+    got = subohmic_regime(SpinBosonPoint(r, BathSpec(s, alpha, 1.0)))
+    assert (got is Regime.DELOCALIZED_COHERENT) == (h <= 0)
 
 
 def test_regime_transition_line_separates_phases():

@@ -348,7 +348,7 @@ def test_oracle_run_free_particle():
 @pytest.mark.parametrize(
     "model, params, word",
     [
-        ("free-particle", {"eta": 1.0, "dim": 3}, "one-dimensional"),
+        ("free-particle", {"eta": 1.0, "dim": 3}, "dim"),
         ("free-particle", {"eta": 1.0, "omega0": 2.0}, "omega0"),
         ("oscillator", {"eta": 1.0, "length": 10.0}, "length"),
         ("oscillator", {"eta": 1.0, "delta0": 1.0}, "delta0"),
@@ -356,17 +356,12 @@ def test_oracle_run_free_particle():
         ("free-particle", {"eta": 1.0, "n_modes": 5}, "n_modes"),
         ("oscillator", {"eta": 1.0, "sigma_x": 0.5}, "sigma_x"),
         ("oscillator", {"eta": 1.0, "n_mode": 100}, "n_mode"),
+        ("free-particle", {"eta": 1.0, "dim": 1}, "dim"),  # the ring oracle reads no dim
     ],
 )
 def test_oracle_run_refuses_what_it_does_not_read(model, params, word):
     with pytest.raises(ConfigError, match=word):
         oracle_run(model, params)
-
-
-def test_oracle_run_free_particle_takes_dim_one():
-    assert oracle_run("free-particle", {"eta": 1.0, "dim": 1}) == oracle_run(
-        "free-particle", {"eta": 1.0}
-    )
 
 
 def test_oracle_run_oscillator():
