@@ -14,15 +14,14 @@ Delta(L) = Delta0 * (L / cutoff)**alpha of the tunneling amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 __all__ = ["BathSpec", "adiabatic_exponent"]
 
 
-@dataclass(frozen=True)
-class BathSpec:
+class BathSpec(namedtuple("BathSpec", "s alpha cutoff")):
     """Parameterisation of a power-law bath.
 
     Attributes
@@ -33,17 +32,16 @@ class BathSpec:
              (J = 0 above it)
     """
 
-    s: float
-    alpha: float
-    cutoff: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.s < math.inf:
-            raise DomainError(f"bath exponent s must be finite and > 0, got {self.s}")
-        if not 0 <= self.alpha < math.inf:
-            raise DomainError(f"coupling alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.cutoff < math.inf:
-            raise DomainError(f"cutoff must be finite and > 0, got {self.cutoff}")
+    def __new__(cls, s: float, alpha: float, cutoff: float):
+        if not 0 < s < math.inf:
+            raise DomainError(f"bath exponent s must be finite and > 0, got {s}")
+        if not 0 <= alpha < math.inf:
+            raise DomainError(f"coupling alpha must be finite and >= 0, got {alpha}")
+        if not 0 < cutoff < math.inf:
+            raise DomainError(f"cutoff must be finite and > 0, got {cutoff}")
+        return tuple.__new__(cls, (s, alpha, cutoff))
 
     @property
     def is_ohmic(self) -> bool:

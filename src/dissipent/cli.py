@@ -9,7 +9,6 @@ flags given on the command line are laid over it.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -98,7 +97,7 @@ def _cmd_kink(args) -> int:
 def _kink_json(report: KinkReport | None) -> str:
     if report is None:
         return "null\n"
-    doc = {k: format_value(v) for k, v in dataclasses.asdict(report).items()}
+    doc = {k: format_value(v) for k, v in report._asdict().items()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -13,7 +13,7 @@ alpha = 1/pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, RegimeError
 
@@ -44,33 +44,36 @@ def alpha_from_kappa(kappa: float) -> float:
     return kappa / math.pi
 
 
-@dataclass(frozen=True)
-class FreeParticleParams:
+class FreeParticleParams(
+    namedtuple("FreeParticleParams", "eta omega_c length dim", defaults=(1,))
+):
     """Dissipative free particle: friction eta, bath cutoff omega_c,
     box regulator L (the entropy is only defined relative to L) and
     spatial dimension d."""
 
-    eta: float
-    omega_c: float
-    length: float
-    dim: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.eta < math.inf:
-            raise DomainError(f"eta must be finite and > 0, got {self.eta}")
-        if not 0 < self.omega_c < math.inf:
-            raise DomainError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        if not 0 < self.length < math.inf:
-            raise DomainError(f"length must be finite and > 0, got {self.length}")
-        if not 1 <= self.dim < math.inf:
-            raise DomainError(f"dim must be finite and >= 1, got {self.dim}")
+    def __new__(cls, eta: float, omega_c: float, length: float, dim: int):
+        if not 0 < eta < math.inf:
+            raise DomainError(f"eta must be finite and > 0, got {eta}")
+        if not 0 < omega_c < math.inf:
+            raise DomainError(f"omega_c must be finite and > 0, got {omega_c}")
+        if not 0 < length < math.inf:
+            raise DomainError(f"length must be finite and > 0, got {length}")
+        if not 1 <= dim < math.inf:
+            raise DomainError(f"dim must be finite and >= 1, got {dim}")
+        return tuple.__new__(cls, (eta, omega_c, length, dim))
 
 
-@dataclass(frozen=True)
-class FreeParticleResult:
-    entropy: float
-    a: float  # kernel width, free_particle_kernel_width
-    a_l2: float  # a * L**2, the argument of the leading logarithm
+# the constructor takes the defaults given to namedtuple
+FreeParticleParams.__new__.__defaults__ = tuple(FreeParticleParams._field_defaults.values())
+
+
+class FreeParticleResult(namedtuple("FreeParticleResult", "entropy a a_l2")):
+    """entropy, the kernel width a (free_particle_kernel_width) and a * L**2,
+    the argument of the leading logarithm."""
+
+    __slots__ = ()
 
 
 def _log_ratio(num: float, den: float) -> float:
@@ -113,22 +116,20 @@ def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
     return FreeParticleResult(entropy=s, a=a, a_l2=a_l2)
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
     """Damped harmonic oscillator: frequency omega0, Ohmic friction eta,
     bath cutoff omega_c (must exceed omega0 for the moment formulas)."""
 
-    omega0: float
-    eta: float
-    omega_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.omega0 < math.inf:
-            raise DomainError(f"omega0 must be finite and > 0, got {self.omega0}")
-        if not 0 <= self.eta < math.inf:
-            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
-        if not 0 < self.omega_c < math.inf:
-            raise DomainError(f"omega_c must be finite and > 0, got {self.omega_c}")
+    def __new__(cls, omega0: float, eta: float, omega_c: float):
+        if not 0 < omega0 < math.inf:
+            raise DomainError(f"omega0 must be finite and > 0, got {omega0}")
+        if not 0 <= eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {eta}")
+        if not 0 < omega_c < math.inf:
+            raise DomainError(f"omega_c must be finite and > 0, got {omega_c}")
+        return tuple.__new__(cls, (omega0, eta, omega_c))
 
     @property
     def kappa(self) -> float:
@@ -164,8 +165,7 @@ def oscillator_f(kappa: float) -> float:
     return 2.0 / math.pi
 
 
-@dataclass(frozen=True)
-class MomentPair:
+class MomentPair(namedtuple("MomentPair", "q2 p2")):
     """Second moments of the reduced oscillator state.
 
     nu = sqrt(<q^2><p^2>) is the symplectic eigenvalue (>= 1/2, with
@@ -176,16 +176,17 @@ class MomentPair:
     enter the large-(a/b) entropy expansion; a/b = 4 <q^2><p^2> = 4 nu^2.
     """
 
-    q2: float
-    p2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.q2 > 0:
-            raise DomainError(f"<q^2> must be > 0, got {self.q2}")
-        if not self.p2 > 0:
-            raise DomainError(f"<p^2> must be > 0, got {self.p2}")
-        if self.nu < 0.5 - 1e-12:
-            raise DomainError(f"nu = {self.nu} violates the Heisenberg bound 1/2")
+    def __new__(cls, q2: float, p2: float):
+        if not q2 > 0:
+            raise DomainError(f"<q^2> must be > 0, got {q2}")
+        if not p2 > 0:
+            raise DomainError(f"<p^2> must be > 0, got {p2}")
+        nu = math.sqrt(q2 * p2)
+        if nu < 0.5 - 1e-12:
+            raise DomainError(f"nu = {nu} violates the Heisenberg bound 1/2")
+        return tuple.__new__(cls, (q2, p2))
 
     @property
     def nu(self) -> float:
@@ -281,8 +282,7 @@ def oscillator_entropy(p: OscillatorParams) -> float:
     return gaussian_entropy(oscillator_moments(p).nu)
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(namedtuple("GaussianKernel", "a b")):
     """Parameters (a, b) of the normalised Gaussian kernel
 
         rho(x, x') = sqrt(4 b / pi) exp(-a (x-x')^2 - b (x+x')^2),
@@ -291,14 +291,14 @@ class GaussianKernel:
     a = <p^2>/2, b = 1/(8 <q^2>).
     """
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.b >= 0:
-            raise DomainError(f"b must be >= 0, got {self.b}")
-        if not self.a > self.b:
-            raise DomainError(f"need a > b for a valid state, got a={self.a}, b={self.b}")
+    def __new__(cls, a: float, b: float):
+        if not b >= 0:
+            raise DomainError(f"b must be >= 0, got {b}")
+        if not a > b:
+            raise DomainError(f"need a > b for a valid state, got a={a}, b={b}")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def a_over_b(self) -> float:

@@ -24,7 +24,7 @@ this module (and the package) loads the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError
@@ -53,9 +53,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteBath:
-    """A finite set of bath modes (omega_k, lambda_k).
+class DiscreteBath(namedtuple("DiscreteBath", "omegas couplings")):
+    """A finite set of bath modes (omega_k, lambda_k), two numpy arrays.
 
     The coupling convention is that of the function that built the bath:
     discretize_oscillator_bath's couplings reproduce J(w) = (pi/2) sum_k
@@ -63,8 +62,7 @@ class DiscreteBath:
     counterterm), discretize_spin_bath's J(w) = sum_k lambda_k^2 delta(w - omega_k).
     """
 
-    omegas: np.ndarray
-    couplings: np.ndarray
+    __slots__ = ()
 
     @property
     def n_modes(self) -> int:
@@ -288,10 +286,10 @@ def ring_kernel_entropy(a: float, length: float, n_max: int | None = None) -> fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TracePowerResult:
-    direct: float
-    closed_form: float
+class TracePowerResult(namedtuple("TracePowerResult", "direct closed_form")):
+    """Tr rho^n by the direct determinant and by the replica closed form."""
+
+    __slots__ = ()
 
 
 def _eps_tilde(kernel: GaussianKernel) -> float:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 
 from .bath import BathSpec, _log_exponent
@@ -72,31 +72,30 @@ BRACKET_FLOOR = 1e-15
 SCALING_TRUST_MIN_RATIO = 0.1
 
 
-@dataclass(frozen=True)
-class SpinBosonPoint:
+class SpinBosonPoint(
+    namedtuple("SpinBosonPoint", "delta0 bath temperature", defaults=(0.0,))
+):
     """A point in spin-boson parameter space.
 
     delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff, with
              delta0 / cutoff a normal (not subnormal) double
     bath : BathSpec carrying (s, alpha, cutoff)
-    temperature : T >= 0 (enters only through the flow lower limit)
+    temperature : finite T >= 0 (enters only through the flow lower limit)
     """
 
-    delta0: float
-    bath: BathSpec
-    temperature: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.delta0 > 0:
-            raise DomainError(f"delta0 must be > 0, got {self.delta0}")
-        if self.delta0 >= self.bath.cutoff:
-            raise DomainError(
-                f"delta0 must be below the cutoff ({self.delta0} >= {self.bath.cutoff})"
-            )
-        if self.temperature < 0:
-            raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        if self.ratio < sys.float_info.min:  # 1/r would overflow
-            raise DomainError(f"delta0/cutoff = {self.ratio} is subnormal")
+    def __new__(cls, delta0: float, bath: BathSpec, temperature: float):
+        if not delta0 > 0:
+            raise DomainError(f"delta0 must be > 0, got {delta0}")
+        if delta0 >= bath.cutoff:
+            raise DomainError(f"delta0 must be below the cutoff ({delta0} >= {bath.cutoff})")
+        if not 0 <= temperature < math.inf:
+            raise DomainError(f"temperature must be finite and >= 0, got {temperature}")
+        ratio = delta0 / bath.cutoff
+        if ratio < sys.float_info.min:  # 1/r would overflow
+            raise DomainError(f"delta0/cutoff = {ratio} is subnormal")
+        return tuple.__new__(cls, (delta0, bath, temperature))
 
     @property
     def ratio(self) -> float:
@@ -109,14 +108,15 @@ class SpinBosonPoint:
         return self.bath.alpha * self.bath.cutoff / self.delta0
 
 
-@dataclass(frozen=True)
-class ReducedSpinState:
+# the constructor takes the defaults given to namedtuple
+SpinBosonPoint.__new__.__defaults__ = tuple(SpinBosonPoint._field_defaults.values())
+
+
+class ReducedSpinState(namedtuple("ReducedSpinState", "sx sz entropy")):
     """Reduced 2x2 state of the spin: magnetisation along x, zero along z
     (no bias), and the resulting von Neumann entropy."""
 
-    sx: float
-    sz: float
-    entropy: float
+    __slots__ = ()
 
 
 def spin_entropy(sx: float) -> float:
@@ -449,16 +449,13 @@ def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(namedtuple("FlowState", "lambda_ kappa_tilde sx_accum")):
     """State of the one-loop renormalisation flow at running cutoff
     lambda_: the dimensionless coupling kappa_tilde = alpha * lambda / Delta
     (Delta is not renormalised in this scheme) and the accumulated
     <sigma_x> deficit."""
 
-    lambda_: float
-    kappa_tilde: float
-    sx_accum: float
+    __slots__ = ()
 
 
 def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:

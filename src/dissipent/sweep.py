@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .bath import BathSpec
@@ -87,8 +87,13 @@ _DEFAULT_OUTPUTS = {
 _STENCIL = frozenset(("dS_dalpha", "d2S_dalpha2"))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(
+    namedtuple(
+        "SweepConfig",
+        "model alpha_min alpha_max n_points fixed outputs format",
+        defaults=(0.01, 1.0, 100, {}, (), "csv"),
+    )
+):
     """The sweep document, validated on construction: every field but
     `model` has the document's default, and a value must have the type of
     its default (a number where the default is a float).  `fixed` holds
@@ -98,45 +103,46 @@ class SweepConfig:
     (the model has no reference frequency to form a dimensionless alpha).
     """
 
-    model: str
-    alpha_min: float = 0.01
-    alpha_max: float = 1.0
-    n_points: int = 100
-    fixed: dict = field(default_factory=dict)
-    outputs: tuple = ()
-    format: str = "csv"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self)[1:]:  # model has no default; MODELS holds its values
-            default = f.default_factory() if f.default is MISSING else f.default
-            _check_type(f.name, getattr(self, f.name), default)
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not self.alpha_min < self.alpha_max:
-            raise ConfigError(
-                f"alpha_min must be < alpha_max, got {self.alpha_min} >= {self.alpha_max}"
-            )
-        if self.n_points < 3:
-            raise ConfigError(f"n_points must be >= 3, got {self.n_points}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        for key, val in self.fixed.items():
-            if key not in MODEL_PARAMS[self.model]:
-                raise ConfigError(f"unknown parameter {key!r} for model {self.model}")
-            _check_type(key, val, MODEL_PARAMS[self.model][key])
-        for name in self.outputs:
-            if name not in _DEFAULT_OUTPUTS[self.model]:
-                raise ConfigError(f"unknown output {name!r} for model {self.model}")
-        if len(set(self.outputs)) < len(self.outputs):
-            raise ConfigError(f"outputs must not repeat a column, got {list(self.outputs)}")
+    def __new__(cls, model, alpha_min, alpha_max, n_points, fixed, outputs, format):
+        values = (alpha_min, alpha_max, n_points, fixed, outputs, format)
+        # model has no default; MODELS holds its values
+        for (name, default), value in zip(cls._field_defaults.items(), values, strict=True):
+            _check_type(name, value, default)
+        fixed = dict(fixed)  # not the default's dict, which every instance would share
+        if model not in MODELS:
+            raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
+        for name, bound in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
+            if not math.isfinite(bound):
+                raise ConfigError(f"{name} must be finite, got {bound}")
+        if not alpha_min < alpha_max:
+            raise ConfigError(f"alpha_min must be < alpha_max, got {alpha_min} >= {alpha_max}")
+        if n_points < 3:
+            raise ConfigError(f"n_points must be >= 3, got {n_points}")
+        if format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {format!r}")
+        for key, val in fixed.items():
+            if key not in MODEL_PARAMS[model]:
+                raise ConfigError(f"unknown parameter {key!r} for model {model}")
+            _check_type(key, val, MODEL_PARAMS[model][key])
+        for name in outputs:
+            if name not in _DEFAULT_OUTPUTS[model]:
+                raise ConfigError(f"unknown output {name!r} for model {model}")
+        if len(set(outputs)) < len(outputs):
+            raise ConfigError(f"outputs must not repeat a column, got {list(outputs)}")
+        return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, outputs, format))
 
     def resolved_fixed(self) -> dict:
         return {**MODEL_PARAMS[self.model], **self.fixed}
 
 
+# the constructor takes the defaults given to namedtuple
+SweepConfig.__new__.__defaults__ = tuple(SweepConfig._field_defaults.values())
+
 # A sweep document (a sweep preset, or a --config file with the CLI flags
 # laid over it) has these keys and no others
-SWEEP_KEYS = ("kind", *(f.name for f in fields(SweepConfig)))
+SWEEP_KEYS = ("kind", *SweepConfig._fields)
 
 
 # the type a document value must have, by the type of its default; no
@@ -182,19 +188,18 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
     return [float(lo), *(10.0**x for x in logs[1:-1]), float(hi)][:n]
 
 
-@dataclass
-class SweepTable:
-    config: dict
-    column_names: list
-    columns: dict
+class SweepTable(namedtuple("SweepTable", "config column_names columns")):
+    """A sweep's resolved configuration, its column names in order and
+    the columns by name."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KinkReport:
-    location: float
-    strength: float
-    order: int
-    grid_spacing: float
+class KinkReport(namedtuple("KinkReport", "location strength order grid_spacing")):
+    """Where detect_kink found a kink, how far it stands above the
+    background, the order of the difference used and the grid spacing."""
+
+    __slots__ = ()
 
 
 def _central_derivatives(alpha: list, y: list) -> tuple[list, list]:
@@ -333,13 +338,13 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RegimeMap:
-    s: float
-    ratios: list  # Delta0 / cutoff grid
-    alphas: list
-    labels: list  # one row of regime names per alpha: labels[i][j] at (alphas[i], ratios[j])
-    transition_line: list  # alpha = s * ratio per ratio column
+class RegimeMap(namedtuple("RegimeMap", "s ratios alphas labels transition_line")):
+    """A sub-Ohmic regime map: the bath exponent s, the Delta0 / cutoff
+    grid `ratios`, the `alphas` grid, `labels` (one row of regime names per
+    alpha: labels[i][j] at (alphas[i], ratios[j])) and `transition_line`
+    (alpha = s * ratio per ratio column)."""
+
+    __slots__ = ()
 
 
 def regime_map(s: float, ratios, alphas) -> RegimeMap:

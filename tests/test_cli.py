@@ -106,7 +106,10 @@ def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
     "argv, word",
     [
         (["sweep", "--model", "spin-boson", "--alpha-max", "inf", "--alpha-points", "3"],
-         "alpha must be finite"),
+         "alpha_max must be finite"),
+        (["sweep", "--model", "free-particle", "--alpha-max", "inf", "--alpha-points", "3"],
+         "alpha_max must be finite"),
+        (["sweep", "--model", "oscillator", "--alpha-min", "nan"], "alpha_min must be finite"),
         (["sweep", "--model", "spin-boson", "--s", "inf"], "s must be finite"),
         (["sweep", "--model", "free-particle", "--omega-c", "inf"], "omega_c must be finite"),
         (["sweep", "--model", "free-particle", "--length", "inf"], "length must be finite"),
@@ -115,11 +118,13 @@ def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
         (["regime-map", "--s", "0.5", "--alpha-max", "inf"], "alpha must be finite"),
         (["regime-map", "--s", "nan"], "s must be finite"),
     ],
-    ids=["sb-alpha-max", "sb-s", "fp-omega-c", "fp-length", "osc-omega-c", "oracle-eta",
-         "map-alpha-max", "map-s-nan"],
+    ids=["sb-alpha-max", "fp-alpha-max", "osc-alpha-min-nan", "sb-s", "fp-omega-c", "fp-length",
+         "osc-omega-c", "oracle-eta", "map-alpha-max", "map-s-nan"],
 )
 def test_non_finite_parameter_is_config_error(capsys, argv, word):
-    # these printed inf or NaN rows, or ended in a traceback or a regime error
+    # these printed inf or NaN rows, or ended in a traceback or a regime
+    # error; the message names the value at fault (a sweep's grid bound by
+    # its key, not by the model parameter it becomes)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and word in captured.err

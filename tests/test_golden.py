@@ -25,7 +25,6 @@ Regenerate, only when a change to these numbers is intended, with
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +54,7 @@ ORACLE_REL = 1e-10
 
 def _fig1(**fixed):
     cfg = preset_config("fig1-spinboson")
-    return replace(cfg, fixed={**cfg.fixed, **fixed})
+    return cfg._replace(fixed={**cfg.fixed, **fixed})
 
 
 # name -> sweep config; the s != 1 sweeps share the preset's alpha range

@@ -1,6 +1,7 @@
 """Import hygiene: the package and every closed-form CLI command run on the
 standard library alone, only the oracles load numpy (on first call), only
-kink detection loads statistics, no module under src/dissipent imports
+kink detection loads statistics, nothing loads dataclasses, and inspect
+loads only where numpy loads it; no module under src/dissipent imports
 scipy, which is a test-only dependency, and bath.py and gaussian.py do not
 import numpy either.  Each runtime case runs in a fresh
 interpreter, since the test process has numpy and scipy loaded already."""
@@ -22,14 +23,14 @@ import dissipent
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `body` with its stdout swallowed, then prints its `result` and the
-# scipy, numpy and statistics modules loaded by then
+# scipy, numpy, statistics, dataclasses and inspect modules loaded by then
 PROBE = """\
 import contextlib, io, json, sys
 result = None
 with contextlib.redirect_stdout(io.StringIO()):
 {body}
 loaded = {{lib: sorted(m for m in sys.modules if m.split(".")[0] == lib)
-          for lib in ("scipy", "numpy", "statistics")}}
+          for lib in ("scipy", "numpy", "statistics", "dataclasses", "inspect")}}
 print(json.dumps({{"result": result, **loaded}}))
 """
 
@@ -54,8 +55,9 @@ result = [
 
 @functools.cache
 def fresh(body: str) -> dict:
-    """`{"result", "scipy", "numpy", "statistics"}` of `body` run in a fresh interpreter
-    with the package on PYTHONPATH; each body runs once per session."""
+    """`result` and the loaded modules of each library PROBE reports, of
+    `body` run in a fresh interpreter with the package on PYTHONPATH; each
+    body runs once per session."""
     code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -118,6 +120,19 @@ def test_statistics_is_loaded_only_to_detect_a_kink(name):
     # statistics loads fractions and decimal, a share of every cold start
     out = fresh(cli_body(CLOSED_FORM[name]))
     assert out["statistics"] == (["statistics"] if name == "kink" else [])
+
+
+@pytest.mark.parametrize(
+    "argv", [*CLOSED_FORM.values(), *ORACLE_COMMANDS.values()], ids=[*CLOSED_FORM, *ORACLE_COMMANDS]
+)
+def test_no_dataclasses_and_no_inspect_of_our_own(argv):
+    # the records are named tuples: dataclasses, with the inspect, ast and
+    # dis it imports, took a third of `import dissipent` (bytecode cached)
+    out = fresh(cli_body(argv))
+    assert out["result"] in (None, 0)
+    assert out["dataclasses"] == []
+    # numpy imports inspect itself, so the oracles load it with numpy
+    assert out["inspect"] == (fresh("import numpy")["inspect"] if out["numpy"] else [])
 
 
 def test_oracles_module_is_loaded_with_the_package():

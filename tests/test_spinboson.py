@@ -316,6 +316,15 @@ def test_subnormal_ratio_is_a_domain_error():
         point(1.0, 1e-6, 1e-310, cutoff=1.0)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -1.0])
+def test_temperature_must_be_finite_and_non_negative(temperature):
+    # NaN ended flow_free_energy in a ValueError from the quadrature, and
+    # inf made it return 0.0
+    message = f"temperature must be finite and >= 0, got {temperature}"
+    with pytest.raises(DomainError, match=message):
+        point(1.0, 0.1, 0.01, temperature=temperature)
+
+
 def test_ohmic_sigma_x_energy_values():
     # alpha -> 0: clipped to 1
     assert ohmic_sigma_x_energy(point(1.0, 1e-12, 0.01)) == 1.0

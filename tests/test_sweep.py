@@ -89,6 +89,15 @@ def test_sweep_config_refuses_mistyped_values(kw, word):
         SweepConfig(model="oscillator", **{**grid, **kw})
 
 
+@pytest.mark.parametrize("key", ["alpha_min", "alpha_max"])
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+def test_sweep_config_refuses_a_non_finite_grid_bound(key, bound):
+    # the grid put NaN in a cell, and the refusal named the cell's parameter
+    grid = {"alpha_min": 0.1, "alpha_max": 1.0, "n_points": 3, key: bound}
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got {bound}"):
+        SweepConfig(model="free-particle", **grid)
+
+
 def test_sweep_config_refuses_a_repeated_output():
     with pytest.raises(ConfigError, match="repeat"):
         SweepConfig(
@@ -97,7 +106,7 @@ def test_sweep_config_refuses_a_repeated_output():
 
 
 def test_sweep_config_is_the_sweep_document():
-    # the document defaults live on the dataclass, and the keys are its fields
+    # the document defaults live on the record, and the keys are its fields
     cfg = SweepConfig(model="oscillator")
     assert (cfg.alpha_min, cfg.alpha_max, cfg.n_points, cfg.format) == (0.01, 1.0, 100, "csv")
     assert sweep_config({"kind": "sweep", "model": "oscillator"}) == cfg
