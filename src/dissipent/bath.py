@@ -43,9 +43,11 @@ class BathSpec(namedtuple("BathSpec", "s alpha cutoff")):
             raise DomainError(f"cutoff must be finite and > 0, got {cutoff}")
         return tuple.__new__(cls, (s, alpha, cutoff))
 
-    @property
-    def is_ohmic(self) -> bool:
-        return abs(self.s - 1.0) < 1e-12
+    is_ohmic = property(lambda self: _is_ohmic(self.s))
+
+
+def _is_ohmic(s: float) -> bool:
+    return abs(s - 1.0) < 1e-12
 
 
 def adiabatic_exponent(bath: BathSpec, lambda_low: float) -> float:
@@ -64,12 +66,12 @@ def adiabatic_exponent(bath: BathSpec, lambda_low: float) -> float:
         raise DomainError(
             f"lambda_low must lie in (0, cutoff], got {lambda_low} with cutoff {bath.cutoff}"
         )
-    return _log_exponent(bath)(math.log(lambda_low / bath.cutoff))[0]
+    return _log_exponent(bath.alpha, bath.s)(math.log(lambda_low / bath.cutoff))[0]
 
 
-def _log_exponent(bath: BathSpec, expm1=math.expm1):
-    """The exponent as a function of u = ln(L/cutoff) <= 0: a function
-    mapping u to (X, dX/du),
+def _log_exponent(alpha: float, s: float, expm1=math.expm1):
+    """The exponent of a bath with coupling alpha and exponent s as a
+    function of u = ln(L/cutoff) <= 0: a function mapping u to (X, dX/du),
 
         s = 1:  X = -alpha u,                          dX/du = -alpha
         else :  X = -alpha expm1((s-1) u) / (s-1),     dX/du = -alpha e^((s-1) u)
@@ -77,10 +79,9 @@ def _log_exponent(bath: BathSpec, expm1=math.expm1):
     with alpha and s - 1 bound once and dX/du taken from the same expm1.
     Pass numpy's expm1 to evaluate it on an array of u.
     """
-    alpha = bath.alpha
-    if bath.is_ohmic:
+    if _is_ohmic(s):
         return lambda u: (-alpha * u, -alpha)
-    sm1 = bath.s - 1.0
+    sm1 = s - 1.0
 
     def exponent(u):
         # expm1 keeps precision when s is close to 1 or L close to the cutoff

@@ -63,8 +63,9 @@ __all__ = [
 ]
 
 # fraction of the bare cutoff below which the self-consistency equation is
-# declared to have no root (deep sub-Ohmic scaling regime)
+# declared to have no root (deep sub-Ohmic scaling regime), and its log
 BRACKET_FLOOR = 1e-15
+_LOG_FLOOR = math.log(BRACKET_FLOOR)
 
 # Delta0/cutoff above which the tunneling scale is "of the order of the
 # cutoff" and the self-consistent (Franck-Condon) scaling is trusted for
@@ -140,36 +141,31 @@ def spin_entropy(sx: float) -> float:
 
 
 def delta_ren(point: SpinBosonPoint) -> float | None:
-    """Self-consistent solution of Delta = Delta0 * exp(-X(Delta)).
-
-    Solved for t = ln(Delta/cutoff) as a root of
-
-        h(t) = t - ln(r) + X(t),   X(t) = -alpha t (s = 1),
-                                   X(t) = -alpha expm1((s-1) t) / (s-1) (else),
-
-    the exponent written in t, so that L = e^t cutoff is never formed.
-    _root_at_or_above decides whether a root lies above
-    t_f = ln(BRACKET_FLOOR).  For s < 1 (h convex) Newton from t = 0 falls
-    monotonically to the largest root, the first fixed point met flowing
-    down from the cutoff; for s >= 1 (h concave, one root) Newton from t_f
-    rises monotonically to it.
-
-    Returns None exactly when no root lies above BRACKET_FLOOR * cutoff;
-    that is a value, not an error (localized Ohmic phase alpha >= 1, or
-    the deep sub-Ohmic scaling regime).
+    """Self-consistent solution of Delta = Delta0 * exp(-X(Delta)): e^t cutoff
+    with t from _solve.  None exactly when no root lies above BRACKET_FLOOR
+    * cutoff; that is a value, not an error (localized Ohmic phase
+    alpha >= 1, or the deep sub-Ohmic scaling regime).
     """
     bath = point.bath
     if bath.alpha == 0.0:
         return point.delta0
+    t = _solve(bath.alpha, bath.s, math.log(point.ratio))
+    return None if t is None else math.exp(t) * bath.cutoff
 
-    log_r = math.log(point.ratio)
-    exponent = _log_exponent(bath)
-    t_floor = math.log(BRACKET_FLOOR)
-    if not _root_at_or_above(bath, exponent, log_r, t_floor):
+
+def _solve(alpha: float, s: float, log_r: float) -> float | None:
+    """t = ln(Delta_ren/cutoff) for alpha > 0 and log_r = ln(Delta0/cutoff):
+    the root of h(t) = t - ln(r) + X(t), X = _log_exponent(alpha, s), or
+    None when _root_at_or_above finds none above _LOG_FLOOR.  For s < 1
+    (h convex) Newton from t = 0 falls monotonically to the largest root,
+    the first fixed point met flowing down from the cutoff; for s >= 1
+    (h concave, one root) Newton from the floor rises monotonically to it.
+    """
+    exponent = _log_exponent(alpha, s)
+    if not _root_at_or_above(alpha, s, exponent, log_r, _LOG_FLOOR):
         return None
-    # Newton steps down from 0 (h > 0 above the root) or up from t_f (h < 0 below it)
-    t, sign = (0.0, 1.0) if bath.s < 1.0 else (t_floor, -1.0)
-
+    # Newton steps down from 0 (h > 0 above the root) or up from the floor (h < 0 below it)
+    t, sign = (0.0, 1.0) if s < 1.0 else (_LOG_FLOOR, -1.0)
     # monotone Newton: h keeps its starting sign and h' > 0 along the way;
     # either failing means the iterate sits on the root to rounding
     for _ in range(100):
@@ -183,33 +179,29 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
             break
     if abs(t - log_r + exponent(t)[0]) > 1e-9:
         raise NumericalError("delta_ren solver failed to converge")
-    if t <= t_floor:
-        return None
-    return math.exp(t) * bath.cutoff
+    return None if t <= _LOG_FLOOR else t
 
 
-def _root_at_or_above(bath: BathSpec, exponent, log_r: float, t_low: float) -> bool:
+def _root_at_or_above(alpha: float, s: float, exponent, log_r: float, t_low: float) -> bool:
     """Whether delta_ren's h(t) = t - ln r + X(t) has a root in [t_low, 0],
-    given exponent = _log_exponent(bath), log_r = ln r < 0 and alpha > 0.
+    given exponent = _log_exponent(alpha, s), log_r = ln r < 0 and alpha > 0.
 
     h(0) = -ln r > 0 and h'' = -alpha (s-1) e^((s-1) t).  So a root lies
     there iff h <= 0 at t_low for s >= 1 (h concave, one root), and for
     s < 1 (h convex) at its minimum ln(alpha)/(1-s) clamped to [t_low, 0].
     """
     t = t_low
-    if bath.s < 1.0:
-        t = min(max(math.log(bath.alpha) / (1.0 - bath.s), t_low), 0.0)
+    if s < 1.0:
+        t = min(max(math.log(alpha) / (1.0 - s), t_low), 0.0)
     return t - log_r + exponent(t)[0] <= 0.0
 
 
-def _implicit_slope(point: SpinBosonPoint, dr: float) -> float:
+def _slope(alpha: float, s: float, delta0: float, cutoff: float, dr: float) -> float:
     """d Delta_ren / d Delta0 at a root dr of the self-consistency equation."""
-    denom = 1.0 - point.bath.alpha * (dr / point.bath.cutoff) ** (point.bath.s - 1.0)
+    denom = 1.0 - alpha * (dr / cutoff) ** (s - 1.0)
     if denom <= 0:
-        raise NumericalError(
-            "implicit derivative of the self-consistency equation is singular"
-        )
-    return (dr / point.delta0) / denom
+        raise NumericalError("implicit derivative of the self-consistency equation is singular")
+    return (dr / delta0) / denom
 
 
 def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
@@ -221,8 +213,17 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
 
     None when delta_ren has no solution.
     """
-    dr = delta_ren(point)
-    return None if dr is None else _implicit_slope(point, dr)
+    return _slope_at(point, point.bath.alpha)
+
+
+def _slope_at(point: SpinBosonPoint, alpha: float) -> float | None:
+    """delta_ren_derivative at coupling alpha, with point's delta0, s and cutoff."""
+    delta0, (s, _, cutoff) = point.delta0, point.bath
+    if not alpha > 0.0:  # BathSpec refuses alpha < 0; Delta_ren = Delta0 at 0
+        BathSpec(s, alpha, cutoff)
+        return _slope(alpha, s, delta0, cutoff, delta0)
+    t = _solve(alpha, s, math.log(point.ratio))
+    return None if t is None else _slope(alpha, s, delta0, cutoff, math.exp(t) * cutoff)
 
 
 def delocalized_log_derivative(point: SpinBosonPoint) -> float:
@@ -245,8 +246,7 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
         return math.log(r) / (1.0 - a) ** 2 + 1.0 / (1.0 - a)
 
     def ln_deriv(alpha: float) -> float:
-        b = BathSpec(s=point.bath.s, alpha=alpha, cutoff=point.bath.cutoff)
-        d = delta_ren_derivative(SpinBosonPoint(point.delta0, b, point.temperature))
+        d = _slope_at(point, alpha)
         if d is None:
             raise RegimeError("no delocalized branch at alpha = %g" % alpha)
         return math.log(d)
@@ -340,8 +340,8 @@ def sigma_x(point: SpinBosonPoint) -> float:
 
 def _max_rule_sigma_x(point: SpinBosonPoint, dr: float | None) -> float:
     """The max rule of sigma_x, given dr = delta_ren(point)."""
-    pert = 2.0 * point.ratio
-    val = pert if dr is None else max(_implicit_slope(point, dr), pert)
+    pert, (s, alpha, cutoff) = 2.0 * point.ratio, point.bath
+    val = pert if dr is None else max(_slope(alpha, s, point.delta0, cutoff, dr), pert)
     return min(1.0, val)
 
 
@@ -360,8 +360,7 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
         return 0.5
 
     def gap(alpha: float) -> float:
-        b = BathSpec(s=point.bath.s, alpha=alpha, cutoff=point.bath.cutoff)
-        d = delta_ren_derivative(SpinBosonPoint(point.delta0, b))
+        d = _slope_at(point, alpha)
         if d is None:
             return -1.0
         return d - 2.0 * point.ratio
@@ -421,7 +420,7 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
 
     import numpy as np
 
-    exponent = _log_exponent(point.bath, np.expm1)
+    exponent = _log_exponent(point.bath.alpha, point.bath.s, np.expm1)
     d0_r = point.delta0 * point.ratio
 
     def integrand(u):
@@ -542,6 +541,9 @@ class Regime(Enum):
     LOCALIZED = "Localized"
 
 
+_COHERENT, _INCOHERENT, _LOCALIZED = (regime.value for regime in Regime)
+
+
 def subohmic_regime(point: SpinBosonPoint) -> Regime:
     """Classify a sub-Ohmic (s < 1) point.
 
@@ -554,21 +556,25 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
     the <sigma_x> deficit integral diverges for s < 1, so no coherent
     oscillations survive in the scaling limit.
     """
-    return _classify(point.bath, point.ratio)
-
-
-def _classify(bath: BathSpec, r: float) -> Regime:
-    """The rule of subohmic_regime at r = Delta0/cutoff.  Delta_ren >=
-    Delta0^2/cutoff says that delta_ren's h has a root at or above ln r^2:
-    its existence test at t_low = ln r^2, with no solve."""
+    bath = point.bath
     if bath.s >= 1:
         raise RegimeError(f"subohmic_regime requires s < 1, got s = {bath.s}")
-    if bath.alpha == 0.0:
-        return Regime.DELOCALIZED_COHERENT
-    if r >= SCALING_TRUST_MIN_RATIO:
-        log_r = math.log(r)
-        if _root_at_or_above(bath, _log_exponent(bath), log_r, 2.0 * log_r):
-            return Regime.DELOCALIZED_COHERENT
-    if bath.alpha > bath.s * r:
-        return Regime.LOCALIZED
-    return Regime.DELOCALIZED_INCOHERENT
+    return Regime(_labels(bath.alpha, bath.s, [point.ratio])[0])
+
+
+def _labels(alpha: float, s: float, ratios) -> list[str]:
+    """The rule of subohmic_regime along a row of ratios r = Delta0/cutoff
+    at coupling alpha >= 0 and exponent s < 1: the label string of each r,
+    with the exponent built once.  Delta_ren >= Delta0^2/cutoff says that
+    delta_ren's h has a root at or above ln r^2: its existence test at
+    t_low = ln r^2, with no solve."""
+    if alpha == 0.0:
+        return [_COHERENT] * len(ratios)
+    exponent = _log_exponent(alpha, s)
+    return [
+        _COHERENT
+        if r >= SCALING_TRUST_MIN_RATIO
+        and _root_at_or_above(alpha, s, exponent, (log_r := math.log(r)), 2.0 * log_r)
+        else _LOCALIZED if alpha > s * r else _INCOHERENT
+        for r in ratios
+    ]

@@ -37,11 +37,10 @@ from .oracles import (
 )
 from .spinboson import (
     SpinBosonPoint,
-    _classify,
+    _labels,
     _max_rule_sigma_x,
     delta_ren,
     spin_entropy,
-    subohmic_regime,
 )
 
 __all__ = [
@@ -215,10 +214,17 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
     Rows are independent, evaluated in grid order; output ordering is by
     grid index.  Formula-validity failures at single points (RegimeError)
-    produce NaN entries rather than aborting the sweep.
+    produce NaN entries rather than aborting the sweep; a grid too fine for
+    doubles is a ConfigError.
     """
     fixed = cfg.resolved_fixed()
     grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
+    h = grid[1] - grid[0]  # the stencils divide by 2h and h^2
+    if not h * h > 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"alpha_min = {cfg.alpha_min}, alpha_max = {cfg.alpha_max} and n_points = "
+            f"{cfg.n_points} give a grid too fine for doubles (a repeated point, or h^2 = 0)"
+        )
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
     rows = _ROWS[cfg.model](grid, *(fixed[k] for k in MODEL_PARAMS[cfg.model]))
@@ -264,7 +270,7 @@ def _spin_boson_rows(grid, delta0, lambda0, s):
         point = SpinBosonPoint(delta0=delta0, bath=BathSpec(s=s, alpha=a, cutoff=lambda0))
         dr = delta_ren(point)
         sx = _max_rule_sigma_x(point, dr)
-        regime = subohmic_regime(point).value if s < 1 else ""
+        regime = _labels(a, s, (point.ratio,))[0] if s < 1 else ""
         yield math.nan if dr is None else dr, sx, spin_entropy(sx), regime
 
 
@@ -358,11 +364,11 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
     alphas = [float(a) for a in alphas]
     if not (ratios and alphas):
         raise ConfigError("a regime map needs at least one ratio and one alpha")
-    # each axis value is validated once: a bath per alpha row, a point per ratio column
-    baths = [BathSpec(s=s, alpha=a, cutoff=1.0) for a in alphas]
+    # each axis value is validated once: a point per ratio column, then a
+    # bath per alpha row, which is labelled in one call
     for r in ratios:
         SpinBosonPoint(delta0=r, bath=free)
-    labels = [[_classify(bath, r).value for r in ratios] for bath in baths]
+    labels = [_labels(BathSpec(s=s, alpha=a, cutoff=1.0).alpha, s, ratios) for a in alphas]
     return RegimeMap(
         s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=[s * r for r in ratios]
     )
@@ -525,18 +531,20 @@ def _row_template(columns, sep: str, quote=None) -> tuple[str, list]:
     zip(*cells) writes the row.
 
     A column whose cells are all Python floats goes in as %.12g, which
-    prints every float exactly as format_value does; any other column is
-    written once through format_value and goes in as %s.  With `quote`
-    (JSON's string encoder) the float fields are put in double quotes and
-    the other cells are passed through it, so each cell is a JSON string.
+    prints every float exactly as format_value does; a column of strings
+    goes in verbatim as %s, and any other column goes in as %s once
+    written through format_value.  With `quote` (JSON's string encoder)
+    the float fields are put in double quotes and the other cells are
+    passed through it, so each cell is a JSON string.
     """
     fields, cells = [], []
     for col in columns:
-        if set(map(type, col)) == {float}:
+        types = set(map(type, col))
+        if types == {float}:
             fields.append('"%.12g"' if quote else "%.12g")
             cells.append(col)
         else:
-            text = [format_value(x) for x in col]
+            text = col if types == {str} else [format_value(x) for x in col]
             fields.append("%s")
             cells.append([quote(t) for t in text] if quote else text)
     return sep.join(fields), cells

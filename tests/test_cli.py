@@ -130,6 +130,24 @@ def test_non_finite_parameter_is_config_error(capsys, argv, word):
     assert captured.out == "" and word in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # h^2 underflows to 0
+        ["--model", "spin-boson", "--alpha-min", "0", "--alpha-max", "1e-300"],
+        # 1 + h rounds to 1: a repeated grid point, h = 0
+        ["--model", "free-particle", "--alpha-min", "1", "--alpha-max", "1.0000000000000002"],
+    ],
+    ids=["h2-underflows", "repeated-point"],
+)
+def test_grid_too_fine_for_doubles_is_config_error(capsys, argv):
+    # the stencils divided by zero here and ended in a traceback
+    assert run_cli(["sweep", *argv, "--alpha-points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(key in captured.err for key in ("alpha_min", "alpha_max", "n_points"))
+
+
 def test_repeated_output_in_a_config_is_config_error(tmp_path, capsys):
     doc = {"model": "oscillator", "outputs": ["S", "S"], "n_points": 3}
     assert run_cli(["sweep", "--config", write_config(tmp_path, doc)]) == 2

@@ -412,6 +412,51 @@ def test_coherence_crossover_alpha_without_a_crossing_is_regime_error():
         coherence_crossover_alpha(point(0.5, 0.1, 0.8))
 
 
+# values of the implementation that built a BathSpec and a SpinBosonPoint
+# per evaluation; solving in place must return them bit for bit
+@pytest.mark.parametrize(
+    "s, alpha, ratio, want",
+    [
+        (2.0, 0.1, 0.01, 3.9135875220898813),
+        (2.0, 0.1, 1e-3, 6.2146329567504),
+        (0.5, 0.1, 0.2, 0.2011841033856809),
+        (0.5, 0.1, 0.01, 0.03822124177530485),
+        (1.5, 0.3, 0.05, 1.283375229585391),
+    ],
+)
+def test_coherence_crossover_alpha_values_are_unchanged(s, alpha, ratio, want):
+    assert coherence_crossover_alpha(point(s, alpha, ratio)) == want
+
+
+@pytest.mark.parametrize(
+    "s, alpha, ratio, want",
+    [
+        (2.0, 1.0, 1e-4, -0.9999999999676933),
+        (1.5, 0.3, 0.01, -1.8358852045097238),
+        (0.5, 0.01, 0.2, -0.24067433279269243),
+        (3.0, 2.0, 1e-3, -0.5000002029964534),
+        # alpha = 1e-5: the lower difference point is the bare spin, alpha = 0
+        (2.0, 1e-5, 0.01, -0.980000394972947),
+        (0.5, 1e-5, 0.2, -0.23607325532822357),
+    ],
+)
+def test_delocalized_log_derivative_values_are_unchanged(s, alpha, ratio, want):
+    assert delocalized_log_derivative(point(s, alpha, ratio)) == want
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_delocalized_log_derivative_below_its_step_is_a_domain_error(s):
+    # alpha < 1e-5 puts the lower difference point at a negative coupling
+    with pytest.raises(DomainError, match="coupling alpha must be finite and >= 0"):
+        delocalized_log_derivative(point(s, 5e-6, 0.2))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_delocalized_log_derivative_without_a_root_is_a_regime_error(alpha):
+    with pytest.raises(RegimeError, match="no delocalized branch"):
+        delocalized_log_derivative(point(0.5, alpha, 0.2 if alpha == 0.3 else 0.01))
+
+
 def test_delocalized_log_derivative_ohmic_closed_form():
     pt = point(1.0, 0.99, 1e-2)
     expected = math.log(1e-2) / (1.0 - 0.99) ** 2 + 1.0 / (1.0 - 0.99)

@@ -14,11 +14,15 @@ from dissipent import (
     DomainError,
     SpinBosonPoint,
     SweepConfig,
+    delta_ren,
     detect_kink,
     oracle_run,
     run_sweep,
+    sigma_x,
+    spin_entropy,
     subohmic_regime,
 )
+from dissipent import sweep
 from dissipent.sweep import (
     SWEEP_KEYS,
     SweepTable,
@@ -431,6 +435,7 @@ AXIS_ALPHA = st.one_of(st.floats(0.0, 3.0), st.just(0.0))
     st.lists(AXIS_RATIO, min_size=1, max_size=4),
     st.lists(AXIS_ALPHA, min_size=1, max_size=4),
 )
+@example(0.5, [1e-3, 0.1, 0.8], [0.0, 1e-4, 0.1])  # an alpha = 0 row in and past the trust band
 def test_regime_map_labels_are_subohmic_regime(s, ratios, alphas):
     rmap = regime_map(s, ratios, alphas)
     want = [
@@ -453,7 +458,50 @@ def test_subohmic_sweep_regime_is_subohmic_regime(s, delta0, alpha_max):
     assert table.columns["regime"] == want
 
 
+# ------------------------------------------------------------------ rows and the public functions
+
+
+@pytest.mark.parametrize(
+    "fixed",
+    [
+        {"delta0": 20.0, "lambda0": 100.0, "s": 0.5},  # Delta0/cutoff = 0.2: in the trust band
+        {"delta0": 1.0, "lambda0": 100.0, "s": 1.0},
+        {"delta0": 1.0, "lambda0": 100.0, "s": 1.5},
+    ],
+    ids=["s0.5", "s1", "s1.5"],
+)
+def test_spin_boson_rows_are_the_public_functions_bit_for_bit(fixed):
+    # the rows reuse one delta_ren per point for sigma_x and S; each cell
+    # must be what the per-point functions return, to the last bit
+    table = run_sweep(spin_cfg(alpha_min=0.0, alpha_max=1.5, n_points=61, fixed=fixed))
+    cols = table.columns
+    assert cols["alpha"][-20] > 1.0  # 20 rows at alpha > 1
+    for i, a in enumerate(cols["alpha"]):
+        pt = SpinBosonPoint(fixed["delta0"], BathSpec(fixed["s"], a, fixed["lambda0"]))
+        dr, sx = delta_ren(pt), sigma_x(pt)
+        if dr is None:
+            assert math.isnan(cols["delta_ren"][i])
+        else:
+            assert cols["delta_ren"][i] == dr
+        assert cols["sigma_x"][i] == sx
+        assert cols["S"][i] == spin_entropy(sx)
+    if fixed["s"] < 1:
+        assert {"DelocalizedCoherent", "Localized"} <= set(cols["regime"])
+    if fixed["s"] <= 1:
+        assert any(map(math.isnan, cols["delta_ren"]))
+
+
 # ------------------------------------------------------------------ serialisation
+
+
+def test_a_column_of_strings_is_written_verbatim(monkeypatch):
+    # the label columns of a regime map go into the row template as they
+    # are; format_value sees only the s comment and the header ratios
+    seen = []
+    monkeypatch.setattr(sweep, "format_value", lambda x: seen.append(x) or format_value(x))
+    rmap = regime_map(0.5, [1e-3, 0.8], [1e-4, 2.5e-4, 1e-1])
+    assert regime_map_to_csv(rmap) == old_regime_map_to_csv(rmap)
+    assert seen == [0.5, 1e-3, 0.8]
 
 
 def test_csv_and_json_contain_identical_values(spin_table):
