@@ -17,8 +17,11 @@ numpy alone, by the package's fixed Gauss-Legendre rule, as deviations
 from the bare oscillator with closed-form tails; the rule's two-width
 error estimate must stay below 1e-10 of each moment, else NumericalError.
 
-numpy is imported inside each function that builds an array, so importing
-this module (and the package) loads the standard library alone.
+numpy is imported inside each function that builds an array, integrates
+or diagonalises: the discretised baths, the resolvent moments and the
+exact diagonalisation.  The ring eigenvalue sums and the replica traces
+are standard library only, so importing this module (and the package),
+and the free-particle oracle, load no numpy.
 """
 
 from __future__ import annotations
@@ -246,39 +249,44 @@ def discrete_bath_moments(
 # ---------------------------------------------------------------------------
 
 
-def ring_kernel_eigenvalues(a: float, length: float, n_max: int | None = None) -> np.ndarray:
-    """Eigenvalues of the translation-invariant kernel exp(-a(x-x')^2)/L on
-    a ring of circumference L:
-
-        lambda_n = (1/L) sqrt(pi/a) exp(-k_n^2 / (4a)),   k_n = 2 pi n / L,
-
-    for n = 0, +-1, ..., +-n_max.  n_max defaults to a value at which the
-    dropped tail is below 1e-14.
-    """
-    import numpy as np
-
+def _ring_ladder(a: float, length: float, n_max: int | None) -> tuple[float, list]:
+    """q = k_1^2 / (4a) and the distinct ring eigenvalues lambda_n =
+    lambda_0 exp(-q n^2), n = 0..n_max."""
     if not (a > 0 and length > 0):
         raise DomainError("need a > 0 and length > 0")
     if n_max is None:
         # lambda_n falls like exp(-pi^2 n^2 / (a L^2)); 45 e-folds is plenty
         n_max = int(math.ceil(math.sqrt(45.0 * a) * length / math.pi)) + 2
-    n = np.arange(-n_max, n_max + 1)
-    k = 2.0 * math.pi * n / length
-    lam = (1.0 / length) * math.sqrt(math.pi / a) * np.exp(-(k**2) / (4.0 * a))
-    tail = lam[0]  # largest dropped-neighbourhood magnitude sits at the edge
+    lam0 = (1.0 / length) * math.sqrt(math.pi / a)
+    q = (2.0 * math.pi / length) ** 2 / (4.0 * a)
+    half = [lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1)]
+    tail = half[-1]  # largest dropped-neighbourhood magnitude sits at the edge
     if tail > 1e-12:
         raise NumericalError(f"eigenvalue tail {tail:.2e} above 1e-12; raise n_max")
-    return lam
+    return q, half
+
+
+def ring_kernel_eigenvalues(a: float, length: float, n_max: int | None = None) -> list[float]:
+    """Eigenvalues of the translation-invariant kernel exp(-a(x-x')^2)/L on
+    a ring of circumference L, as a list:
+
+        lambda_n = (1/L) sqrt(pi/a) exp(-k_n^2 / (4a)),   k_n = 2 pi n / L,
+
+    for n = -n_max, ..., n_max.  n_max defaults to a value at which the
+    dropped tail is below 1e-14.  lambda_-n = lambda_n is evaluated once.
+    """
+    half = _ring_ladder(a, length, n_max)[1]
+    return half[:0:-1] + half
 
 
 def ring_kernel_entropy(a: float, length: float, n_max: int | None = None) -> float:
-    """-sum lambda ln lambda over the ring eigenvalues; the independent
-    check of the closed-form free-particle entropy (d = 1)."""
-    import numpy as np
-
-    lam = ring_kernel_eigenvalues(a, length, n_max)
-    lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log(lam)))
+    """-sum lambda ln lambda over the ring eigenvalues, with ln lambda_n =
+    ln lambda_0 - q n^2; the independent check of the closed-form
+    free-particle entropy (d = 1)."""
+    q, half = _ring_ladder(a, length, n_max)
+    log0 = math.log(half[0])
+    terms = [lam * (log0 - q * (n * n)) for n, lam in enumerate(half)]
+    return -math.fsum(terms + terms[1:])  # n and -n
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +317,22 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
 
         Tr rho^n = (4b)^(n/2) / sqrt(det A_n),
 
-    exact for every n.  closed_form: et^n / (1 - (1-et)^n) with
-    et = eps_tilde(a, b); the replica product formula, normalised so that
-    Tr rho^1 = 1 exactly.  The two agree to O(eps^2) per replica factor.
+    exact for every n.  Each eigenvalue is taken as the sum of positive
+    terms 4(b cos^2(pi m/n) + a sin^2(pi m/n)), so that the smallest, 4b,
+    is not the difference of two numbers near 4a.  closed_form:
+    et^n / (1 - (1-et)^n) with et = eps_tilde(a, b); the replica product
+    formula, normalised so that Tr rho^1 = 1 exactly.  The two agree to
+    O(eps^2) per replica factor.
     """
-    import numpy as np
-
     if n < 1:
         raise DomainError(f"replica index must be >= 1, got {n}")
     if not kernel.b > 0:
         raise DomainError("trace_power needs b > 0")
-    m = np.arange(1, n + 1)
-    eig = 2.0 * (kernel.a + kernel.b) - 2.0 * (kernel.a - kernel.b) * np.cos(
-        2.0 * math.pi * m / n
-    )
     # work in logs: det A grows like (2a)^n
-    log_det = float(np.sum(np.log(eig)))
+    log_det = math.fsum(
+        math.log(4.0 * (kernel.b * math.cos(t) ** 2 + kernel.a * math.sin(t) ** 2))
+        for t in (math.pi * m / n for m in range(1, n + 1))
+    )
     direct = math.exp(0.5 * n * math.log(4.0 * kernel.b) - 0.5 * log_det)
     et = _eps_tilde(kernel)
     closed = math.exp(n * math.log(et)) / -math.expm1(n * math.log1p(-et))

@@ -214,16 +214,19 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
     Rows are independent, evaluated in grid order; output ordering is by
     grid index.  Formula-validity failures at single points (RegimeError)
-    produce NaN entries rather than aborting the sweep; a grid too fine for
-    doubles is a ConfigError.
+    produce NaN entries rather than aborting the sweep; a grid finer than
+    its printed digits or too fine for doubles is a ConfigError.
     """
     fixed = cfg.resolved_fixed()
     grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
     h = grid[1] - grid[0]  # the stencils divide by 2h and h^2
-    if not h * h > 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+    # a spacing above 1e-11 of the largest |alpha| prints adjacent points
+    # apart at 12 digits, and leaves no repeated point
+    if not (h * h > 0.0 and h > 1e-11 * max(abs(cfg.alpha_min), abs(cfg.alpha_max))):
         raise ConfigError(
             f"alpha_min = {cfg.alpha_min}, alpha_max = {cfg.alpha_max} and n_points = "
-            f"{cfg.n_points} give a grid too fine for doubles (a repeated point, or h^2 = 0)"
+            f"{cfg.n_points} give a grid finer than the 12 printed digits or than doubles "
+            f"(h = {h!r})"
         )
     outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
@@ -402,8 +405,6 @@ def oracle_run(model: str, params: dict) -> list[dict]:
     read.  The model's parameters default from MODEL_PARAMS; the
     oscillator oracle also reads its discretisation, n_modes (default
     400) and scheme (default logarithmic)."""
-    import numpy as np
-
     if model not in _ORACLE_READS:
         raise ConfigError(f"no oracle for model {model!r}; oracles: {', '.join(_ORACLE_READS)}")
     reads = _ORACLE_READS[model]
@@ -438,7 +439,7 @@ def oracle_run(model: str, params: dict) -> list[dict]:
         p = FreeParticleParams(eta=par["eta"], omega_c=par["omega_c"], length=par["length"])
         res = free_particle_entropy(p)
         row("S", res.entropy, ring_kernel_entropy(res.a, p.length))
-        row("trace", 1.0, float(np.sum(ring_kernel_eigenvalues(res.a, p.length))))
+        row("trace", 1.0, math.fsum(ring_kernel_eigenvalues(res.a, p.length)))
     return rows
 
 

@@ -137,11 +137,14 @@ def test_non_finite_parameter_is_config_error(capsys, argv, word):
         ["--model", "spin-boson", "--alpha-min", "0", "--alpha-max", "1e-300"],
         # 1 + h rounds to 1: a repeated grid point, h = 0
         ["--model", "free-particle", "--alpha-min", "1", "--alpha-max", "1.0000000000000002"],
+        # distinct points that print alike at 12 digits, with a zero stencil
+        ["--model", "free-particle", "--alpha-min", "1", "--alpha-max", "1.000000000000001"],
     ],
-    ids=["h2-underflows", "repeated-point"],
+    ids=["h2-underflows", "repeated-point", "below-printed-digits"],
 )
 def test_grid_too_fine_for_doubles_is_config_error(capsys, argv):
-    # the stencils divided by zero here and ended in a traceback
+    # the stencils divided by zero here and ended in a traceback, or printed
+    # repeated alpha cells
     assert run_cli(["sweep", *argv, "--alpha-points", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,10 @@
-"""Import hygiene: the package and every closed-form CLI command run on the
-standard library alone, only the oracles load numpy (on first call), only
-kink detection loads statistics, nothing loads dataclasses, and inspect
-loads only where numpy loads it; no module under src/dissipent imports
-scipy, which is a test-only dependency, and bath.py and gaussian.py do not
-import numpy either.  Each runtime case runs in a fresh
+"""Import hygiene: the package, every closed-form CLI command and the
+free-particle oracle run on the standard library alone, only the
+oscillator oracle loads numpy (on first call), only kink detection loads
+statistics, nothing loads dataclasses, and inspect loads only where numpy
+loads it; no module under src/dissipent imports scipy, which is a
+test-only dependency, and bath.py and gaussian.py do not import numpy
+either.  Each runtime case runs in a fresh
 interpreter, since the test process has numpy and scipy loaded already."""
 
 import ast
@@ -83,10 +84,10 @@ def cli_stdout(argv) -> str:
     return out.getvalue()
 
 
-# the package and the commands that evaluate closed forms only: each sweep
-# preset in both formats, the map preset (CSV only), a regime map and a
-# kink run
-CLOSED_FORM = {
+# the package and the commands that load no numpy: each sweep preset in
+# both formats, the map preset (CSV only), a regime map, a kink run, a
+# sweep and the free-particle oracle, whose ring sums are standard library
+NO_NUMPY = {
     "import": None,
     "preset-list": ["preset", "--list"],
     **{
@@ -99,16 +100,17 @@ CLOSED_FORM = {
     "kink": ["kink", "--model", "spin-boson", "--alpha-min", "0.0005", "--alpha-max", "1.1995",
              "--alpha-points", "400", "--column", "sigma_x"],
     "sweep-free-particle": ["sweep", "--model", "free-particle", "--alpha-points", "50"],
+    "oracle-free-particle": ["oracle", "--model", "free-particle", "--eta", "1.0"],
 }
-ORACLE_COMMANDS = {
+# the oracles that integrate over a discretised bath
+NUMPY_ORACLES = {
     "oracle-oscillator": ["oracle", "--model", "oscillator", "--eta", "1.0"],
     "oracle-oscillator-linear": ["oracle", "--model", "oscillator", "--eta", "1.0",
                                  "--n-modes", "2000", "--scheme", "linear"],
-    "oracle-free-particle": ["oracle", "--model", "free-particle", "--eta", "1.0"],
 }
 
 
-@pytest.mark.parametrize("argv", CLOSED_FORM.values(), ids=CLOSED_FORM.keys())
+@pytest.mark.parametrize("argv", NO_NUMPY.values(), ids=NO_NUMPY.keys())
 def test_closed_form_paths_load_no_numpy(argv):
     out = fresh(cli_body(argv))
     assert out["result"] in (None, 0)
@@ -118,12 +120,12 @@ def test_closed_form_paths_load_no_numpy(argv):
 @pytest.mark.parametrize("name", ["import", "sweep-free-particle", "kink"])
 def test_statistics_is_loaded_only_to_detect_a_kink(name):
     # statistics loads fractions and decimal, a share of every cold start
-    out = fresh(cli_body(CLOSED_FORM[name]))
+    out = fresh(cli_body(NO_NUMPY[name]))
     assert out["statistics"] == (["statistics"] if name == "kink" else [])
 
 
 @pytest.mark.parametrize(
-    "argv", [*CLOSED_FORM.values(), *ORACLE_COMMANDS.values()], ids=[*CLOSED_FORM, *ORACLE_COMMANDS]
+    "argv", [*NO_NUMPY.values(), *NUMPY_ORACLES.values()], ids=[*NO_NUMPY, *NUMPY_ORACLES]
 )
 def test_no_dataclasses_and_no_inspect_of_our_own(argv):
     # the records are named tuples: dataclasses, with the inspect, ast and
@@ -131,7 +133,7 @@ def test_no_dataclasses_and_no_inspect_of_our_own(argv):
     out = fresh(cli_body(argv))
     assert out["result"] in (None, 0)
     assert out["dataclasses"] == []
-    # numpy imports inspect itself, so the oracles load it with numpy
+    # numpy imports inspect itself, so the oscillator oracle loads it with numpy
     assert out["inspect"] == (fresh("import numpy")["inspect"] if out["numpy"] else [])
 
 
@@ -148,7 +150,7 @@ def test_oracles_module_is_loaded_with_the_package():
     assert out["numpy"] == []
 
 
-@pytest.mark.parametrize("argv", ORACLE_COMMANDS.values(), ids=ORACLE_COMMANDS.keys())
+@pytest.mark.parametrize("argv", NUMPY_ORACLES.values(), ids=NUMPY_ORACLES.keys())
 def test_oracle_commands_load_numpy_on_first_call(argv):
     body = (
         "from dissipent.cli import main\n"

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -326,6 +327,47 @@ def test_trace_power_identity_order_eps_squared():
 def test_trace_power_domain():
     with pytest.raises(DomainError):
         trace_power(kernel_ab(100.0), 0)
+
+
+# ------------------------------------------------------------------ the stdlib sums at 30 digits
+
+MP30 = mpmath.mp.clone()
+MP30.dps = 30
+
+
+@pytest.mark.parametrize("a, length", [(1e-2, 100.0), (1.0, 100.0), (4.0, 500.0)],
+                         ids=["aL2=1e2", "aL2=1e4", "aL2=1e6"])
+def test_ring_sums_match_30_digits(a, length):
+    # the same truncated sums, lambda_n for n = -n_max..n_max, at 30 digits
+    lam = ring_kernel_eigenvalues(a, length)
+    n_max = math.ceil(math.sqrt(45.0 * a) * length / math.pi) + 2  # the documented default
+    assert isinstance(lam, list) and len(lam) == 2 * n_max + 1
+    assert lam == lam[::-1]
+    a_mp, l_mp = MP30.mpf(a), MP30.mpf(length)
+    ref = [
+        MP30.sqrt(MP30.pi / a_mp) / l_mp * MP30.exp(-((2 * MP30.pi * n / l_mp) ** 2) / (4 * a_mp))
+        for n in range(-n_max, n_max + 1)
+    ]
+    assert abs(math.fsum(lam) - MP30.fsum(ref)) <= 1e-15
+    s_ref = -MP30.fsum(x * MP30.log(x) for x in ref)
+    assert abs(ring_kernel_entropy(a, length) / s_ref - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("ratio", [4.5, 100.0, 1e4, 1e6])
+def test_trace_power_matches_30_digits(ratio):
+    # the cyclic determinant at 30 digits, with the eigenvalues in the
+    # cosine form; in doubles that form loses the smallest eigenvalue, 4b,
+    # to cancellation (3e-13 of Tr rho^n at a/b = 1e4), which the
+    # function's sum of positive terms does not
+    k = kernel_ab(ratio)
+    a_mp, b_mp = MP30.mpf(k.a), MP30.mpf(k.b)
+    for n in range(1, 65):
+        log_det = MP30.fsum(
+            MP30.log(2 * (a_mp + b_mp) - 2 * (a_mp - b_mp) * MP30.cos(2 * MP30.pi * m / n))
+            for m in range(1, n + 1)
+        )
+        ref = MP30.exp(n * MP30.log(4 * b_mp) / 2 - log_det / 2)
+        assert abs(trace_power(k, n).direct / ref - 1) <= 1e-13, n
 
 
 def test_series_entropy_reconstruction():

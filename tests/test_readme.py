@@ -1,15 +1,20 @@
 """The README's examples run as written: each command of its "Command line"
-block through cli.main, and its "Library quickstart" block."""
+block through cli.main, and its "Library quickstart" block.  Its oracle
+ledger has a row for every public function of bath, gaussian and
+spinboson, and cites only tests that exist."""
 
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+from dissipent import bath, gaussian, spinboson
 from dissipent.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(heading: str, lang: str) -> str:
@@ -40,3 +45,26 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
 def test_readme_library_quickstart(capsys):
     exec(compile(fenced_block("Library quickstart", "python"), "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+# (function cell, test cell) of each row of the oracle ledger's table
+LEDGER = [
+    (cells[1], cells[3])
+    for cells in (line.split("|") for line in README.split("\n## Oracle ledger\n", 1)[1]
+                  .split("\n## ", 1)[0].splitlines())
+    if len(cells) == 6 and cells[1].startswith(" `")
+]
+
+
+@pytest.mark.parametrize("module", [bath, gaussian, spinboson], ids=lambda m: m.__name__)
+def test_oracle_ledger_has_a_row_per_public_function(module):
+    named = {re.match(r" `(\w+)`", function).group(1) for function, _ in LEDGER}
+    public = [n for n in module.__all__ if isinstance(getattr(module, n), types.FunctionType)]
+    assert public and set(public) <= named, sorted(set(public) - named)
+
+
+def test_oracle_ledger_cites_tests_that_exist():
+    cited = [c for _, tests in LEDGER for c in re.findall(r"`(test_\w+\.py)::(test_\w+)`", tests)]
+    assert len(cited) >= len(LEDGER)
+    for file, name in cited:
+        assert re.search(rf"^def {name}\(", (TESTS / file).read_text(encoding="utf-8"), re.M), name
