@@ -121,18 +121,13 @@ class ReducedSpinState(namedtuple("ReducedSpinState", "sx sz entropy")):
 
 
 def spin_entropy(sx: float) -> float:
-    """Entropy of the reduced spin state with eigenvalues (1 +- sx)/2.
-
-    Equals -(1/2)[ln((1-sx^2)/4) + sx ln((1+sx)/(1-sx))]; evaluated through
-    the eigenvalues for stability.  S(0) = ln 2, S(+-1) = 0.
-    """
-    if abs(sx) > 1.0:
+    """Entropy of the reduced spin state with eigenvalues (1 +- sx)/2:
+    -m ln m - (1-m) log1p(-m) in the smaller one, m = (1-|sx|)/2, which keeps
+    full precision as |sx| -> 1.  S(0) = ln 2, S(+-1) = 0."""
+    if not abs(sx) <= 1.0:
         raise DomainError(f"|<sigma_x>| must be <= 1, got {sx}")
-    s = 0.0
-    for lam in ((1.0 + sx) / 2.0, (1.0 - sx) / 2.0):
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return s
+    m = (1.0 - abs(sx)) / 2.0  # the smaller eigenvalue, exact for |sx| >= 1/2
+    return -m * math.log(m) - (1.0 - m) * math.log1p(-m) if m else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +157,7 @@ def _solve(alpha: float, s: float, log_r: float) -> float | None:
     (h concave, one root) Newton from the floor rises monotonically to it.
     """
     exponent = _log_exponent(alpha, s)
-    if not _root_at_or_above(alpha, s, exponent, log_r, _LOG_FLOOR):
+    if not _root_at_or_above(exponent, _lowest(alpha, s), log_r, _LOG_FLOOR):
         return None
     # Newton steps down from 0 (h > 0 above the root) or up from the floor (h < 0 below it)
     t, sign = (0.0, 1.0) if s < 1.0 else (_LOG_FLOOR, -1.0)
@@ -182,26 +177,32 @@ def _solve(alpha: float, s: float, log_r: float) -> float | None:
     return None if t <= _LOG_FLOOR else t
 
 
-def _root_at_or_above(alpha: float, s: float, exponent, log_r: float, t_low: float) -> bool:
-    """Whether delta_ren's h(t) = t - ln r + X(t) has a root in [t_low, 0],
-    given exponent = _log_exponent(alpha, s), log_r = ln r < 0 and alpha > 0.
+def _lowest(alpha: float, s: float) -> float:
+    """Where delta_ren's h(t) = t - ln r + X(t) is lowest on t <= 0, for
+    alpha > 0: h'' = -alpha (s-1) e^((s-1) t), so for s < 1 (h convex) at
+    min(ln(alpha)/(1-s), 0), and for s >= 1 (h concave) towards -inf."""
+    return min(math.log(alpha) / (1.0 - s), 0.0) if s < 1.0 else -math.inf
 
-    h(0) = -ln r > 0 and h'' = -alpha (s-1) e^((s-1) t).  So a root lies
-    there iff h <= 0 at t_low for s >= 1 (h concave, one root), and for
-    s < 1 (h convex) at its minimum ln(alpha)/(1-s) clamped to [t_low, 0].
-    """
-    t = t_low
-    if s < 1.0:
-        t = min(max(math.log(alpha) / (1.0 - s), t_low), 0.0)
+
+def _root_at_or_above(exponent, t_min: float, log_r: float, t_low: float) -> bool:
+    """Whether delta_ren's h(t) = t - ln r + X(t) has a root in [t_low, 0],
+    given exponent = _log_exponent(alpha, s), t_min = _lowest(alpha, s),
+    log_r = ln r < 0 and t_low <= 0.  On [t_low, 0], h is lowest at 0, where
+    h = -ln r > 0, or at max(t_min, t_low): a root iff h <= 0 there."""
+    t = max(t_min, t_low)
     return t - log_r + exponent(t)[0] <= 0.0
 
 
 def _slope(alpha: float, s: float, delta0: float, cutoff: float, dr: float) -> float:
     """d Delta_ren / d Delta0 at a root dr of the self-consistency equation."""
-    denom = 1.0 - alpha * (dr / cutoff) ** (s - 1.0)
-    if denom <= 0:
+    return (dr / delta0) / _dh(1.0 - alpha * (dr / cutoff) ** (s - 1.0))
+
+
+def _dh(dh: float) -> float:
+    """dh = h'(t) at delta_ren's root; NumericalError unless it is positive."""
+    if not dh > 0.0:
         raise NumericalError("implicit derivative of the self-consistency equation is singular")
-    return (dr / delta0) / denom
+    return dh
 
 
 def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
@@ -218,41 +219,39 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
 
 def _slope_at(point: SpinBosonPoint, alpha: float) -> float | None:
     """delta_ren_derivative at coupling alpha, with point's delta0, s and cutoff."""
+    if alpha == 0.0:  # Delta_ren = Delta0
+        return 1.0
     delta0, (s, _, cutoff) = point.delta0, point.bath
-    if not alpha > 0.0:  # BathSpec refuses alpha < 0; Delta_ren = Delta0 at 0
-        BathSpec(s, alpha, cutoff)
-        return _slope(alpha, s, delta0, cutoff, delta0)
     t = _solve(alpha, s, math.log(point.ratio))
     return None if t is None else _slope(alpha, s, delta0, cutoff, math.exp(t) * cutoff)
 
 
 def delocalized_log_derivative(point: SpinBosonPoint) -> float:
-    """d ln(d Delta_ren / d Delta0) / d alpha on the delocalized branch.
+    """d ln(d Delta_ren / d Delta0) / d alpha on the delocalized branch, the
+    quantity that carries the weak non-analyticity at the Ohmic localization
+    transition.  With X = alpha Y and r = Delta0/cutoff, delta_ren's root
+    t = ln(Delta_ren/cutoff) solves t - ln r + alpha Y(t) = 0, and
+    ln(d Delta_ren / d Delta0) = t - ln r - ln(1 + alpha Y'); as
+    Y'' = (s-1) Y', implicit differentiation in alpha gives
 
-    This is the quantity that carries the weak non-analyticity at the Ohmic
-    localization transition: for s = 1 the closed form is
+        t_alpha = -Y / (1 + alpha Y'),
+        result  = t_alpha - Y' (1 + alpha (s-1) t_alpha) / (1 + alpha Y').
 
-        ln(r) / (1 - alpha)^2 + 1 / (1 - alpha),       r = Delta0 / cutoff,
-
-    which scales with ln(cutoff / Delta0) at fixed distance from alpha = 1.
-    For s != 1 a central finite difference of step 1e-5 * max(alpha, 1)
-    (re-solving Delta_ren) is used.
+    For s = 1 this is ln(r)/(1 - alpha)^2 + 1/(1 - alpha), which scales with
+    ln(cutoff/Delta0) at fixed distance from alpha = 1.  RegimeError where
+    delta_ren has no root.
     """
-    a = point.bath.alpha
-    if point.bath.is_ohmic:
-        if a >= 1.0:
-            raise RegimeError("delocalized branch requires alpha < 1 for s = 1")
-        r = point.ratio
-        return math.log(r) / (1.0 - a) ** 2 + 1.0 / (1.0 - a)
-
-    def ln_deriv(alpha: float) -> float:
-        d = _slope_at(point, alpha)
-        if d is None:
-            raise RegimeError("no delocalized branch at alpha = %g" % alpha)
-        return math.log(d)
-
-    h = 1e-5 * max(a, 1.0)
-    return (ln_deriv(a + h) - ln_deriv(a - h)) / (2.0 * h)
+    (s, a, _), log_r = point.bath, math.log(point.ratio)
+    if point.bath.is_ohmic:  # in closed form, also below the solver's floor
+        t = log_r / (1.0 - a) if a < 1.0 else None
+    else:
+        t = _solve(a, s, log_r) if a > 0.0 else log_r
+    if t is None:
+        raise RegimeError(f"no delocalized branch at alpha = {a:g}")
+    y, dy = _log_exponent(1.0, s)(t)
+    dh = _dh(1.0 + a * dy)
+    t_a = -y / dh
+    return t_a - dy * (1.0 + a * (s - 1.0) * t_a) / dh
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +468,15 @@ def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:
     kt0 < s flows to zero as (lambda/cutoff)^s with a relative offset
     kt0/(s - kt0) deep in the flow.
     """
-    if kappa_tilde0 == s:
-        return s
     return _kappa_tilde_of_decay(kappa_tilde0, s, math.exp(-s * ell))
 
 
 def _kappa_tilde_of_decay(kappa_tilde0, s, decay):
-    """kappa_tilde_flow for kt0 != s, given decay = exp(-s ell) (a float or
-    an array)."""
+    """kappa_tilde_flow given decay = exp(-s ell) (a float or an array); s
+    itself at the fixed point kt0 = s, where the quotient rounds, or is
+    0/0 once decay underflows."""
+    if kappa_tilde0 == s:
+        return s
     return s * kappa_tilde0 * decay / (kappa_tilde0 * decay + (s - kappa_tilde0))
 
 
@@ -499,8 +499,7 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
 
     def integrand(u):
         # (kt * Delta0 / L^2) * L with L = e^u cutoff and ell = -u
-        kt = s if kt0 == s else _kappa_tilde_of_decay(kt0, s, np.exp(s * u))
-        return kt * r * np.exp(-u)
+        return _kappa_tilde_of_decay(kt0, s, np.exp(s * u)) * r * np.exp(-u)
 
     return _log_integral(integrand, math.log(lambda_stop / point.bath.cutoff))
 
@@ -570,11 +569,11 @@ def _labels(alpha: float, s: float, ratios) -> list[str]:
     t_low = ln r^2, with no solve."""
     if alpha == 0.0:
         return [_COHERENT] * len(ratios)
-    exponent = _log_exponent(alpha, s)
+    exponent, t_min = _log_exponent(alpha, s), _lowest(alpha, s)
     return [
         _COHERENT
         if r >= SCALING_TRUST_MIN_RATIO
-        and _root_at_or_above(alpha, s, exponent, (log_r := math.log(r)), 2.0 * log_r)
+        and _root_at_or_above(exponent, t_min, (log_r := math.log(r)), 2.0 * log_r)
         else _LOCALIZED if alpha > s * r else _INCOHERENT
         for r in ratios
     ]

@@ -180,7 +180,7 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 def geomspace(lo: float, hi: float, n: int) -> list[float]:
     """n points from lo to hi (both > 0) evenly spaced in log: 10 to the
     power of a linspace of the decimal logarithms, as numpy.geomspace does,
-    with both endpoints exact."""
+    with both endpoints exact for n >= 2 (n = 1 gives [lo])."""
     if not (lo > 0 and hi > 0):
         raise ConfigError(f"a geometric grid needs positive bounds, got {lo} and {hi}")
     logs = linspace(math.log10(lo), math.log10(hi), n)

@@ -46,6 +46,17 @@ def test_gaussian_entropy_value():
     assert gaussian_entropy(1.0) == pytest.approx(0.9547712524422192, rel=1e-14)
 
 
+@pytest.mark.parametrize("nu", [0.6, 1.0, 5.0, 100.0])
+def test_gaussian_entropy_is_the_thermal_ladder_entropy(nu):
+    # -sum p_k ln p_k over p_k = (1-q) q^k, q = (nu-1/2)/(nu+1/2), with
+    # 1 - q = 1/(nu+1/2) taken without the cancellation; the tail after
+    # p_k < 1e-20 is below 1e-16 of the sum
+    q, terms = (nu - 0.5) / (nu + 0.5), []
+    while (p := q ** len(terms) / (nu + 0.5)) >= 1e-20:
+        terms.append(-p * math.log(p))
+    assert gaussian_entropy(nu) == pytest.approx(math.fsum(terms), rel=1e-14)
+
+
 def test_gaussian_entropy_asymptote():
     nu = 1e4
     assert abs(gaussian_entropy(nu) - (math.log(nu) + 1.0)) < 1e-6

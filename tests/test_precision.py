@@ -291,20 +291,11 @@ def spin_entropy_ref(sx):
     )
 )
 def test_spin_entropy(sx):
-    # absolute: the larger eigenvalue (1 + |sx|)/2 is rounded before its
-    # log, an error of up to EPS/2 in S, which is not small against S as
-    # |sx| -> 1 (test_spin_entropy_near_a_pure_state)
-    want = spin_entropy_ref(sx)
-    check("spin_entropy", evaluate(spin_entropy, sx), want, 4, 1 + abs(want))
+    # -m ln m - (1-m) log1p(-m) in m = (1 - |sx|)/2: a few roundings of
+    # m-sized terms and no cancellation, and S has condition number <= 1 in m
+    check("spin_entropy", evaluate(spin_entropy, sx), spin_entropy_ref(sx), 4)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="spin_entropy rounds the larger eigenvalue (1 + |sx|)/2 before its log, an error "
-    "of up to 2.6e-2 relative as |sx| -> 1.  S = -m ln m - (1-m) log1p(-m) with "
-    "m = (1 - |sx|)/2 is within 4 EPS, but moves the last printed digits of the "
-    "spin-boson sweeps' derivative columns, so it waits for a change that may move them",
-)
 def test_spin_entropy_near_a_pure_state():
     # m = (1 - |sx|)/2 is exact for |sx| >= 1/2 and S has condition number
     # <= 1 in it, so a few roundings should bound the relative error

@@ -325,6 +325,19 @@ def test_temperature_must_be_finite_and_non_negative(temperature):
         point(1.0, 0.1, 0.01, temperature=temperature)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 1.5, 3.0])
+@pytest.mark.parametrize("ratio", [1e-4, 1e-2, 0.2])
+def test_ohmic_sigma_x_energy_is_twice_the_energy_slope(alpha, ratio):
+    # 2 dE/dDelta0 at fixed cutoff by a central difference of step 1e-5 Delta0
+    def energy(delta0):  # at cutoff 1, delta0 is the ratio
+        return ohmic_ground_energy(point(1.0, alpha, delta0, cutoff=1.0))
+
+    h = 1e-5 * ratio
+    want = min(1.0, max(0.0, (energy(ratio + h) - energy(ratio - h)) / h))
+    got = ohmic_sigma_x_energy(point(1.0, alpha, ratio, cutoff=1.0))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_ohmic_sigma_x_energy_values():
     # alpha -> 0: clipped to 1
     assert ohmic_sigma_x_energy(point(1.0, 1e-12, 0.01)) == 1.0
@@ -428,33 +441,59 @@ def test_coherence_crossover_alpha_values_are_unchanged(s, alpha, ratio, want):
     assert coherence_crossover_alpha(point(s, alpha, ratio)) == want
 
 
+def log_slope_derivative_ref(s, alpha, ratio):
+    """d ln(d Delta_ren / d Delta0) / d alpha at 40 digits: the root t of
+    t - ln r + X(t) by mpmath's findroot, started from delta_ren, and
+    ln(d Delta_ren / d Delta0) = t - ln r - ln(1 - alpha e^((s-1) t))
+    differentiated in alpha by mpmath's diff."""
+    t0 = math.log(delta_ren(point(s, alpha, ratio)) / 100.0)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    sm1, log_r = mp.mpf(s) - 1, mp.log(ratio)
+
+    def ln_slope(a):
+        def h(t):
+            return t - log_r + (-a * t if sm1 == 0 else -a * mp.expm1(sm1 * t) / sm1)
+
+        t = mp.findroot(h, t0)
+        return t - log_r - mp.log(1 - a * mp.exp(sm1 * t))
+
+    return mp.diff(ln_slope, mp.mpf(alpha))
+
+
 @pytest.mark.parametrize(
-    "s, alpha, ratio, want",
+    "s, alpha, ratio",
     [
-        (2.0, 1.0, 1e-4, -0.9999999999676933),
-        (1.5, 0.3, 0.01, -1.8358852045097238),
-        (0.5, 0.01, 0.2, -0.24067433279269243),
-        (3.0, 2.0, 1e-3, -0.5000002029964534),
-        # alpha = 1e-5: the lower difference point is the bare spin, alpha = 0
-        (2.0, 1e-5, 0.01, -0.980000394972947),
-        (0.5, 1e-5, 0.2, -0.23607325532822357),
+        (2.0, 1.0, 1e-4),
+        (1.5, 0.3, 0.01),
+        (0.5, 0.01, 0.2),
+        (3.0, 2.0, 1e-3),
+        (2.0, 1e-5, 0.01),
+        (0.5, 1e-5, 0.2),
+        # the bare spin and couplings next to it
+        (0.5, 0.0, 0.2),
+        (0.5, 5e-6, 0.2),
+        (2.0, 0.0, 0.2),
+        (2.0, 5e-6, 0.2),
+        (1.0, 0.3, 0.01),
     ],
 )
-def test_delocalized_log_derivative_values_are_unchanged(s, alpha, ratio, want):
-    assert delocalized_log_derivative(point(s, alpha, ratio)) == want
-
-
-@pytest.mark.parametrize("s", [0.5, 2.0])
-def test_delocalized_log_derivative_below_its_step_is_a_domain_error(s):
-    # alpha < 1e-5 puts the lower difference point at a negative coupling
-    with pytest.raises(DomainError, match="coupling alpha must be finite and >= 0"):
-        delocalized_log_derivative(point(s, 5e-6, 0.2))
+def test_delocalized_log_derivative_matches_40_digits(s, alpha, ratio):
+    want = log_slope_derivative_ref(s, alpha, ratio)
+    got = delocalized_log_derivative(point(s, alpha, ratio))
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
 def test_delocalized_log_derivative_without_a_root_is_a_regime_error(alpha):
     with pytest.raises(RegimeError, match="no delocalized branch"):
         delocalized_log_derivative(point(0.5, alpha, 0.2 if alpha == 0.3 else 0.01))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_delocalized_log_derivative_ohmic_without_a_root_is_a_regime_error(alpha):
+    with pytest.raises(RegimeError, match=f"no delocalized branch at alpha = {alpha:g}"):
+        delocalized_log_derivative(point(1.0, alpha, 0.01))
 
 
 def test_delocalized_log_derivative_ohmic_closed_form():

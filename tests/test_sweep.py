@@ -200,10 +200,13 @@ def test_grids_refuse_a_negative_count_and_nonpositive_bounds():
 
 
 @given(lo=positive, hi=positive, n=st.integers(0, 300))
+@example(lo=1.0, hi=2.0, n=1)
 def test_geomspace_has_exact_ends_and_tracks_numpy(lo, hi, n):
     got, want = geomspace(lo, hi, n), np.geomspace(lo, hi, n)
     assert len(got) == n
-    if n:
+    if n == 1:
+        assert got == [lo]  # as numpy.geomspace: the lower end alone
+    elif n:
         assert got[0] == lo and got[-1] == hi
     # math.log10 and numpy's log10 can differ by an ulp; the points then
     # move by up to ln(10) x a few ulps of the larger |log10| (one of the
