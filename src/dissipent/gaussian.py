@@ -34,6 +34,7 @@ __all__ = [
     "kappa_from_alpha",
     "alpha_from_kappa",
 ]
+_LOG_PI = math.log(math.pi)
 
 
 def kappa_from_alpha(alpha: float) -> float:
@@ -78,10 +79,10 @@ class FreeParticleResult(namedtuple("FreeParticleResult", "entropy a a_l2")):
 
 def _log_ratio(num: float, den: float) -> float:
     """ln(num / den) for positive num and den, also where the quotient is
-    past the largest double: there it is ln(num) - ln(den), which loses
-    nothing because the log is large."""
+    past the largest double or below the smallest: there it is
+    ln(num) - ln(den), which loses nothing because the log is large."""
     q = num / den
-    return math.log(q) if q < math.inf else math.log(num) - math.log(den)
+    return math.log(q) if 0.0 < q < math.inf else math.log(num) - math.log(den)
 
 
 def free_particle_kernel_width(p: FreeParticleParams) -> float:
@@ -94,12 +95,24 @@ def free_particle_kernel_width(p: FreeParticleParams) -> float:
     (omega_c x / 4 pi) log1p(x**2) / x**2, whose last factor is 1 where
     x**2 underflows.
     """
-    x = p.omega_c / p.eta
+    return _kernel_width(p.eta, p.omega_c)
+
+
+def _kernel_width(eta: float, omega_c: float) -> float:
+    """free_particle_kernel_width on floats; like each core here, it checks nothing."""
+    x = omega_c / eta
     if x > 1.0:
-        log1p_x2 = 2.0 * _log_ratio(p.omega_c, p.eta) + math.log1p(1.0 / x / x)
-        return 0.25 * (p.eta / math.pi) * log1p_x2
+        log1p_x2 = 2.0 * _log_ratio(omega_c, eta) + math.log1p(1.0 / x / x)
+        return 0.25 * (eta / math.pi) * log1p_x2
     y = x * x
-    return 0.25 * (p.omega_c / math.pi) * x * (math.log1p(y) / y if y else 1.0)
+    return 0.25 * (omega_c / math.pi) * x * (math.log1p(y) / y if y else 1.0)
+
+
+def _free_particle(eta: float, omega_c: float, length2: float, dim) -> tuple:
+    """(S, a, a L**2) of free_particle_entropy, with length2 = L**2."""
+    a = _kernel_width(eta, omega_c)
+    a_l2 = a * length2
+    return 0.5 * dim * (math.log(a_l2) + 1.0 - _LOG_PI), a, a_l2
 
 
 def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
@@ -110,10 +123,7 @@ def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
     returned together with the kernel width a and a*L**2.  S is only positive for
     a L**2 > pi / e; the formula is evaluated for any positive a L**2.
     """
-    a = free_particle_kernel_width(p)
-    a_l2 = a * p.length**2
-    s = 0.5 * p.dim * (math.log(a_l2) + 1.0 - math.log(math.pi))
-    return FreeParticleResult(entropy=s, a=a, a_l2=a_l2)
+    return FreeParticleResult._make(_free_particle(p.eta, p.omega_c, p.length**2, p.dim))
 
 
 class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
@@ -130,10 +140,6 @@ class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
         if not 0 < omega_c < math.inf:
             raise DomainError(f"omega_c must be finite and > 0, got {omega_c}")
         return tuple.__new__(cls, (omega0, eta, omega_c))
-
-    @property
-    def kappa(self) -> float:
-        return self.eta / (2.0 * self.omega0)
 
 
 def oscillator_f(kappa: float) -> float:
@@ -201,7 +207,7 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
         e = self.eps
         if e >= 1.0:
             raise RegimeError(f"eps_tilde needs eps < 1, got eps = {e}")
-        return e * math.sqrt(1.0 - e) / math.sqrt(1.0 - 0.25 * e * e)
+        return _eps_tilde(e)
 
     @property
     def a_over_b(self) -> float:
@@ -214,27 +220,28 @@ def oscillator_moments(p: OscillatorParams) -> MomentPair:
         <q^2> = f(kappa) / (2 omega0)
         <p^2> = omega0^2 (1 - 2 kappa^2) <q^2> + (2 omega0 kappa / pi) ln(omega_c/omega0).
 
-    The <p^2> formula is a large-cutoff approximation; a non-positive result
-    means it was used outside its regime and raises RegimeError rather than
-    being clamped.
+    The <p^2> formula is a large-cutoff approximation; a result that is not
+    positive, or that puts nu below the Heisenberg bound 1/2, means it was
+    used outside its regime and raises RegimeError rather than being clamped.
     """
-    if p.omega_c <= p.omega0:
-        raise RegimeError(
-            f"moment formulas need omega_c > omega0 (got {p.omega_c} <= {p.omega0})"
-        )
-    k = p.kappa
+    return MomentPair(*_moments(p.omega0, p.eta, p.omega_c, _log_ratio(p.omega_c, p.omega0))[:2])
+
+
+def _moments(omega0: float, eta: float, omega_c: float, log_ratio: float) -> tuple:
+    """(q2, p2, nu) of oscillator_moments, with log_ratio = ln(omega_c / omega0)."""
+    if omega_c <= omega0:
+        raise RegimeError(f"moment formulas need omega_c > omega0 (got {omega_c} <= {omega0})")
+    k = eta / (2.0 * omega0)
     f = oscillator_f(k)
-    q2 = f / (2.0 * p.omega0)
+    q2 = f / (2.0 * omega0)
     # omega0 factored out, so that omega0^2 neither overflows nor underflows
-    p2 = p.omega0 * (
-        (1.0 - 2.0 * k * k) * f / 2.0 + (2.0 * k / math.pi) * _log_ratio(p.omega_c, p.omega0)
-    )
-    if p2 <= 0:
-        raise RegimeError(
-            f"<p^2> = {p2} <= 0: the large-cutoff formula is invalid at kappa={k}, "
-            f"omega_c/omega0={p.omega_c / p.omega0}"
-        )
-    return MomentPair(q2=q2, p2=p2)
+    p2 = omega0 * ((1.0 - 2.0 * k * k) * f / 2.0 + (2.0 * k / math.pi) * log_ratio)
+    nu = math.sqrt(q2 * p2) if p2 > 0 else 0.0
+    if nu < 0.5 - 1e-12:
+        what = f"nu = {nu} < 1/2" if p2 > 0 else f"<p^2> = {p2} <= 0"
+        raise RegimeError(f"{what}: the large-cutoff formula is invalid at kappa={k}, "
+                          f"omega_c/omega0={omega_c / omega0}")
+    return q2, p2, nu
 
 
 def oscillator_entropy_expansion(m: MomentPair) -> float:
@@ -251,7 +258,15 @@ def oscillator_entropy_expansion(m: MomentPair) -> float:
             f"entropy expansion needs eps < 1 (nu > 1), got eps = {e}; "
             "use the exact Gaussian entropy"
         )
-    et = m.eps_tilde
+    return _expansion(e)
+
+
+def _eps_tilde(e: float) -> float:
+    return e * math.sqrt(1.0 - e) / math.sqrt(1.0 - 0.25 * e * e)
+
+
+def _expansion(e: float) -> float:  # oscillator_entropy_expansion at eps = e < 1
+    et = _eps_tilde(e)
     return -((et / e) * math.log(et) + (et / (e * e)) * math.log1p(-e))
 
 

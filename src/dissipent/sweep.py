@@ -25,11 +25,11 @@ from .gaussian import (
     FreeParticleParams,
     OscillatorParams,
     kappa_from_alpha,
-    oscillator_entropy_expansion,
     oscillator_moments,
     free_particle_entropy,
     gaussian_entropy,
 )
+from .gaussian import _expansion, _free_particle, _log_ratio, _moments
 from .oracles import (
     discrete_bath_moments,
     ring_kernel_entropy,
@@ -213,9 +213,10 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate the model over the grid; one row per grid point.
 
     Rows are independent, evaluated in grid order; output ordering is by
-    grid index.  Formula-validity failures at single points (RegimeError)
-    produce NaN entries rather than aborting the sweep; a grid finer than
-    its printed digits or too fine for doubles is a ConfigError.
+    grid index.  Only S_expansion where nu <= 1 and delta_ren without a
+    root become NaN; any other error at a point, such as the RegimeError
+    of the moment formulas past their regime, aborts the sweep.  A grid
+    finer than its printed digits or too fine for doubles is a ConfigError.
     """
     fixed = cfg.resolved_fixed()
     grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
@@ -253,19 +254,21 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
 # Each model's row generator takes the grid and the model parameters in
 # MODEL_PARAMS order, and yields one tuple per grid point: the row's own
-# columns in _DEFAULT_OUTPUTS order, without the stencil columns.
+# columns in _DEFAULT_OUTPUTS order, without the stencil columns.  The
+# Gaussian rows check the first point's record, then call the float cores.
 
 
 def _oscillator_rows(grid, omega0, omega_c):
-    for a in grid:
-        k = kappa_from_alpha(a)
-        p = OscillatorParams(omega0=omega0, eta=2.0 * k * omega0, omega_c=omega_c)
-        m = oscillator_moments(p)
-        try:
-            s_expansion = oscillator_entropy_expansion(m)
-        except RegimeError:
-            s_expansion = math.nan
-        yield k, m.q2, m.p2, m.nu, gaussian_entropy(m.nu), s_expansion
+    kappas = [kappa_from_alpha(a) for a in grid]
+    OscillatorParams(omega0, 2.0 * kappas[0] * omega0, omega_c)
+    log_ratio = _log_ratio(omega_c, omega0)
+    for k in kappas:
+        eta = 2.0 * k * omega0
+        if not 0 <= eta < math.inf:
+            OscillatorParams(omega0, eta, omega_c)
+        q2, p2, nu = _moments(omega0, eta, omega_c, log_ratio)
+        e = 1.0 / nu  # oscillator_entropy_expansion raises where e >= 1
+        yield k, q2, p2, nu, gaussian_entropy(nu), _expansion(e) if e < 1.0 else math.nan
 
 
 def _spin_boson_rows(grid, delta0, lambda0, s):
@@ -279,11 +282,13 @@ def _spin_boson_rows(grid, delta0, lambda0, s):
 
 def _free_particle_rows(grid, omega_c, length, dim):
     # for this model the grid variable is the friction itself
+    FreeParticleParams(grid[0], omega_c, length, dim)
+    dim, length2 = int(dim), length**2
     for eta in grid:
-        res = free_particle_entropy(
-            FreeParticleParams(eta=eta, omega_c=omega_c, length=length, dim=int(dim))
-        )
-        yield eta, res.a, res.a_l2, res.entropy
+        if not 0 < eta < math.inf:
+            FreeParticleParams(eta, omega_c, length, dim)
+        s, a, a_l2 = _free_particle(eta, omega_c, length2, dim)
+        yield eta, a, a_l2, s
 
 
 _ROWS = {

@@ -239,6 +239,34 @@ def test_spin_boson_oracle_is_gone(capsys, argv, word):
     assert word in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["sweep", "--model", "oscillator", "--alpha-min", "-0.5"], 2,
+         "config error: eta must be finite and >= 0, got -3.141592653589793\n"),
+        (["sweep", "--model", "free-particle", "--alpha-min", "-0.5"], 2,
+         "config error: eta must be finite and > 0, got -0.5\n"),
+        (["sweep", "--model", "oscillator", "--alpha-max", "1e306"], 4,
+         "regime error: <p^2> = -inf <= 0: the large-cutoff formula is invalid at "
+         "kappa=3.173325912716963e+304, omega_c/omega0=100.0\n"),
+        (["sweep", "--model", "oscillator", "--alpha-min", "0.1", "--alpha-max", "1",
+          "--alpha-points", "10", "--omega-c", "1.5"], 4,
+         "regime error: nu = 0.41865836962527236 < 1/2: the large-cutoff formula is invalid "
+         "at kappa=0.3141592653589793, omega_c/omega0=1.5\n"),
+        (["oracle", "--model", "oscillator", "--eta", "1", "--omega-c", "1.5"], 4,
+         "regime error: nu = 0.3517821180215217 < 1/2: the large-cutoff formula is invalid "
+         "at kappa=0.5, omega_c/omega0=1.5\n"),
+    ],
+    ids=["osc-negative-alpha", "fp-negative-eta", "osc-p2-negative", "osc-below-heisenberg",
+         "oracle-below-heisenberg"],
+)
+def test_gaussian_errors_keep_their_exit_codes_and_messages(capsys, argv, code, err):
+    # a sweep checks its fixed parameters once and the friction per point;
+    # either way the error is the record's or the moment formula's own
+    assert run_cli(argv) == code
+    assert tuple(capsys.readouterr()) == ("", err)
+
+
 def test_oracle_past_the_moment_formulas_is_a_regime_error(capsys):
     # kappa = 1e8: oscillator_f is finite, and <p^2> of the large-cutoff
     # formula is negative

@@ -147,9 +147,25 @@ def test_moments_heisenberg_bound():
 def test_moments_regime_errors():
     with pytest.raises(RegimeError):
         oscillator_moments(OscillatorParams(omega0=1.0, eta=1.0, omega_c=0.5))
+    # omega_c / omega0 underflows to 0: still the regime error, not a log of 0
+    with pytest.raises(RegimeError, match="need omega_c > omega0"):
+        oscillator_moments(OscillatorParams(omega0=1e300, eta=1.0, omega_c=1e-300))
     # far outside the validity range <p^2> turns negative
     with pytest.raises(RegimeError):
         oscillator_moments(OscillatorParams(omega0=1.0, eta=120.0, omega_c=100.0))
+
+
+def test_moments_below_the_heisenberg_bound_are_a_regime_error():
+    # near omega_c = omega0 the large-cutoff formula puts nu below 1/2 while
+    # <p^2> is still positive (eta = 2 there gives <p^2> <= 0): the same
+    # breakdown, so the same error
+    with pytest.raises(RegimeError, match=r"^nu = 0\.35.* < 1/2: the large-cutoff formula"):
+        oscillator_moments(OscillatorParams(omega0=1.0, eta=1.0, omega_c=1.5))
+    with pytest.raises(RegimeError, match=r"^<p\^2> = .* <= 0: the large-cutoff formula"):
+        oscillator_moments(OscillatorParams(omega0=1.0, eta=2.0, omega_c=1.5))
+    # a pair built directly is a state that breaks the bound
+    with pytest.raises(DomainError, match="Heisenberg bound"):
+        MomentPair(q2=0.5, p2=0.25)
 
 
 # ------------------------------------------------------------------ entropy

@@ -12,11 +12,19 @@ from dissipent import (
     BathSpec,
     ConfigError,
     DomainError,
+    FreeParticleParams,
+    OscillatorParams,
+    RegimeError,
     SpinBosonPoint,
     SweepConfig,
     delta_ren,
     detect_kink,
+    free_particle_entropy,
+    gaussian_entropy,
+    kappa_from_alpha,
     oracle_run,
+    oscillator_entropy_expansion,
+    oscillator_moments,
     run_sweep,
     sigma_x,
     spin_entropy,
@@ -492,6 +500,55 @@ def test_spin_boson_rows_are_the_public_functions_bit_for_bit(fixed):
         assert {"DelocalizedCoherent", "Localized"} <= set(cols["regime"])
     if fixed["s"] <= 1:
         assert any(map(math.isnan, cols["delta_ren"]))
+
+
+@pytest.mark.parametrize(
+    "fixed",
+    [{"omega0": 1.0, "omega_c": 100.0}, {"omega0": 0.5, "omega_c": 1e4}],
+    ids=["fig1", "wide-cutoff"],
+)
+def test_oscillator_rows_are_the_public_functions_bit_for_bit(fixed):
+    # the rows validate the fixed parameters once and call the float-level
+    # cores; each cell must be what the public functions return, to the
+    # last bit, and S_expansion NaN exactly where the expansion raises
+    w0, wc = fixed["omega0"], fixed["omega_c"]
+    cols = run_sweep(
+        SweepConfig(model="oscillator", alpha_min=0.0, alpha_max=3.0, n_points=301, fixed=fixed)
+    ).columns
+    expansion_nan = 0
+    for i, a in enumerate(cols["alpha"]):
+        k = kappa_from_alpha(a)
+        m = oscillator_moments(OscillatorParams(omega0=w0, eta=2.0 * k * w0, omega_c=wc))
+        assert (cols["kappa"][i], cols["q2"][i], cols["p2"][i]) == (k, m.q2, m.p2)
+        assert cols["nu"][i] == m.nu and cols["S"][i] == gaussian_entropy(m.nu)
+        try:
+            want = oscillator_entropy_expansion(m)
+        except RegimeError:
+            assert math.isnan(cols["S_expansion"][i])
+            expansion_nan += 1
+        else:
+            assert cols["S_expansion"][i] == want
+    # the grid crosses nu = 1 and kappa = 1 (alpha = 1/pi)
+    assert 0 < expansion_nan < len(cols["alpha"])
+    assert min(cols["kappa"]) < 1.0 < max(cols["kappa"])
+
+
+@pytest.mark.parametrize(
+    "fixed",
+    [{"omega_c": 100.0, "length": 100.0, "dim": 1}, {"omega_c": 100.0, "length": 3.0, "dim": 3}],
+    ids=["d1", "d3"],
+)
+def test_free_particle_rows_are_the_public_function_bit_for_bit(fixed):
+    cols = run_sweep(
+        SweepConfig(model="free-particle", alpha_min=50.0, alpha_max=150.0, n_points=101,
+                    fixed=fixed)
+    ).columns
+    # omega_c / eta = 1 is on the grid, between the kernel width's two branches
+    assert fixed["omega_c"] in cols["alpha"]
+    for i, eta in enumerate(cols["alpha"]):
+        res = free_particle_entropy(FreeParticleParams(eta=eta, **fixed))
+        got = (cols["eta"][i], cols["a"][i], cols["a_l2"][i], cols["S"][i])
+        assert got == (eta, res.a, res.a_l2, res.entropy)
 
 
 # ------------------------------------------------------------------ serialisation
