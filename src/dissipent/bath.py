@@ -14,11 +14,13 @@ Delta(L) = Delta0 * (L / cutoff)**alpha of the tunneling amplitude.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _in_range
 
 __all__ = ["BathSpec", "adiabatic_exponent"]
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 class BathSpec(namedtuple("BathSpec", "s alpha cutoff")):
@@ -35,12 +37,9 @@ class BathSpec(namedtuple("BathSpec", "s alpha cutoff")):
     __slots__ = ()
 
     def __new__(cls, s: float, alpha: float, cutoff: float):
-        if not 0 < s < math.inf:
-            raise DomainError(f"bath exponent s must be finite and > 0, got {s}")
-        if not 0 <= alpha < math.inf:
-            raise DomainError(f"coupling alpha must be finite and >= 0, got {alpha}")
-        if not 0 < cutoff < math.inf:
-            raise DomainError(f"cutoff must be finite and > 0, got {cutoff}")
+        _in_range("bath exponent s", s, ">", 0)
+        _in_range("coupling alpha", alpha, ">=", 0)
+        _in_range("cutoff", cutoff, ">", 0)
         return tuple.__new__(cls, (s, alpha, cutoff))
 
     is_ohmic = property(lambda self: _is_ohmic(self.s))
@@ -60,13 +59,30 @@ def adiabatic_exponent(bath: BathSpec, lambda_low: float) -> float:
         else :  alpha * (1 - (L / cutoff)**(s-1)) / (s - 1)
 
     which diverges as L -> 0 for s <= 1 and converges to alpha/(s-1)
-    for s > 1.
+    for s > 1; NumericalError where it passes the largest double.
     """
-    if not 0 < lambda_low <= bath.cutoff:
-        raise DomainError(
-            f"lambda_low must lie in (0, cutoff], got {lambda_low} with cutoff {bath.cutoff}"
-        )
-    return _log_exponent(bath.alpha, bath.s)(math.log(lambda_low / bath.cutoff))[0]
+    u = _log_scale("lambda_low", lambda_low, bath.cutoff)
+    try:
+        x = _log_exponent(bath.alpha, bath.s)(u)[0]
+    except OverflowError:  # math.expm1 past the largest double
+        x = math.inf if bath.alpha else 0.0
+    return _finite("the adiabatic exponent", x)
+
+
+def _log_scale(name: str, scale: float, cutoff: float) -> float:
+    """u = ln(scale / cutoff) <= 0 of a running scale, which must lie in
+    (0, cutoff]: the package's one rule for it, else a DomainError."""
+    if not 0 < scale <= cutoff:
+        raise DomainError(f"{name} must lie in (0, cutoff], got {scale} with cutoff {cutoff}")
+    return _log_ratio(scale, cutoff)
+
+
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num / den) for positive num and den, also where the quotient is
+    past the largest double or below the smallest normal one: there it is
+    ln(num) - ln(den), which loses nothing because the log is large."""
+    q = num / den
+    return math.log(q) if _TINY <= q < math.inf else math.log(num) - math.log(den)
 
 
 def _log_exponent(alpha: float, s: float, expm1=math.expm1):

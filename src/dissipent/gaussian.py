@@ -13,9 +13,11 @@ alpha = 1/pi.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .errors import DomainError, RegimeError
+from .bath import _log_ratio
+from .errors import DomainError, RegimeError, _in_range
 
 __all__ = [
     "FreeParticleParams",
@@ -55,14 +57,10 @@ class FreeParticleParams(
     __slots__ = ()
 
     def __new__(cls, eta: float, omega_c: float, length: float, dim: int):
-        if not 0 < eta < math.inf:
-            raise DomainError(f"eta must be finite and > 0, got {eta}")
-        if not 0 < omega_c < math.inf:
-            raise DomainError(f"omega_c must be finite and > 0, got {omega_c}")
-        if not 0 < length < math.inf:
-            raise DomainError(f"length must be finite and > 0, got {length}")
-        if not 1 <= dim < math.inf:
-            raise DomainError(f"dim must be finite and >= 1, got {dim}")
+        _in_range("eta", eta, ">", 0)
+        _in_range("omega_c", omega_c, ">", 0)
+        _in_range("length", length, ">", 0)
+        _in_range("dim", dim, ">=", 1)
         return tuple.__new__(cls, (eta, omega_c, length, dim))
 
 
@@ -75,14 +73,6 @@ class FreeParticleResult(namedtuple("FreeParticleResult", "entropy a a_l2")):
     the argument of the leading logarithm."""
 
     __slots__ = ()
-
-
-def _log_ratio(num: float, den: float) -> float:
-    """ln(num / den) for positive num and den, also where the quotient is
-    past the largest double or below the smallest: there it is
-    ln(num) - ln(den), which loses nothing because the log is large."""
-    q = num / den
-    return math.log(q) if 0.0 < q < math.inf else math.log(num) - math.log(den)
 
 
 def free_particle_kernel_width(p: FreeParticleParams) -> float:
@@ -109,9 +99,10 @@ def _kernel_width(eta: float, omega_c: float) -> float:
 
 
 def _free_particle(eta: float, omega_c: float, length2: float, dim) -> tuple:
-    """(S, a, a L**2) of free_particle_entropy, with length2 = L**2."""
+    """(S, a, a L**2) of free_particle_entropy, with length2 = _square(L);
+    DomainError unless a L**2 is a positive finite double."""
     a = _kernel_width(eta, omega_c)
-    a_l2 = a * length2
+    a_l2 = _in_range("a L**2", a * length2, ">", 0)
     return 0.5 * dim * (math.log(a_l2) + 1.0 - _LOG_PI), a, a_l2
 
 
@@ -121,9 +112,18 @@ def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
         S = (d/2) * (ln(a L**2) + 1 - ln pi),
 
     returned together with the kernel width a and a*L**2.  S is only positive for
-    a L**2 > pi / e; the formula is evaluated for any positive a L**2.
+    a L**2 > pi / e; the formula is evaluated for any a L**2 that is a positive
+    finite double, and one that underflows to 0 or overflows is a DomainError.
     """
-    return FreeParticleResult._make(_free_particle(p.eta, p.omega_c, p.length**2, p.dim))
+    return FreeParticleResult._make(_free_particle(p.eta, p.omega_c, _square(p.length), p.dim))
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where that passes the largest double (** raises there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
@@ -133,12 +133,10 @@ class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
     __slots__ = ()
 
     def __new__(cls, omega0: float, eta: float, omega_c: float):
-        if not 0 < omega0 < math.inf:
-            raise DomainError(f"omega0 must be finite and > 0, got {omega0}")
-        if not 0 <= eta < math.inf:
-            raise DomainError(f"eta must be finite and >= 0, got {eta}")
-        if not 0 < omega_c < math.inf:
-            raise DomainError(f"omega_c must be finite and > 0, got {omega_c}")
+        if _in_range("omega0", omega0, ">", 0) < sys.float_info.min:  # 1/omega0 would overflow
+            raise DomainError(f"omega0 = {omega0} is subnormal")
+        _in_range("eta", eta, ">=", 0)
+        _in_range("omega_c", omega_c, ">", 0)
         return tuple.__new__(cls, (omega0, eta, omega_c))
 
 
@@ -159,9 +157,7 @@ def oscillator_f(kappa: float) -> float:
     there f = 2/pi exactly, and next to it each form keeps full precision,
     so no series window is needed.
     """
-    if not 0.0 <= kappa < math.inf:
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
-    t = kappa - 1.0
+    t = _in_range("kappa", kappa, ">=", 0) - 1.0
     if t > 0.0:
         root = math.sqrt(t) * math.sqrt(2.0 + t)
         return (2.0 / math.pi) * math.acosh(kappa) / root
@@ -185,13 +181,10 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
     __slots__ = ()
 
     def __new__(cls, q2: float, p2: float):
-        if not q2 > 0:
-            raise DomainError(f"<q^2> must be > 0, got {q2}")
-        if not p2 > 0:
-            raise DomainError(f"<p^2> must be > 0, got {p2}")
-        nu = math.sqrt(q2 * p2)
+        nu = math.sqrt(_in_range("<q^2>", q2, ">", 0) * _in_range("<p^2>", p2, ">", 0))
         if nu < 0.5 - 1e-12:
             raise DomainError(f"nu = {nu} violates the Heisenberg bound 1/2")
+        _in_range("a/b = 4 <q^2><p^2>", 4.0 * q2 * p2, ">", 0)
         return tuple.__new__(cls, (q2, p2))
 
     @property

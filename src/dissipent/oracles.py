@@ -30,8 +30,8 @@ import math
 from collections import namedtuple
 
 from .bath import BathSpec
-from .errors import ConfigError, DomainError, NumericalError
-from .gaussian import GaussianKernel, MomentPair, OscillatorParams, gaussian_entropy
+from .errors import ConfigError, DomainError, NumericalError, _finite
+from .gaussian import GaussianKernel, MomentPair, OscillatorParams, _square, gaussian_entropy
 from .spinboson import ReducedSpinState
 
 __all__ = [
@@ -142,6 +142,8 @@ _MOMENT_REL_ERR = 1e-10
 _TAIL_REL = 1e-17
 # node x mode elements per block of the mode sum
 _BLOCK = 1 << 16
+# most distinct ring eigenvalues a default ladder holds, about 0.3 s of work
+_MAX_TERMS = 10**6
 
 
 def discrete_bath_moments(
@@ -190,24 +192,26 @@ def discrete_bath_moments(
 
     from ._quadrature import gauss_legendre
 
-    db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, p.omega0)
     w0 = p.omega0
+    # the bath in units of omega0; a sum that overflows or is undefined is refused below
+    with np.errstate(all="ignore"):
+        db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, w0)
+        w2 = (db.omegas / w0) ** 2
+        c = (db.couplings / (db.omegas * w0)) ** 2
+        a = float(np.sum(c))  # the limit of u^2 Sigma(u)
+        sigma0 = float(np.sum(c / w2))  # Sigma(0) >= Sigma(u)
+        a2 = float(np.sum(c * w2))  # a - u^2 Sigma(u) <= a2 / u^2
     if not w0 * w0 > 0:
         raise NumericalError("discretised quadratic form is not positive definite")
-    # in units of omega0
-    w2 = (db.omegas / w0) ** 2
-    c = (db.couplings / (db.omegas * w0)) ** 2
-    a = float(np.sum(c))  # the limit of u^2 Sigma(u)
-    sigma0 = float(np.sum(c / w2))  # Sigma(0) >= Sigma(u)
-    a2 = float(np.sum(c * w2))  # a - u^2 Sigma(u) <= a2 / u^2
-    # pi omega0 <q^2> and pi <p^2> / omega0 are at least these
-    q_floor, p_floor = 0.5 * math.pi / math.sqrt(1.0 + sigma0), 0.5 * math.pi
+    # pi omega0 <q^2> and pi <p^2> / omega0 are at least these (a <= sqrt(sigma0 a2)
+    # is finite where sigma0 and u_hi, which bounds a2, are)
+    q_floor, p_floor = 0.5 * math.pi / math.sqrt(1.0 + _finite("Sigma(0)", sigma0)), 0.5 * math.pi
     # the tail errors are at most a2 / (5 u_hi^5) for q and a2 / (3 u_hi^3) for p
-    u_hi = max(
+    u_hi = _finite("the upper limit u_hi", max(
         1.0,
         (a2 / (5.0 * _TAIL_REL * q_floor)) ** 0.2,
         (a2 / (3.0 * _TAIL_REL * p_floor)) ** (1.0 / 3.0),
-    )
+    ))
     # the dropped q deviation is at most Sigma(0) u_lo^3 / 3, the p one less
     u_lo = 1.0
     if sigma0 > 0:
@@ -229,18 +233,18 @@ def discrete_bath_moments(
         g = np.sqrt(u2) * us / ((1.0 + u2 + us) * (1.0 + u2))  # du = u d(ln u)
         return np.stack([-g, u2 * g])
 
-    (dq, dp), errors = gauss_legendre(deviations, math.log(u_lo), math.log(u_hi))
-    rb = math.sqrt(1.0 + a)
-    dq = float(dq) + math.atan(rb / u_hi) / rb - math.atan(1.0 / u_hi)
-    dp = float(dp) + rb * math.atan(rb / u_hi) - math.atan(1.0 / u_hi)
-    # <q^2> omega0 and <p^2> / omega0
-    scaled = (0.5 + dq / math.pi, 0.5 + dp / math.pi)
-    for moment, err in zip(scaled, errors / math.pi):
-        if not err <= _MOMENT_REL_ERR * moment:
-            raise NumericalError(
-                f"resolvent quadrature error estimate {err / moment:.1e} of a moment "
-                f"exceeds {_MOMENT_REL_ERR:g}"
-            )
+    # where D (1 + u^2) passes the largest double, g is 0; a moment of 0 is refused
+    with np.errstate(over="ignore", divide="ignore"):
+        (dq, dp), errors = gauss_legendre(deviations, math.log(u_lo), math.log(u_hi))
+        rb = math.sqrt(1.0 + a)
+        dq = float(dq) + math.atan(rb / u_hi) / rb - math.atan(1.0 / u_hi)
+        dp = float(dp) + rb * math.atan(rb / u_hi) - math.atan(1.0 / u_hi)
+        # <q^2> omega0 and <p^2> / omega0
+        scaled = (0.5 + dq / math.pi, 0.5 + dp / math.pi)
+        for moment, err in zip(scaled, errors / math.pi):
+            if not err <= _MOMENT_REL_ERR * moment:
+                raise NumericalError(f"resolvent quadrature error estimate {err / moment:.1e} "
+                                     f"of a moment exceeds {_MOMENT_REL_ERR:g}")
     return MomentPair(q2=scaled[0] / w0, p2=scaled[1] * w0)
 
 
@@ -255,10 +259,14 @@ def _ring_ladder(a: float, length: float, n_max: int | None) -> tuple[float, lis
     if not (a > 0 and length > 0):
         raise DomainError("need a > 0 and length > 0")
     if n_max is None:
-        # lambda_n falls like exp(-pi^2 n^2 / (a L^2)); 45 e-folds is plenty
-        n_max = int(math.ceil(math.sqrt(45.0 * a) * length / math.pi)) + 2
-    lam0 = (1.0 / length) * math.sqrt(math.pi / a)
-    q = (2.0 * math.pi / length) ** 2 / (4.0 * a)
+        # lambda_n falls like exp(-pi^2 n^2 / (a L^2)); 45 e-folds is plenty,
+        # and a count past _MAX_TERMS is refused before the ladder is built
+        reach = math.sqrt(45.0 * a) * length / math.pi
+        if not reach < _MAX_TERMS:
+            raise NumericalError(f"the ring ladder needs {reach:.3g} terms, above {_MAX_TERMS}")
+        n_max = int(math.ceil(reach)) + 2
+    lam0 = _finite("lambda_0", (1.0 / length) * math.sqrt(math.pi / a))
+    q = _finite("q", _square(2.0 * math.pi / length) / (4.0 * a))
     half = [lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1)]
     tail = half[-1]  # largest dropped-neighbourhood magnitude sits at the edge
     if tail > 1e-12:

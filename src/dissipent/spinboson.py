@@ -38,8 +38,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
 
-from .bath import BathSpec, _log_exponent
-from .errors import DomainError, NumericalError, RegimeError
+from .bath import BathSpec, _log_exponent, _log_ratio, _log_scale
+from .errors import DomainError, NumericalError, RegimeError, _finite, _in_range
 
 __all__ = [
     "SpinBosonPoint",
@@ -79,7 +79,7 @@ class SpinBosonPoint(
     """A point in spin-boson parameter space.
 
     delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff, with
-             delta0 / cutoff a normal (not subnormal) double
+             delta0 and delta0 / cutoff normal (not subnormal) doubles
     bath : BathSpec carrying (s, alpha, cutoff)
     temperature : finite T >= 0 (enters only through the flow lower limit)
     """
@@ -91,11 +91,12 @@ class SpinBosonPoint(
             raise DomainError(f"delta0 must be > 0, got {delta0}")
         if delta0 >= bath.cutoff:
             raise DomainError(f"delta0 must be below the cutoff ({delta0} >= {bath.cutoff})")
-        if not 0 <= temperature < math.inf:
-            raise DomainError(f"temperature must be finite and >= 0, got {temperature}")
+        _in_range("temperature", temperature, ">=", 0)
         ratio = delta0 / bath.cutoff
         if ratio < sys.float_info.min:  # 1/r would overflow
             raise DomainError(f"delta0/cutoff = {ratio} is subnormal")
+        if delta0 < sys.float_info.min:  # Delta_ren >= 1e-15 cutoff could round to 0
+            raise DomainError(f"delta0 = {delta0} is subnormal")
         return tuple.__new__(cls, (delta0, bath, temperature))
 
     @property
@@ -251,7 +252,8 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
     y, dy = _log_exponent(1.0, s)(t)
     dh = _dh(1.0 + a * dy)
     t_a = -y / dh
-    return t_a - dy * (1.0 + a * (s - 1.0) * t_a) / dh
+    # a dy in (-1, 0] and (s-1) t_a = expm1((s-1) t) / dh: a (s-1) alone can overflow
+    return t_a - (dy + a * dy * ((s - 1.0) * t_a)) / dh
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +392,15 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
 def _log_integral(integrand: Callable, lower: float) -> float:
     """Integral over [lower, 0] of integrand, which maps an array of u to
     an array of values, by the package's Gauss-Legendre rule;
-    NumericalError if its error estimate exceeds 1e-8 of the value."""
+    NumericalError if the value is not finite or its error estimate exceeds
+    1e-8 of it, so numpy's warnings of overflow on the way are not needed."""
+    import numpy as np
+
     from ._quadrature import gauss_legendre
 
-    val, err = gauss_legendre(integrand, lower, 0.0)
-    if val != 0.0 and err > 1e-8 * abs(val):
+    with np.errstate(all="ignore"):
+        val, err = gauss_legendre(integrand, lower, 0.0)
+    if val != 0.0 and err > 1e-8 * abs(_finite("the flow integral", val)):
         raise NumericalError(f"flow quadrature error {err / abs(val):.2e} above 1e-8")
     return float(val)
 
@@ -409,25 +415,26 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
     and a floor of 1e-30 * cutoff is used.  For s = 1 this reproduces every
     branch of the closed-form ground energy.
     """
-    dr = delta_ren(point)
-    lower = max(point.temperature, dr if dr is not None else 0.0)
-    cutoff = point.bath.cutoff
-    if lower <= 0.0:
-        lower = 1e-30 * cutoff
-    if lower >= cutoff:
+    (s, alpha, cutoff), log_r = point.bath, math.log(point.ratio)
+    # limits in u = ln(L/cutoff), which cannot underflow: t = ln(Delta_ren/cutoff) and ln(T/cutoff)
+    t = _solve(alpha, s, log_r) if alpha else log_r
+    lower = max(-math.inf if t is None else t,
+                _log_ratio(point.temperature, cutoff) if point.temperature else -math.inf)
+    if lower >= 0.0:
         return 0.0
 
     import numpy as np
 
-    exponent = _log_exponent(point.bath.alpha, point.bath.s, np.expm1)
-    d0_r = point.delta0 * point.ratio
+    exponent = _log_exponent(alpha, s, np.expm1)
+    log_d0_r = math.log(point.delta0) + log_r
 
     def integrand(u):
         # (Delta/L)^2 * L, the log-space measure, with Delta = Delta0 e^-X
-        # and L = e^u cutoff: Delta0 r e^(-2X - u)
-        return d0_r * np.exp(-2.0 * exponent(u)[0] - u)
+        # and L = e^u cutoff: Delta0 r e^(-2X - u), its prefactor in the
+        # exponent so that neither factor overflows alone
+        return np.exp(log_d0_r - 2.0 * exponent(u)[0] - u)
 
-    return _log_integral(integrand, math.log(lower / cutoff))
+    return _log_integral(integrand, lower if lower > -math.inf else math.log(1e-30))
 
 
 def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:
@@ -474,10 +481,10 @@ def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:
 def _kappa_tilde_of_decay(kappa_tilde0, s, decay):
     """kappa_tilde_flow given decay = exp(-s ell) (a float or an array); s
     itself at the fixed point kt0 = s, where the quotient rounds, or is
-    0/0 once decay underflows."""
+    0/0 once decay underflows; s multiplies last, as s kt0 can overflow."""
     if kappa_tilde0 == s:
         return s
-    return s * kappa_tilde0 * decay / (kappa_tilde0 * decay + (s - kappa_tilde0))
+    return kappa_tilde0 * decay / (kappa_tilde0 * decay + (s - kappa_tilde0)) * s
 
 
 def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
@@ -501,7 +508,7 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
         # (kt * Delta0 / L^2) * L with L = e^u cutoff and ell = -u
         return _kappa_tilde_of_decay(kt0, s, np.exp(s * u)) * r * np.exp(-u)
 
-    return _log_integral(integrand, math.log(lambda_stop / point.bath.cutoff))
+    return _log_integral(integrand, _log_scale("lambda_stop", lambda_stop, point.bath.cutoff))
 
 
 def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:
@@ -514,17 +521,15 @@ def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:
     s = point.bath.s
     if s >= 1:
         raise RegimeError(f"one-loop sub-Ohmic flow requires s < 1, got s = {s}")
-    if not 0 < lambda_stop <= point.bath.cutoff:
-        raise DomainError("lambda_stop must lie in (0, cutoff]")
+    ell = -_log_scale("lambda_stop", lambda_stop, point.bath.cutoff)
     kt0 = point.kappa_tilde0
     if kt0 > s + 1e-12:
         raise RegimeError(
             f"kappa_tilde0 = {kt0} > s = {s}: localized side, flow runs away"
         )
-    ell = math.log(point.bath.cutoff / lambda_stop)
     return FlowState(
         lambda_=lambda_stop,
-        kappa_tilde=kappa_tilde_flow(kt0, s, ell),
+        kappa_tilde=kappa_tilde_flow(min(kt0, s), s, ell),  # kt0 within 1e-12 above s is s
         sx_accum=sigma_x_deficit(point, lambda_stop),
     )
 

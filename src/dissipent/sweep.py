@@ -19,8 +19,8 @@ import numbers
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .bath import BathSpec
-from .errors import ConfigError, RegimeError
+from .bath import BathSpec, _log_ratio
+from .errors import ConfigError, RegimeError, _in_range
 from .gaussian import (
     FreeParticleParams,
     OscillatorParams,
@@ -29,7 +29,7 @@ from .gaussian import (
     free_particle_entropy,
     gaussian_entropy,
 )
-from .gaussian import _expansion, _free_particle, _log_ratio, _moments
+from .gaussian import _expansion, _free_particle, _moments, _square
 from .oracles import (
     discrete_bath_moments,
     ring_kernel_entropy,
@@ -255,7 +255,9 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 # Each model's row generator takes the grid and the model parameters in
 # MODEL_PARAMS order, and yields one tuple per grid point: the row's own
 # columns in _DEFAULT_OUTPUTS order, without the stencil columns.  The
-# Gaussian rows check the first point's record, then call the float cores.
+# Gaussian rows check the first point's record, then call the float cores;
+# the grid, increasing and finite, keeps each free-particle eta in range,
+# but an oscillator eta = 2 kappa omega0 can overflow.
 
 
 def _oscillator_rows(grid, omega0, omega_c):
@@ -263,9 +265,7 @@ def _oscillator_rows(grid, omega0, omega_c):
     OscillatorParams(omega0, 2.0 * kappas[0] * omega0, omega_c)
     log_ratio = _log_ratio(omega_c, omega0)
     for k in kappas:
-        eta = 2.0 * k * omega0
-        if not 0 <= eta < math.inf:
-            OscillatorParams(omega0, eta, omega_c)
+        eta = _in_range("eta", 2.0 * k * omega0, ">=", 0)
         q2, p2, nu = _moments(omega0, eta, omega_c, log_ratio)
         e = 1.0 / nu  # oscillator_entropy_expansion raises where e >= 1
         yield k, q2, p2, nu, gaussian_entropy(nu), _expansion(e) if e < 1.0 else math.nan
@@ -283,10 +283,8 @@ def _spin_boson_rows(grid, delta0, lambda0, s):
 def _free_particle_rows(grid, omega_c, length, dim):
     # for this model the grid variable is the friction itself
     FreeParticleParams(grid[0], omega_c, length, dim)
-    dim, length2 = int(dim), length**2
+    dim, length2 = int(dim), _square(length)
     for eta in grid:
-        if not 0 < eta < math.inf:
-            FreeParticleParams(eta, omega_c, length, dim)
         s, a, a_l2 = _free_particle(eta, omega_c, length2, dim)
         yield eta, a, a_l2, s
 

@@ -1,0 +1,372 @@
+"""Every accepted input ends in a finite value or a package error.
+
+Each property draws a public function's arguments from the ranges its
+records accept, extremes included (about 1e-320 to 1e300, and the
+smallest subnormal), and requires a finite result or one of the four
+package errors; on the command line that is exit code 0, 2, 3 or 4 with a
+one-line message, never a traceback (exit 1).  Every defect these
+properties found is pinned as an @example.
+
+Under the derandomized `dissipent` profile the file takes about 2 s; the
+`dissipent-domain` profile in conftest.py runs the same properties with a
+larger fixed-seed budget.
+"""
+
+import contextlib
+import io
+import math
+import sys
+from enum import Enum
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dissipent import (
+    BathSpec,
+    ConfigError,
+    DomainError,
+    FreeParticleParams,
+    GaussianKernel,
+    MomentPair,
+    NumericalError,
+    OscillatorParams,
+    RegimeError,
+    SpinBosonPoint,
+    adiabatic_exponent,
+    alpha_from_kappa,
+    coherence_crossover_alpha,
+    delocalized_log_derivative,
+    delta_ren,
+    delta_ren_derivative,
+    flow_free_energy,
+    free_particle_entropy,
+    free_particle_kernel_width,
+    free_tls_sigma_x,
+    gaussian_entropy,
+    kappa_from_alpha,
+    kappa_tilde_flow,
+    kernel_from_moments,
+    ohmic_ground_energy,
+    ohmic_sigma_x_energy,
+    oscillator_entropy,
+    oscillator_entropy_expansion,
+    oscillator_f,
+    oscillator_moments,
+    sigma_x,
+    sigma_x_deficit,
+    spin_entropy,
+    subohmic_regime,
+    subohmic_rg_flow,
+)
+from dissipent.cli import main
+from dissipent.sweep import preset_names
+
+PACKAGE_ERRORS = (ConfigError, DomainError, NumericalError, RegimeError)
+# a budget per property: a fifth of the loaded profile's examples
+BUDGET = settings(max_examples=max(1, settings.default.max_examples // 5))
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats whose decimal logarithm is uniform on [log10 lo, log10 hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+
+
+# a positive double from the smallest subnormal to 1e300, the extremes and
+# the smallest normal double drawn on their own as well
+POSITIVE = st.one_of(
+    log_uniform(1e-320, 1e300),
+    st.sampled_from([5e-324, 1e-320, sys.float_info.min, 1e-3, 1.0, 1e300]),
+)
+NON_NEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+# bath exponents: the special s = 1 and the sub- and super-Ohmic sides
+EXPONENT = st.one_of(st.sampled_from([1.0, 0.5, 1.5, 1.0 - 1e-13]), POSITIVE)
+# couplings: the Ohmic landmarks 1/2 and 1 besides the whole range
+COUPLING = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 / math.pi]), NON_NEGATIVE)
+# fractions of a reference scale, in (0, 1]
+FRACTION = st.one_of(st.just(1.0), log_uniform(1e-320, 1.0))
+
+
+def finite(value) -> bool:
+    """Whether every number in value (a number, None, a label or a record
+    of them) is finite."""
+    if value is None or isinstance(value, (str, Enum)):
+        return True
+    if isinstance(value, tuple):
+        return all(map(finite, value))
+    return math.isfinite(value)
+
+
+def outcome(fn, *args):
+    """fn(*args), or None for a package error; any other exception
+    propagates, and a non-finite result fails the property."""
+    try:
+        value = fn(*args)
+    except PACKAGE_ERRORS:
+        return None
+    assert finite(value), f"{fn.__name__}{args!r} = {value!r}"
+    return value
+
+
+# ----------------------------------------------------------------------- bath
+
+
+@BUDGET
+@given(EXPONENT, COUPLING, POSITIVE, st.one_of(FRACTION, st.sampled_from([0.0, 2.0, math.nan])))
+@example(0.5, 1e300, 1.0, 1e-16)  # X past the largest double: inf
+@example(5e-324, 0.0, 1.0, 1e-309)  # math.expm1 raised OverflowError
+def test_bath(s, alpha, cutoff, fraction):
+    bath = outcome(BathSpec, s, alpha, cutoff)
+    lambda_low = fraction * cutoff
+    if bath is not None and not 0 < lambda_low <= cutoff:
+        with pytest.raises(DomainError, match="lambda_low must lie in"):
+            adiabatic_exponent(bath, lambda_low)
+    elif bath is not None:
+        outcome(adiabatic_exponent, bath, lambda_low)
+
+
+# ------------------------------------------------------------- free particle
+
+
+@BUDGET
+@given(POSITIVE, POSITIVE, POSITIVE, st.integers(1, 3))
+@example(1.0, 100.0, 1e200, 1)  # length**2 raised OverflowError
+@example(1.0, 100.0, 1e-200, 1)  # a L**2 underflowed to 0: math domain error
+@example(1e-300, 1e-300, 1e160, 1)  # a L**2 overflowed: S = inf
+def test_free_particle(eta, omega_c, length, dim):
+    p = outcome(FreeParticleParams, eta, omega_c, length, dim)
+    if p is not None:
+        outcome(free_particle_kernel_width, p)
+        outcome(free_particle_entropy, p)
+
+
+# ---------------------------------------------------------------- oscillator
+
+
+@BUDGET
+@given(POSITIVE, NON_NEGATIVE, POSITIVE)
+@example(1e-320, 0.0, 100.0)  # <q^2> overflowed: oscillator_entropy was NaN
+def test_oscillator(omega0, eta, omega_c):
+    p = outcome(OscillatorParams, omega0, eta, omega_c)
+    if p is None:
+        return
+    outcome(oscillator_f, eta / (2.0 * omega0))
+    outcome(oscillator_entropy, p)
+    m = outcome(oscillator_moments, p)
+    if m is not None:
+        outcome(oscillator_entropy_expansion, m)
+        outcome(kernel_from_moments, m)
+
+
+@BUDGET
+@given(COUPLING)
+def test_coupling_axis(alpha):
+    kappa = outcome(kappa_from_alpha, alpha)
+    outcome(alpha_from_kappa, kappa)
+    outcome(oscillator_f, kappa)
+
+
+@BUDGET
+@given(st.one_of(POSITIVE, st.just(math.inf)), st.one_of(POSITIVE, st.just(math.inf)))
+@example(math.inf, 1.0)  # a non-finite moment was accepted
+@example(1e8, 1e300)  # a/b = 4 <q^2><p^2> overflowed: inf
+def test_moment_pair(q2, p2):
+    m = outcome(MomentPair, q2, p2)
+    if m is None:
+        return
+    for name in ("nu", "eps", "eps_tilde", "a_over_b"):
+        outcome(getattr, m, name)
+    outcome(gaussian_entropy, m.nu)
+    outcome(oscillator_entropy_expansion, m)
+    k = outcome(kernel_from_moments, m)
+    if k is not None:
+        outcome(GaussianKernel, k.a, k.b)
+        outcome(getattr, k, "a_over_b")
+
+
+@BUDGET
+@given(st.one_of(POSITIVE.map(lambda d: 0.5 + d), st.sampled_from([0.5, 0.5 - 1e-13])))
+def test_gaussian_entropy(nu):
+    outcome(gaussian_entropy, nu)
+
+
+# ---------------------------------------------------------------- spin-boson
+
+
+@st.composite
+def spin_points(draw):
+    """(delta0, s, alpha, cutoff, temperature) with delta0 below the cutoff."""
+    cutoff = draw(POSITIVE)
+    ratio = draw(st.one_of(log_uniform(sys.float_info.min, 0.999), st.just(0.01)))
+    temperature = draw(st.one_of(st.just(0.0), POSITIVE))
+    return ratio * cutoff, draw(EXPONENT), draw(COUPLING), cutoff, temperature
+
+
+def point_of(args):
+    delta0, s, alpha, cutoff, temperature = args
+    bath = outcome(BathSpec, s, alpha, cutoff)
+    return None if bath is None else outcome(SpinBosonPoint, delta0, bath, temperature)
+
+
+@BUDGET
+@given(spin_points())
+@example((1.0, 1.0, 1.5, 100.0, 5e-324))  # ln of an underflowed ratio: ValueError
+@example((2.6e-105, 1.0, 4.27e-5, 3.67e34, 8e-284))  # the flow integrand overflowed: inf
+@example((1e-302, 1.0, 1.5, 1e-300, 0.0))  # the flow floor 1e-30 cutoff underflowed: ValueError
+@example((1e-322, 1.0 - 1e-13, 0.5, 1e-320, 0.0))  # Delta_ren rounded to 0: ZeroDivisionError
+@example((0.01, 1e300, 1e300, 1.0, 0.0))  # alpha (s-1) overflowed: a NaN log-derivative
+def test_spin_boson_point(args):
+    point = point_of(args)
+    if point is None:
+        return
+    for fn in (delta_ren, delta_ren_derivative, delocalized_log_derivative,
+               ohmic_ground_energy, ohmic_sigma_x_energy, coherence_crossover_alpha,
+               flow_free_energy, subohmic_regime):
+        outcome(fn, point)
+    sx = outcome(sigma_x, point)
+    if sx is not None:
+        outcome(spin_entropy, sx)
+
+
+@BUDGET
+@given(spin_points(), st.one_of(FRACTION, st.sampled_from([0.0, 2.0])))
+@example((1.0, 0.5, 0.1, 100.0, 0.0), 0.0)  # math domain error
+@example((1.0, 0.5, 0.1, 100.0, 0.0), 2.0)  # above the cutoff: a wrong-signed value
+@example((1e-16, 5e-324, 5e-324, 1.0, 0.0), 1.0)  # kt0 just above s: ZeroDivisionError
+def test_subohmic_flow(args, fraction):
+    point = point_of(args)
+    if point is None:
+        return
+    lambda_stop = fraction * point.bath.cutoff
+    for fn in (sigma_x_deficit, subohmic_rg_flow):
+        if 0 < lambda_stop <= point.bath.cutoff:
+            outcome(fn, point, lambda_stop)
+        else:
+            with pytest.raises(PACKAGE_ERRORS):
+                fn(point, lambda_stop)
+
+
+@BUDGET
+@given(POSITIVE, st.one_of(FRACTION, st.just(0.0)), NON_NEGATIVE)
+@example(1e300, 0.1, 0.0)  # s kt0 overflowed: inf
+def test_kappa_tilde_flow(s, fraction, ell):
+    # its range: 0 <= kt0 <= s and ell >= 0
+    outcome(kappa_tilde_flow, fraction * s, s, ell)
+
+
+@BUDGET
+@given(POSITIVE, POSITIVE)
+def test_free_tls_sigma_x(delta0, temperature):
+    outcome(free_tls_sigma_x, delta0, temperature)
+
+
+@BUDGET
+@given(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1.0 + 1e-16, math.nan, -math.inf])))
+def test_spin_entropy(sx):
+    outcome(spin_entropy, sx)
+
+
+# ------------------------------------------------------------- command line
+
+
+def run(argv) -> tuple:
+    """main(argv) in this process: its exit code, with a one-line message
+    on standard error for a failure, and its standard output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse refuses a flag
+            code = exc.code
+    assert code in (0, 2, 3, 4), f"{argv}: exit {code}\n{err.getvalue()}"
+    if code and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    return code, out.getvalue()
+
+
+def flags(**values) -> list:
+    return [a for key, val in values.items() for a in (f"--{key.replace('_', '-')}", repr(val))]
+
+
+# the sweep models, each with the parameters it reads and their draws
+MODEL_DRAWS = {
+    "free-particle": {"omega_c": POSITIVE, "length": POSITIVE, "dim": st.integers(1, 3)},
+    "oscillator": {"omega0": POSITIVE, "omega_c": POSITIVE},
+    "spin-boson": {"delta0": POSITIVE, "lambda0": POSITIVE, "s": EXPONENT},
+}
+
+
+@st.composite
+def sweep_flags(draw, points):
+    model = draw(st.sampled_from(sorted(MODEL_DRAWS)))
+    fixed = {key: draw(s) for key, s in MODEL_DRAWS[model].items() if draw(st.booleans())}
+    lo = draw(st.one_of(POSITIVE, st.floats(-2.0, 2.0)))
+    hi = lo + draw(POSITIVE)
+    return ["--model", model, *flags(alpha_min=lo, alpha_max=hi, alpha_points=points, **fixed)]
+
+
+@BUDGET
+@given(sweep_flags(3))
+@example(["--model", "free-particle", "--length", "1e200"])
+@example(["--model", "free-particle", "--length", "1e-200"])
+@example(["--model", "oscillator", "--omega0", "1e-320"])
+def test_sweep_command(argv):
+    run(["sweep", *argv])
+
+
+@BUDGET
+@given(sweep_flags(50))
+def test_kink_command(argv):
+    run(["kink", *argv])
+
+
+@BUDGET
+@given(EXPONENT, POSITIVE, POSITIVE, POSITIVE, POSITIVE)
+def test_regime_map_command(s, ratio_min, ratio_max, alpha_min, alpha_max):
+    run(["regime-map", *flags(s=s, ratio_min=ratio_min, ratio_max=ratio_max,
+                                    alpha_min=alpha_min, alpha_max=alpha_max),
+               "--ratio-points", "4", "--alpha-points", "4"])
+
+
+ORACLE_DRAWS = {
+    "free-particle": {"omega_c": POSITIVE, "length": POSITIVE},
+    "oscillator": {"omega0": POSITIVE, "omega_c": POSITIVE, "n_modes": st.integers(8, 40),
+                   "scheme": st.sampled_from(["logarithmic", "linear"])},
+}
+
+
+@st.composite
+def oracle_flags(draw):
+    model = draw(st.sampled_from(sorted(ORACLE_DRAWS)))
+    given_ = {key: draw(s) for key, s in ORACLE_DRAWS[model].items() if draw(st.booleans())}
+    argv = ["--model", model, *flags(eta=draw(NON_NEGATIVE), **given_)]
+    return [a.strip("'") for a in argv]  # the scheme's repr is quoted
+
+
+@BUDGET
+@given(oracle_flags())
+@example(["--model", "free-particle", "--eta", "1", "--length", "1e200"])
+@example(["--model", "free-particle", "--eta", "1", "--length", "1e-200"])
+@example(["--model", "oscillator", "--eta", "1", "--omega0", "1e-100"])
+@example(["--model", "oscillator", "--eta", "1.0", "--omega-c", "1e+72"])
+@example(["--model", "oscillator", "--eta", "0.0", "--omega0", "2.2250738585072014e-308"])
+@example(["--model", "oscillator", "--eta", "1.0", "--omega0", "2.4754494749775103e-43"])
+@example(["--model", "free-particle", "--eta", "1", "--length", "1e-160"])  # q overflowed: NaN rows
+def test_oracle_command(argv):
+    # every oracle row is a number: a NaN or inf cell is a defect
+    code, out = run(["oracle", *argv])
+    assert not (code == 0 and ("nan" in out or "inf" in out)), out
+
+
+@pytest.mark.parametrize("eta, omega_c", [(3e17, 7.6e17), (4.8e93, 1e96)])
+def test_ring_ladder_is_refused_before_it_is_built(eta, omega_c, capsys):
+    # n_max would be about 4.7e10 and 1.4e49 distinct eigenvalues
+    argv = ["oracle", "--model", "free-particle", "--eta", str(eta), "--omega-c", str(omega_c)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical error: the ring ladder needs")
+
+
+@BUDGET
+@given(st.sampled_from(preset_names()), st.sampled_from([[], ["--format", "json"]]))
+def test_preset_command(name, fmt):
+    run(["preset", name, *fmt])
