@@ -74,24 +74,28 @@ def _sweep_text(doc: dict) -> str:
     return table_to_json(table) if cfg.format == "json" else table_to_csv(table)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _write(text: str, output: str | None) -> None:
+    """text to the --output file, or to stdout without one; a file that
+    cannot be written is a ConfigError, as one that cannot be read is."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc.strerror}") from None
 
 
-def _cmd_sweep(args) -> int:
-    _emit(_sweep_text(_sweep_doc(args)), args.output)
-    return 0
+# each command returns its text, and main writes it with _write
+def _cmd_sweep(args) -> str:
+    return _sweep_text(_sweep_doc(args))
 
 
-def _cmd_kink(args) -> int:
+def _cmd_kink(args) -> str:
     table = run_sweep(sweep_config(_sweep_doc(args)))
     report = detect_kink(table, args.column, threshold=args.threshold)
-    _emit(_kink_json(report), args.output)
-    return 0
+    return _kink_json(report)
 
 
 def _kink_json(report: KinkReport | None) -> str:
@@ -101,32 +105,26 @@ def _kink_json(report: KinkReport | None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_regime_map(args) -> int:
-    _emit(regime_map_to_csv(regime_map_from_doc(vars(args))), args.output)
-    return 0
+def _cmd_regime_map(args) -> str:
+    return regime_map_to_csv(regime_map_from_doc(vars(args)))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
     params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
-    _emit(oracle_to_csv(oracle_run(args.model, params)), args.output)
-    return 0
+    return oracle_to_csv(oracle_run(args.model, params))
 
 
-def _cmd_preset(args) -> int:
+def _cmd_preset(args) -> str:
     if args.list:
-        _emit("\n".join(preset_names()) + "\n", args.output)
-        return 0
+        return "\n".join(preset_names()) + "\n"
     if args.name is None:
         raise ConfigError("preset name required (or --list)")
     doc = preset_doc(args.name)
-    if doc["kind"] == "regime-map":
-        if args.format == "json":
-            raise ConfigError(f"preset {args.name} is a regime map, written as CSV only")
-        text = regime_map_to_csv(regime_map_from_doc(doc))
-    else:
-        text = _sweep_text(_lay_flags(doc, args))
-    _emit(text, args.output)
-    return 0
+    if doc["kind"] != "regime-map":
+        return _sweep_text(_lay_flags(doc, args))
+    if args.format == "json":
+        raise ConfigError(f"preset {args.name} is a regime map, written as CSV only")
+    return regime_map_to_csv(regime_map_from_doc(doc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +183,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.func(args), args.output)
+        return 0
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

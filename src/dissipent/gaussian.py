@@ -13,6 +13,7 @@ alpha = 1/pi.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 
@@ -52,7 +53,7 @@ class FreeParticleParams(
 ):
     """Dissipative free particle: friction eta, bath cutoff omega_c,
     box regulator L (the entropy is only defined relative to L) and
-    spatial dimension d."""
+    spatial dimension d, an integer >= 1 (not a bool)."""
 
     __slots__ = ()
 
@@ -60,6 +61,8 @@ class FreeParticleParams(
         _in_range("eta", eta, ">", 0)
         _in_range("omega_c", omega_c, ">", 0)
         _in_range("length", length, ">", 0)
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+            raise DomainError(f"dim must be an integer, got {dim!r}")
         _in_range("dim", dim, ">=", 1)
         return tuple.__new__(cls, (eta, omega_c, length, dim))
 

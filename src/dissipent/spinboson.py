@@ -73,31 +73,30 @@ _LOG_FLOOR = math.log(BRACKET_FLOOR)
 SCALING_TRUST_MIN_RATIO = 0.1
 
 
-class SpinBosonPoint(
-    namedtuple("SpinBosonPoint", "delta0 bath temperature", defaults=(0.0,))
-):
+class SpinBosonPoint(namedtuple("SpinBosonPoint", "delta0 bath")):
     """A point in spin-boson parameter space.
 
     delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff, with
              delta0 and delta0 / cutoff normal (not subnormal) doubles
     bath : BathSpec carrying (s, alpha, cutoff)
-    temperature : finite T >= 0 (enters only through the flow lower limit)
+
+    Every observable of a point is a ground-state quantity, except the flow
+    free energy, which takes the temperature as its own argument.
     """
 
     __slots__ = ()
 
-    def __new__(cls, delta0: float, bath: BathSpec, temperature: float):
+    def __new__(cls, delta0: float, bath: BathSpec):
         if not delta0 > 0:
             raise DomainError(f"delta0 must be > 0, got {delta0}")
         if delta0 >= bath.cutoff:
             raise DomainError(f"delta0 must be below the cutoff ({delta0} >= {bath.cutoff})")
-        _in_range("temperature", temperature, ">=", 0)
         ratio = delta0 / bath.cutoff
         if ratio < sys.float_info.min:  # 1/r would overflow
             raise DomainError(f"delta0/cutoff = {ratio} is subnormal")
         if delta0 < sys.float_info.min:  # Delta_ren >= 1e-15 cutoff could round to 0
             raise DomainError(f"delta0 = {delta0} is subnormal")
-        return tuple.__new__(cls, (delta0, bath, temperature))
+        return tuple.__new__(cls, (delta0, bath))
 
     @property
     def ratio(self) -> float:
@@ -108,10 +107,6 @@ class SpinBosonPoint(
     def kappa_tilde0(self) -> float:
         """Initial value alpha * cutoff / Delta0 of the one-loop coupling."""
         return self.bath.alpha * self.bath.cutoff / self.delta0
-
-
-# the constructor takes the defaults given to namedtuple
-SpinBosonPoint.__new__.__defaults__ = tuple(SpinBosonPoint._field_defaults.values())
 
 
 class ReducedSpinState(namedtuple("ReducedSpinState", "sx sz entropy")):
@@ -194,9 +189,10 @@ def _root_at_or_above(exponent, t_min: float, log_r: float, t_low: float) -> boo
     return t - log_r + exponent(t)[0] <= 0.0
 
 
-def _slope(alpha: float, s: float, delta0: float, cutoff: float, dr: float) -> float:
-    """d Delta_ren / d Delta0 at a root dr of the self-consistency equation."""
-    return (dr / delta0) / _dh(1.0 - alpha * (dr / cutoff) ** (s - 1.0))
+def _slope(point: SpinBosonPoint, dr: float) -> float:
+    """d Delta_ren / d Delta0 at a root dr of point's self-consistency equation."""
+    s, alpha, cutoff = point.bath
+    return (dr / point.delta0) / _dh(1.0 - alpha * (dr / cutoff) ** (s - 1.0))
 
 
 def _dh(dh: float) -> float:
@@ -213,18 +209,10 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
         d Delta_ren / d Delta0 = (Delta_ren / Delta0)
                                  / (1 - alpha * (Delta_ren / cutoff)^(s-1)).
 
-    None when delta_ren has no solution.
+    None when delta_ren has no solution; 1 at alpha = 0.
     """
-    return _slope_at(point, point.bath.alpha)
-
-
-def _slope_at(point: SpinBosonPoint, alpha: float) -> float | None:
-    """delta_ren_derivative at coupling alpha, with point's delta0, s and cutoff."""
-    if alpha == 0.0:  # Delta_ren = Delta0
-        return 1.0
-    delta0, (s, _, cutoff) = point.delta0, point.bath
-    t = _solve(alpha, s, math.log(point.ratio))
-    return None if t is None else _slope(alpha, s, delta0, cutoff, math.exp(t) * cutoff)
+    dr = delta_ren(point)
+    return None if dr is None else _slope(point, dr)
 
 
 def delocalized_log_derivative(point: SpinBosonPoint) -> float:
@@ -262,7 +250,7 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
 
 
 def _ohmic_log_and_g(point: SpinBosonPoint) -> tuple[float, float]:
-    """(ln r, g) for the Ohmic energies, 0 < alpha < 1: with
+    """(ln r, g) for the Ohmic energies, 0 <= alpha < 1: with
     x = (2a-1) ln(r) / (1-a), r^(a/(1-a)) - r = r expm1(x), and
     g = expm1(x) / x, which is 1 at x = 0 (alpha = 1/2)."""
     a = point.bath.alpha
@@ -275,13 +263,14 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     """Ground-state energy gain of the Ohmic (s = 1) two-level system,
     with r = Delta0/cutoff:
 
-        0 < alpha < 1 : E = [Delta0 r^(a/(1-a)) - Delta0 r] / (1-2a)
-                          = -Delta0 r ln(r) g / (1-a),   g as above
-        alpha >= 1    : E = Delta0 r / (2a - 1)
+        0 <= alpha < 1 : E = [Delta0 r^(a/(1-a)) - Delta0 r] / (1-2a)
+                           = -Delta0 r ln(r) g / (1-a),   g as above
+        alpha >= 1     : E = Delta0 r / (2a - 1)
 
-    The first line is one analytic function of alpha: at alpha = 1/2 its
-    0/0 is removed exactly (g = 1, E = 2 Delta0 r ln(1/r)), and expm1 keeps
-    full precision next to it, so there is no window around 1/2.  The
+    The first line is one analytic function of alpha, the free spin's
+    Delta0 (1 - r) at alpha = 0: at alpha = 1/2 its 0/0 is removed exactly
+    (g = 1, E = 2 Delta0 r ln(1/r)), and expm1 keeps full precision next
+    to it, so there is no window around 1/2.  The
     alpha >= 1 branch keeps the 1/(2a-1) factor so that the piecewise form
     coincides with the flow quadrature (Delta_ren = 0 there); E is
     continuous across alpha = 1.
@@ -289,8 +278,6 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     if not point.bath.is_ohmic:
         raise RegimeError(f"ohmic_ground_energy requires s = 1, got s = {point.bath.s}")
     a = point.bath.alpha
-    if a <= 0:
-        raise DomainError("ohmic_ground_energy is defined for alpha > 0")
     r = point.ratio
     if a >= 1.0:
         return point.delta0 * r / (2.0 * a - 1.0)
@@ -334,16 +321,13 @@ def sigma_x(point: SpinBosonPoint) -> float:
     branch 2 Delta0/cutoff is forced.  Applies to Ohmic and non-Ohmic baths
     alike; for s = 1 the branch crossing sits at alpha = 1/2 exactly.
     """
-    if point.temperature != 0.0:
-        raise RegimeError("sigma_x is a zero-temperature observable here")
     return _max_rule_sigma_x(point, delta_ren(point))
 
 
 def _max_rule_sigma_x(point: SpinBosonPoint, dr: float | None) -> float:
     """The max rule of sigma_x, given dr = delta_ren(point)."""
-    pert, (s, alpha, cutoff) = 2.0 * point.ratio, point.bath
-    val = pert if dr is None else max(_slope(alpha, s, point.delta0, cutoff, dr), pert)
-    return min(1.0, val)
+    pert = 2.0 * point.ratio
+    return min(1.0, pert if dr is None else max(_slope(point, dr), pert))
 
 
 def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
@@ -361,7 +345,7 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
         return 0.5
 
     def gap(alpha: float) -> float:
-        d = _slope_at(point, alpha)
+        d = delta_ren_derivative(point._replace(bath=point.bath._replace(alpha=alpha)))
         if d is None:
             return -1.0
         return d - 2.0 * point.ratio
@@ -405,21 +389,22 @@ def _log_integral(integrand: Callable, lower: float) -> float:
     return float(val)
 
 
-def flow_free_energy(point: SpinBosonPoint) -> float:
-    """F = integral_{max(T, Delta_ren)}^{cutoff} (Delta(L)/L)^2 dL
-    by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
-    estimate exceeds 1e-8 of F.
+def flow_free_energy(point: SpinBosonPoint, temperature: float = 0.0) -> float:
+    """F = integral_{max(T, Delta_ren)}^{cutoff} (Delta(L)/L)^2 dL at
+    temperature T, finite and >= 0, by the Gauss-Legendre rule in
+    ln(L/cutoff); NumericalError if its error estimate exceeds 1e-8 of F.
 
     With Delta_ren = 0 (no self-consistent solution) the lower limit is T;
     at T = 0 the integrand's decay makes the integral converge on its own
     and a floor of 1e-30 * cutoff is used.  For s = 1 this reproduces every
     branch of the closed-form ground energy.
     """
+    _in_range("temperature", temperature, ">=", 0)
     (s, alpha, cutoff), log_r = point.bath, math.log(point.ratio)
     # limits in u = ln(L/cutoff), which cannot underflow: t = ln(Delta_ren/cutoff) and ln(T/cutoff)
     t = _solve(alpha, s, log_r) if alpha else log_r
     lower = max(-math.inf if t is None else t,
-                _log_ratio(point.temperature, cutoff) if point.temperature else -math.inf)
+                _log_ratio(temperature, cutoff) if temperature else -math.inf)
     if lower >= 0.0:
         return 0.0
 
@@ -440,12 +425,8 @@ def flow_free_energy(point: SpinBosonPoint) -> float:
 def free_tls_sigma_x(delta0: float, temperature: float) -> tuple[float, float]:
     """(scaling estimate, exact) <sigma_x> of a free two-level system at
     temperature T: the flow argument gives min(Delta0/T, 1), the exact
-    result is tanh(Delta0/T)."""
-    if not temperature > 0:
-        raise DomainError("free_tls_sigma_x needs T > 0")
-    if not delta0 > 0:
-        raise DomainError("free_tls_sigma_x needs delta0 > 0")
-    x = delta0 / temperature
+    result is tanh(Delta0/T), for finite delta0 > 0 and T > 0."""
+    x = _in_range("delta0", delta0, ">", 0) / _in_range("temperature", temperature, ">", 0)
     return min(x, 1.0), math.tanh(x)
 
 

@@ -348,6 +348,22 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["preset", "--list"], ["sweep", "--model", "oscillator", "--alpha-points", "3"]],
+    ids=["preset-list", "sweep"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_output_that_cannot_be_written_is_config_error(tmp_path, capsys, argv, target):
+    # an IsADirectoryError or FileNotFoundError ended in a traceback
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "x.csv"
+    strerror = "Is a directory" if target == "directory" else "No such file or directory"
+    assert run_cli([*argv, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write {out}: {strerror}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("model, need", [("oscillator", "eta"), ("free-particle", "eta")])
 def test_oracle_without_its_input_is_config_error(capsys, model, need):
     rc = run_cli(["oracle", "--model", model])

@@ -195,34 +195,34 @@ def test_gaussian_entropy(nu):
 
 @st.composite
 def spin_points(draw):
-    """(delta0, s, alpha, cutoff, temperature) with delta0 below the cutoff."""
+    """(delta0, s, alpha, cutoff) with delta0 below the cutoff."""
     cutoff = draw(POSITIVE)
     ratio = draw(st.one_of(log_uniform(sys.float_info.min, 0.999), st.just(0.01)))
-    temperature = draw(st.one_of(st.just(0.0), POSITIVE))
-    return ratio * cutoff, draw(EXPONENT), draw(COUPLING), cutoff, temperature
+    return ratio * cutoff, draw(EXPONENT), draw(COUPLING), cutoff
 
 
 def point_of(args):
-    delta0, s, alpha, cutoff, temperature = args
+    delta0, s, alpha, cutoff = args
     bath = outcome(BathSpec, s, alpha, cutoff)
-    return None if bath is None else outcome(SpinBosonPoint, delta0, bath, temperature)
+    return None if bath is None else outcome(SpinBosonPoint, delta0, bath)
 
 
 @BUDGET
-@given(spin_points())
-@example((1.0, 1.0, 1.5, 100.0, 5e-324))  # ln of an underflowed ratio: ValueError
-@example((2.6e-105, 1.0, 4.27e-5, 3.67e34, 8e-284))  # the flow integrand overflowed: inf
-@example((1e-302, 1.0, 1.5, 1e-300, 0.0))  # the flow floor 1e-30 cutoff underflowed: ValueError
-@example((1e-322, 1.0 - 1e-13, 0.5, 1e-320, 0.0))  # Delta_ren rounded to 0: ZeroDivisionError
-@example((0.01, 1e300, 1e300, 1.0, 0.0))  # alpha (s-1) overflowed: a NaN log-derivative
-def test_spin_boson_point(args):
+@given(spin_points(), NON_NEGATIVE)
+@example((1.0, 1.0, 1.5, 100.0), 5e-324)  # ln of an underflowed ratio: ValueError
+@example((2.6e-105, 1.0, 4.27e-5, 3.67e34), 8e-284)  # the flow integrand overflowed: inf
+@example((1e-302, 1.0, 1.5, 1e-300), 0.0)  # the flow floor 1e-30 cutoff underflowed: ValueError
+@example((1e-322, 1.0 - 1e-13, 0.5, 1e-320), 0.0)  # Delta_ren rounded to 0: ZeroDivisionError
+@example((0.01, 1e300, 1e300, 1.0), 0.0)  # alpha (s-1) overflowed: a NaN log-derivative
+def test_spin_boson_point(args, temperature):
     point = point_of(args)
     if point is None:
         return
     for fn in (delta_ren, delta_ren_derivative, delocalized_log_derivative,
                ohmic_ground_energy, ohmic_sigma_x_energy, coherence_crossover_alpha,
-               flow_free_energy, subohmic_regime):
+               subohmic_regime):
         outcome(fn, point)
+    outcome(flow_free_energy, point, temperature)
     sx = outcome(sigma_x, point)
     if sx is not None:
         outcome(spin_entropy, sx)
@@ -230,9 +230,9 @@ def test_spin_boson_point(args):
 
 @BUDGET
 @given(spin_points(), st.one_of(FRACTION, st.sampled_from([0.0, 2.0])))
-@example((1.0, 0.5, 0.1, 100.0, 0.0), 0.0)  # math domain error
-@example((1.0, 0.5, 0.1, 100.0, 0.0), 2.0)  # above the cutoff: a wrong-signed value
-@example((1e-16, 5e-324, 5e-324, 1.0, 0.0), 1.0)  # kt0 just above s: ZeroDivisionError
+@example((1.0, 0.5, 0.1, 100.0), 0.0)  # math domain error
+@example((1.0, 0.5, 0.1, 100.0), 2.0)  # above the cutoff: a wrong-signed value
+@example((1e-16, 5e-324, 5e-324, 1.0), 1.0)  # kt0 just above s: ZeroDivisionError
 def test_subohmic_flow(args, fraction):
     point = point_of(args)
     if point is None:

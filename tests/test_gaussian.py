@@ -72,6 +72,15 @@ def test_free_particle_params_validation():
         FreeParticleParams(eta=1.0, omega_c=1.0, length=1.0, dim=0)
 
 
+@pytest.mark.parametrize("dim", [1.5, 2.0, True, False])
+def test_free_particle_dim_is_an_integer_and_not_a_bool(dim):
+    # dim = 1.5 gave a fractional-dimension entropy and True was taken as 1,
+    # where a sweep document refuses both
+    with pytest.raises(DomainError, match=f"dim must be an integer, got {dim!r}"):
+        FreeParticleParams(eta=1.0, omega_c=100.0, length=100.0, dim=dim)
+    assert FreeParticleParams(eta=1.0, omega_c=100.0, length=100.0, dim=np.int64(2)).dim == 2
+
+
 # ------------------------------------------------------------------ f(kappa)
 
 

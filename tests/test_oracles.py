@@ -446,6 +446,7 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
     "call",
     [
         lambda: SpinBosonPoint(delta0=1.0, bath=BATH, scaling_constant=1.0),
+        lambda: SpinBosonPoint(delta0=1.0, bath=BATH, temperature=0.0),
         lambda: delocalized_log_derivative(SpinBosonPoint(1.0, BATH), step=1e-5),
         lambda: oscillator_entropy(OscillatorParams(1.0, 4.0, 100.0), "expansion"),
         lambda: DiscreteBath(omegas=np.ones(2), couplings=np.ones(2), scheme="manual"),
@@ -455,8 +456,8 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
         lambda: oracle_run("oscillator", {"eta": 1.0}, {"n_modes": 400}),
     ],
     ids=[
-        "scaling_constant", "step", "method", "scheme", "convention", "omega_min_frac",
-        "tail_tol", "knobs",
+        "scaling_constant", "temperature", "step", "method", "scheme", "convention",
+        "omega_min_frac", "tail_tol", "knobs",
     ],
 )
 def test_removed_settings_are_refused(call):

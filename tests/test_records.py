@@ -33,7 +33,7 @@ RECORDS = {
     OscillatorParams: ({"omega0": 1.0, "eta": 0.5, "omega_c": 100.0}, {}),
     MomentPair: ({"q2": 0.5, "p2": 2.0}, {}),
     GaussianKernel: ({"a": 1.0, "b": 0.25}, {}),
-    SpinBosonPoint: ({"delta0": 1.0, "bath": BATH}, {"temperature": 0.0}),
+    SpinBosonPoint: ({"delta0": 1.0, "bath": BATH}, {}),
     ReducedSpinState: ({"sx": 0.9, "sz": 0.0, "entropy": 0.2}, {}),
     FlowState: ({"lambda_": 1.0, "kappa_tilde": 0.1, "sx_accum": 0.01}, {}),
     DiscreteBath: ({"omegas": np.array([1.0, 2.0]), "couplings": np.array([0.1, 0.2])}, {}),
