@@ -48,7 +48,7 @@ for a in [0.1, 0.3, 0.45, 0.5, 0.55, 0.8, 1.1]:
 print(f"  ln 2 = {math.log(2):.5f}: the entropy saturates right after 1/2")
 
 table = run_sweep(preset_config("fig1-spinboson"))
-report = detect_kink(table, "sigma_x", threshold=5.0)
+report = detect_kink(table, "sigma_x")
 print(
     f"\nkink detector on the coupling sweep: alpha* = {report.location:.4f} "
     f"(strength {report.strength:.0f}x background)"

@@ -93,9 +93,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_kink(args) -> str:
-    table = run_sweep(sweep_config(_sweep_doc(args)))
-    report = detect_kink(table, args.column, threshold=args.threshold)
-    return _kink_json(report)
+    return _kink_json(detect_kink(run_sweep(sweep_config(_sweep_doc(args))), args.column))
 
 
 def _kink_json(report: KinkReport | None) -> str:
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kink = sub.add_parser("kink", help="run a sweep and locate a derivative kink")
     _add_sweep_flags(p_kink)
     p_kink.add_argument("--column", default="S")
-    p_kink.add_argument("--threshold", type=float, default=5.0)
     p_kink.set_defaults(func=_cmd_kink)
 
     p_map = sub.add_parser("regime-map", help="sub-Ohmic regime classification grid")

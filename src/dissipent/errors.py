@@ -6,6 +6,9 @@ RegimeError -> 4.  DomainError means a mathematical precondition was violated
 """
 
 import math
+import sys
+
+_LARGEST = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -26,8 +29,10 @@ class NumericalError(RuntimeError):
 
 def _in_range(name: str, value, op: str, low):
     """value, if it is finite and value op low holds, op being ">" or ">=";
-    else the package's one DomainError for a range (NaN fails both)."""
-    if (value > low if op == ">" else value >= low) and value < math.inf:
+    else the package's one DomainError for a range (NaN fails both).  An
+    integer is finite when it is at most the largest double, so that it
+    converts to a float."""
+    if (value > low if op == ">" else value >= low) and value <= _LARGEST:
         return value
     raise DomainError(f"{name} must be finite and {op} {low}, got {value}")
 

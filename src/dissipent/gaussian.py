@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .bath import _log_ratio
-from .errors import DomainError, RegimeError, _in_range
+from .errors import DomainError, RegimeError, _finite, _in_range
 
 __all__ = [
     "FreeParticleParams",
@@ -103,10 +103,11 @@ def _kernel_width(eta: float, omega_c: float) -> float:
 
 def _free_particle(eta: float, omega_c: float, length2: float, dim) -> tuple:
     """(S, a, a L**2) of free_particle_entropy, with length2 = _square(L);
-    DomainError unless a L**2 is a positive finite double."""
+    DomainError unless a L**2 is a positive finite double, NumericalError
+    where a large dim takes S past the largest double."""
     a = _kernel_width(eta, omega_c)
     a_l2 = _in_range("a L**2", a * length2, ">", 0)
-    return 0.5 * dim * (math.log(a_l2) + 1.0 - _LOG_PI), a, a_l2
+    return _finite("S", 0.5 * dim * (math.log(a_l2) + 1.0 - _LOG_PI)), a, a_l2
 
 
 def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:

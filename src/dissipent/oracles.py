@@ -5,6 +5,8 @@ to check: the oscillator moments come from the resolvent of a discretised
 system+bath quadratic form, the free-particle entropy from an explicit
 eigenvalue sum on a ring, the replica traces from cyclic determinants, and
 the spin observables from exact diagonalisation in a truncated Fock space.
+The replica closed form and the eigenvalue-ladder entropy take eps_tilde
+from gaussian, so they check the expansion's resummation, not eps_tilde.
 
 The discretised oscillator's quadratic form K is an arrowhead matrix (a
 diagonal bath block plus one coupling row and column), so the system
@@ -31,7 +33,8 @@ from collections import namedtuple
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError, _finite
-from .gaussian import GaussianKernel, MomentPair, OscillatorParams, _square, gaussian_entropy
+from .gaussian import GaussianKernel, MomentPair, OscillatorParams, gaussian_entropy
+from .gaussian import _eps_tilde, _square
 from .spinboson import ReducedSpinState
 
 __all__ = [
@@ -80,16 +83,6 @@ def eigh(a):
     return np.linalg.eigh(a)
 
 
-def _bin_edges(omega_min: float, omega_max: float, n_modes: int, scheme: str) -> np.ndarray:
-    import numpy as np
-
-    if scheme == "logarithmic":
-        return np.geomspace(omega_min, omega_max, n_modes + 1)
-    if scheme == "linear":
-        return np.linspace(omega_min, omega_max, n_modes + 1)
-    raise ConfigError(f"unknown discretization scheme {scheme!r}")
-
-
 def discretize_oscillator_bath(
     eta: float,
     omega_c: float,
@@ -110,7 +103,12 @@ def discretize_oscillator_bath(
         raise ConfigError(f"need at least 8 modes, got {n_modes}")
     if omega_min is None:
         omega_min = 1e-3 * omega0
-    edges = _bin_edges(omega_min, omega_c, n_modes, scheme)
+    if scheme == "logarithmic":
+        edges = np.geomspace(omega_min, omega_c, n_modes + 1)
+    elif scheme == "linear":
+        edges = np.linspace(omega_min, omega_c, n_modes + 1)
+    else:
+        raise ConfigError(f"unknown discretization scheme {scheme!r}")
     lo, hi = edges[:-1], edges[1:]
     bin_j = eta * (hi**2 - lo**2) / 2.0
     # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
@@ -119,15 +117,15 @@ def discretize_oscillator_bath(
     return DiscreteBath(omegas=omegas, couplings=couplings)
 
 
-def discretize_spin_bath(bath: BathSpec, n_modes: int, scheme: str = "logarithmic") -> DiscreteBath:
-    """Discretise a power-law bath for the spin-coupled model between
-    1e-3 * cutoff and the cutoff:
+def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
+    """Discretise a power-law bath for the spin-coupled model on
+    logarithmic bins between 1e-3 * cutoff and the cutoff:
     lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1)."""
     import numpy as np
 
     if n_modes < 1:
         raise ConfigError("need at least one mode")
-    edges = _bin_edges(1e-3 * bath.cutoff, bath.cutoff, n_modes, scheme)
+    edges = np.geomspace(1e-3 * bath.cutoff, bath.cutoff, n_modes + 1)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
     bin_j = 2.0 * bath.alpha * bath.cutoff ** (1.0 - s) * (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
@@ -142,7 +140,7 @@ _MOMENT_REL_ERR = 1e-10
 _TAIL_REL = 1e-17
 # node x mode elements per block of the mode sum
 _BLOCK = 1 << 16
-# most distinct ring eigenvalues a default ladder holds, about 0.3 s of work
+# most distinct ring eigenvalues a ladder holds, about 0.3 s of work
 _MAX_TERMS = 10**6
 
 
@@ -253,45 +251,43 @@ def discrete_bath_moments(
 # ---------------------------------------------------------------------------
 
 
-def _ring_ladder(a: float, length: float, n_max: int | None) -> tuple[float, list]:
+def _ring_ladder(a: float, length: float) -> tuple[float, list]:
     """q = k_1^2 / (4a) and the distinct ring eigenvalues lambda_n =
-    lambda_0 exp(-q n^2), n = 0..n_max."""
+    lambda_0 exp(-q n^2), n = 0..n_max.  lambda_n falls like
+    exp(-pi^2 n^2 / (a L^2)), so n_max = ceil(sqrt(45 a) L / pi) + 2 puts
+    the last one more than 45 e-folds below lambda_0: below 2.21e-22 for
+    every a L^2 (largest at a L^2 = (182 pi)^2 / 45).  A count past
+    _MAX_TERMS is refused before the ladder is built."""
     if not (a > 0 and length > 0):
         raise DomainError("need a > 0 and length > 0")
-    if n_max is None:
-        # lambda_n falls like exp(-pi^2 n^2 / (a L^2)); 45 e-folds is plenty,
-        # and a count past _MAX_TERMS is refused before the ladder is built
-        reach = math.sqrt(45.0 * a) * length / math.pi
-        if not reach < _MAX_TERMS:
-            raise NumericalError(f"the ring ladder needs {reach:.3g} terms, above {_MAX_TERMS}")
-        n_max = int(math.ceil(reach)) + 2
+    reach = math.sqrt(45.0 * a) * length / math.pi
+    if not reach < _MAX_TERMS:
+        raise NumericalError(f"the ring ladder needs {reach:.3g} terms, above {_MAX_TERMS}")
+    n_max = int(math.ceil(reach)) + 2
     lam0 = _finite("lambda_0", (1.0 / length) * math.sqrt(math.pi / a))
     q = _finite("q", _square(2.0 * math.pi / length) / (4.0 * a))
-    half = [lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1)]
-    tail = half[-1]  # largest dropped-neighbourhood magnitude sits at the edge
-    if tail > 1e-12:
-        raise NumericalError(f"eigenvalue tail {tail:.2e} above 1e-12; raise n_max")
-    return q, half
+    return q, [lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1)]
 
 
-def ring_kernel_eigenvalues(a: float, length: float, n_max: int | None = None) -> list[float]:
+def ring_kernel_eigenvalues(a: float, length: float) -> list[float]:
     """Eigenvalues of the translation-invariant kernel exp(-a(x-x')^2)/L on
     a ring of circumference L, as a list:
 
         lambda_n = (1/L) sqrt(pi/a) exp(-k_n^2 / (4a)),   k_n = 2 pi n / L,
 
-    for n = -n_max, ..., n_max.  n_max defaults to a value at which the
-    dropped tail is below 1e-14.  lambda_-n = lambda_n is evaluated once.
+    for n = -n_max, ..., n_max, with n_max that of _ring_ladder, at which
+    the dropped tail is below 1e-14.  lambda_-n = lambda_n is evaluated
+    once.
     """
-    half = _ring_ladder(a, length, n_max)[1]
+    half = _ring_ladder(a, length)[1]
     return half[:0:-1] + half
 
 
-def ring_kernel_entropy(a: float, length: float, n_max: int | None = None) -> float:
+def ring_kernel_entropy(a: float, length: float) -> float:
     """-sum lambda ln lambda over the ring eigenvalues, with ln lambda_n =
     ln lambda_0 - q n^2; the independent check of the closed-form
     free-particle entropy (d = 1)."""
-    q, half = _ring_ladder(a, length, n_max)
+    q, half = _ring_ladder(a, length)
     log0 = math.log(half[0])
     terms = [lam * (log0 - q * (n * n)) for n, lam in enumerate(half)]
     return -math.fsum(terms + terms[1:])  # n and -n
@@ -308,13 +304,13 @@ class TracePowerResult(namedtuple("TracePowerResult", "direct closed_form")):
     __slots__ = ()
 
 
-def _eps_tilde(kernel: GaussianKernel) -> float:
-    """Small-eps parameterisation of the kernel: eps^2 = 4b/a and
+def _kernel_eps_tilde(kernel: GaussianKernel) -> float:
+    """Small-eps parameterisation of the kernel: eps^2 = 4b/a and gaussian's
     eps_tilde = eps * sqrt(1-eps) / sqrt(1 - eps^2/4).  Needs a/b > 4."""
     e = math.sqrt(4.0 * kernel.b / kernel.a)
     if e >= 1.0:
         raise DomainError(f"replica closed form needs a/b > 4, got {kernel.a_over_b}")
-    return e * math.sqrt(1.0 - e) / math.sqrt(1.0 - 0.25 * e * e)
+    return _eps_tilde(e)
 
 
 def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
@@ -342,7 +338,7 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
         for t in (math.pi * m / n for m in range(1, n + 1))
     )
     direct = math.exp(0.5 * n * math.log(4.0 * kernel.b) - 0.5 * log_det)
-    et = _eps_tilde(kernel)
+    et = _kernel_eps_tilde(kernel)
     closed = math.exp(n * math.log(et)) / -math.expm1(n * math.log1p(-et))
     return TracePowerResult(direct=direct, closed_form=closed)
 
@@ -357,7 +353,7 @@ def kernel_eigenvalue_entropy(kernel: GaussianKernel) -> tuple[float, float]:
     The series is summed term by term until the dropped tail (bounded by
     the remaining geometric weight) is below 1e-14.
     """
-    e = _eps_tilde(kernel)
+    e = _kernel_eps_tilde(kernel)
     s_closed = -math.log(e) - (1.0 - e) * math.log1p(-e) / e
     s_series = 0.0
     weight = 1.0  # remaining total weight sum_{j>=k} lambda_j = (1-e)^k

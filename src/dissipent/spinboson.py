@@ -282,7 +282,7 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     if a >= 1.0:
         return point.delta0 * r / (2.0 * a - 1.0)
     log_r, g = _ohmic_log_and_g(point)
-    return -point.delta0 * r * log_r * g / (1.0 - a)
+    return -(r * log_r * g / (1.0 - a)) * point.delta0  # Delta0 r alone can underflow
 
 
 def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
@@ -477,12 +477,11 @@ def sigma_x_deficit(point: SpinBosonPoint, lambda_stop: float) -> float:
     starts from the fully coherent state).  Diverges as lambda_stop^(s-1)
     for s < 1: no coherent oscillations survive the scaling limit.  Taken
     by the Gauss-Legendre rule in ln(L/cutoff); NumericalError if its error
-    estimate exceeds 1e-8 of the value.
+    estimate exceeds 1e-8 of the value, RegimeError for kt0 > s.
     """
     import numpy as np
 
-    kt0 = point.kappa_tilde0
-    s = point.bath.s
+    kt0, s = _flow_start(point)
     r = point.ratio
 
     def integrand(u):
@@ -503,16 +502,21 @@ def subohmic_rg_flow(point: SpinBosonPoint, lambda_stop: float) -> FlowState:
     if s >= 1:
         raise RegimeError(f"one-loop sub-Ohmic flow requires s < 1, got s = {s}")
     ell = -_log_scale("lambda_stop", lambda_stop, point.bath.cutoff)
-    kt0 = point.kappa_tilde0
-    if kt0 > s + 1e-12:
-        raise RegimeError(
-            f"kappa_tilde0 = {kt0} > s = {s}: localized side, flow runs away"
-        )
     return FlowState(
         lambda_=lambda_stop,
-        kappa_tilde=kappa_tilde_flow(min(kt0, s), s, ell),  # kt0 within 1e-12 above s is s
+        kappa_tilde=kappa_tilde_flow(_flow_start(point)[0], s, ell),
         sx_accum=sigma_x_deficit(point, lambda_stop),
     )
+
+
+def _flow_start(point: SpinBosonPoint) -> tuple[float, float]:
+    """(kt0, s) where the one-loop flow starts: RegimeError above the
+    fixed point kt0 = s, where the flow runs through the pole of its
+    solution, and kt0 within 1e-12 above s taken as s."""
+    kt0, s = point.kappa_tilde0, point.bath.s
+    if kt0 > s + 1e-12:
+        raise RegimeError(f"kappa_tilde0 = {kt0} > s = {s}: localized side, flow runs away")
+    return min(kt0, s), s
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,8 @@ MODEL_PARAMS = {
 }
 MODELS = tuple(MODEL_PARAMS)
 
-_DEFAULT_OUTPUTS = {
+# model -> its sweep columns after alpha, in order
+_COLUMNS = {
     "free-particle": ("eta", "a", "a_l2", "S", "dS_dalpha", "d2S_dalpha2"),
     "oscillator": ("kappa", "q2", "p2", "nu", "S", "S_expansion", "dS_dalpha", "d2S_dalpha2"),
     "spin-boson": ("delta_ren", "sigma_x", "S", "dS_dalpha", "d2S_dalpha2", "regime"),
@@ -89,8 +90,8 @@ _STENCIL = frozenset(("dS_dalpha", "d2S_dalpha2"))
 class SweepConfig(
     namedtuple(
         "SweepConfig",
-        "model alpha_min alpha_max n_points fixed outputs format",
-        defaults=(0.01, 1.0, 100, {}, (), "csv"),
+        "model alpha_min alpha_max n_points fixed format",
+        defaults=(0.01, 1.0, 100, {}, "csv"),
     )
 ):
     """The sweep document, validated on construction: every field but
@@ -104,8 +105,8 @@ class SweepConfig(
 
     __slots__ = ()
 
-    def __new__(cls, model, alpha_min, alpha_max, n_points, fixed, outputs, format):
-        values = (alpha_min, alpha_max, n_points, fixed, outputs, format)
+    def __new__(cls, model, alpha_min, alpha_max, n_points, fixed, format):
+        values = (alpha_min, alpha_max, n_points, fixed, format)
         # model has no default; MODELS holds its values
         for (name, default), value in zip(cls._field_defaults.items(), values, strict=True):
             _check_type(name, value, default)
@@ -125,12 +126,7 @@ class SweepConfig(
             if key not in MODEL_PARAMS[model]:
                 raise ConfigError(f"unknown parameter {key!r} for model {model}")
             _check_type(key, val, MODEL_PARAMS[model][key])
-        for name in outputs:
-            if name not in _DEFAULT_OUTPUTS[model]:
-                raise ConfigError(f"unknown output {name!r} for model {model}")
-        if len(set(outputs)) < len(outputs):
-            raise ConfigError(f"outputs must not repeat a column, got {list(outputs)}")
-        return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, outputs, format))
+        return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, format))
 
     def resolved_fixed(self) -> dict:
         return {**MODEL_PARAMS[self.model], **self.fixed}
@@ -151,7 +147,6 @@ _TYPES = {
     float: ((numbers.Real,), "a number"),
     str: ((str,), "a string"),
     dict: ((dict,), "an object"),
-    tuple: ((list, tuple), "a list"),
 }
 
 
@@ -229,15 +224,13 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
             f"{cfg.n_points} give a grid finer than the 12 printed digits or than doubles "
             f"(h = {h!r})"
         )
-    outputs = tuple(cfg.outputs) or _DEFAULT_OUTPUTS[cfg.model]
 
     rows = _ROWS[cfg.model](grid, *(fixed[k] for k in MODEL_PARAMS[cfg.model]))
-    own = [c for c in _DEFAULT_OUTPUTS[cfg.model] if c not in _STENCIL]
+    names = ["alpha", *_COLUMNS[cfg.model]]
+    own = [c for c in names[1:] if c not in _STENCIL]
     cols = {"alpha": grid, **dict(zip(own, map(list, zip(*rows, strict=True)), strict=True))}
-    if not _STENCIL.isdisjoint(outputs):
-        cols["dS_dalpha"], cols["d2S_dalpha2"] = _central_derivatives(grid, cols["S"])
+    cols["dS_dalpha"], cols["d2S_dalpha2"] = _central_derivatives(grid, cols["S"])
 
-    names = ["alpha", *outputs]
     resolved = {
         "model": cfg.model,
         "alpha_min": cfg.alpha_min,
@@ -254,7 +247,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
 # Each model's row generator takes the grid and the model parameters in
 # MODEL_PARAMS order, and yields one tuple per grid point: the row's own
-# columns in _DEFAULT_OUTPUTS order, without the stencil columns.  The
+# columns in _COLUMNS order, without the stencil columns.  The
 # Gaussian rows check the first point's record, then call the float cores;
 # the grid, increasing and finite, keeps each free-particle eta in range,
 # but an oscillator eta = 2 kappa omega0 can overflow.
@@ -296,25 +289,26 @@ _ROWS = {
 }
 
 
-def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkReport | None:
+# how many times its background and its ring a kink's |D2| must exceed
+_KINK_THRESHOLD = 5.0
+
+
+def detect_kink(table: SweepTable, column: str) -> KinkReport | None:
     """Locate a derivative discontinuity in a sweep column.
 
     Computes second finite differences D2 on the sweep grid and flags the
-    cell where |D2| exceeds threshold times the median |D2| elsewhere
-    (cells within 2 of the candidate are excluded from the background).  A
-    genuine kink is an isolated spike, so the candidate must also exceed
-    threshold times its own neighbourhood at distance 2-3 cells on both
-    sides; smooth but strongly curved stretches (where D2 varies slowly
-    cell to cell) do not qualify.  The candidate is therefore the largest
-    D2 among the cells with that full ring, 3 or more cells from either end
-    of D2: at the ends a one-sided ring lets a log-curved column pass.  A
-    floor of 1e-12 times the column scale guards against a zero median on
-    exactly-flat stretches and against roundoff on linear data.  The
-    threshold must be a finite number above 1.  Returns None when no cell
-    qualifies.
+    cell where |D2| exceeds _KINK_THRESHOLD = 5 times the median |D2|
+    elsewhere (cells within 2 of the candidate are excluded from the
+    background).  A genuine kink is an isolated spike, so the candidate
+    must also exceed 5 times its own neighbourhood at distance 2-3 cells on
+    both sides; smooth but strongly curved stretches (where D2 varies
+    slowly cell to cell) do not qualify.  The candidate is therefore the
+    largest D2 among the cells with that full ring, 3 or more cells from
+    either end of D2: at the ends a one-sided ring lets a log-curved column
+    pass.  A floor of 1e-12 times the column scale guards against a zero
+    median on exactly-flat stretches and against roundoff on linear data.
+    Returns None when no cell qualifies.
     """
-    if not (threshold > 1 and math.isfinite(threshold)):
-        raise ConfigError(f"threshold must be a finite number above 1, got {threshold}")
     if column not in table.columns:
         raise ConfigError(f"unknown column {column!r}")
     try:
@@ -334,7 +328,7 @@ def detect_kink(table: SweepTable, column: str, threshold: float = 5.0) -> KinkR
     floor = 1e-12 * scale
     background = max(statistics.median(d2[: i - 2] + d2[i + 3 :]), floor)
     local = max(statistics.median(d2[j] for j in (i - 3, i - 2, i + 2, i + 3)), floor)
-    if d2[i] <= threshold * background or d2[i] <= threshold * local:
+    if d2[i] <= _KINK_THRESHOLD * max(background, local):
         return None
     alpha = table.columns["alpha"]
     return KinkReport(

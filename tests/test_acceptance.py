@@ -164,7 +164,7 @@ def test_criterion_05_oscillator_kink():
         n_points=250,  # grid spacing 1e-3
         fixed={"omega0": 1.0, "omega_c": 100.0},
     )
-    rep = detect_kink(run_sweep(cfg), "S", threshold=5.0)
+    rep = detect_kink(run_sweep(cfg), "S")
     ok = rep is not None and abs(rep.location - 1.0 / math.pi) <= 2e-3 and rep.strength > 5.0
     report("5 (oscillator kink at 1/pi)", ok, "no qualifying cell" if rep is None else str(rep))
     assert ok
@@ -210,7 +210,7 @@ def fig1_spinboson_table():
 
 
 def test_criterion_06b_kink_at_half(fig1_spinboson_table):
-    rep = detect_kink(fig1_spinboson_table, "sigma_x", threshold=5.0)
+    rep = detect_kink(fig1_spinboson_table, "sigma_x")
     ok = rep is not None and abs(rep.location - 0.5) <= 2.0 * rep.grid_spacing and rep.strength > 5.0
     report("6b (spin-boson kink at 1/2)", ok, "none" if rep is None else f"alpha*={rep.location}")
     assert ok

@@ -90,12 +90,8 @@ def test_exit_code_regime_map_ratio_past_the_cutoff(capsys):
         (["regime-map", "--s", "0.5", "--ratio-points", "0"], "one ratio and one alpha"),
         (["regime-map", "--s", "0.5", "--alpha-points", "0"], "one ratio and one alpha"),
         (["preset", "subohmic-map", "--format", "json"], "CSV only"),  # printed CSV
-        (["kink", "--model", "free-particle", "--alpha-points", "60", "--threshold", "nan"],
-         "threshold"),
-        (["kink", "--model", "free-particle", "--alpha-points", "60", "--threshold", "0.5"],
-         "threshold"),
     ],
-    ids=["no-ratios", "no-alphas", "map-preset-json", "threshold-nan", "threshold-half"],
+    ids=["no-ratios", "no-alphas", "map-preset-json"],
 )
 def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
     assert run_cli(argv) == 2
@@ -151,12 +147,6 @@ def test_grid_too_fine_for_doubles_is_config_error(capsys, argv):
     assert all(key in captured.err for key in ("alpha_min", "alpha_max", "n_points"))
 
 
-def test_repeated_output_in_a_config_is_config_error(tmp_path, capsys):
-    doc = {"model": "oscillator", "outputs": ["S", "S"], "n_points": 3}
-    assert run_cli(["sweep", "--config", write_config(tmp_path, doc)]) == 2
-    assert "repeat" in capsys.readouterr().err
-
-
 def test_kink_subcommand(tmp_path):
     out = tmp_path / "kink.json"
     rc = run_cli(
@@ -202,6 +192,14 @@ def test_include_branch_points_flag_is_gone(capsys):
         run_cli(["sweep", "--model", "oscillator", "--include-branch-points"])
     assert exc.value.code == 2
     assert "--include-branch-points" in capsys.readouterr().err
+
+
+def test_threshold_flag_is_gone(capsys):
+    # every kink run used 5, now the one threshold of detect_kink
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["kink", "--model", "free-particle", "--alpha-points", "60", "--threshold", "5"])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "kink"])
@@ -322,7 +320,7 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
     "doc, word",
     [
         ({"model": "oscillator", "n_point": 40}, "n_point"),  # typo'd key
-        ({**OSC, "outputs": ["S", "entropy"]}, "entropy"),  # unknown output
+        ({**OSC, "outputs": ["S"]}, "outputs"),  # a removed key: sweeps print every column
         ({**OSC, "fmt": "json"}, "fmt"),  # "format" is the only spelling
         ({**OSC, "include_branch_points": False}, "include_branch_points"),  # a removed key
         ('{"model": "oscillator",', "JSON"),  # invalid JSON
@@ -387,7 +385,7 @@ def test_main_reuses_one_parser_that_carries_nothing_between_calls(capsys):
     assert build_parser() is not build_parser()
     small = ["sweep", "--model", "oscillator", "--alpha-points", "5"]
     assert run_cli([*small, "--omega0", "2", "--format", "json"]) == 0
-    assert run_cli(["kink", "--threshold", "1"]) == 2
+    assert run_cli(["kink", "--column", "sigma_x"]) == 2  # no model
     capsys.readouterr()
     assert vars(cli._parser().parse_args(small)) == vars(build_parser().parse_args(small))
 
@@ -432,7 +430,7 @@ def test_regime_map_defaults_are_the_subohmic_map_preset(capsys):
     [
         ({**OSC, "fixed": [1]}, "fixed"),
         ({**OSC, "alpha_min": "x"}, "alpha_min"),
-        ({**OSC, "outputs": "S"}, "outputs"),  # was read as ["S"]
+        ({**OSC, "outputs": "S"}, "outputs"),  # was read as ["S"]; now a removed key
         ({**OSC, "n_points": "30"}, "n_points"),
         ({**OSC, "fixed": {"omega0": "1"}}, "omega0"),
         ({**OSC, "fixed": {"omega0": True}}, "omega0"),  # a bool is no number

@@ -133,6 +133,8 @@ def test_bath(s, alpha, cutoff, fraction):
 @example(1.0, 100.0, 1e200, 1)  # length**2 raised OverflowError
 @example(1.0, 100.0, 1e-200, 1)  # a L**2 underflowed to 0: math domain error
 @example(1e-300, 1e-300, 1e160, 1)  # a L**2 overflowed: S = inf
+@example(1.0, 100.0, 100.0, 10**308)  # S = inf
+@example(1.0, 100.0, 100.0, 10**400)  # 0.5 * dim raised OverflowError
 def test_free_particle(eta, omega_c, length, dim):
     p = outcome(FreeParticleParams, eta, omega_c, length, dim)
     if p is not None:
@@ -233,6 +235,8 @@ def test_spin_boson_point(args, temperature):
 @example((1.0, 0.5, 0.1, 100.0), 0.0)  # math domain error
 @example((1.0, 0.5, 0.1, 100.0), 2.0)  # above the cutoff: a wrong-signed value
 @example((1e-16, 5e-324, 5e-324, 1.0), 1.0)  # kt0 just above s: ZeroDivisionError
+@example((0.1, 0.5, 0.05 * (1.0 + 1e-13), 1.0), 1e-100)  # kt0 just above s: deficit -1e62
+@example((0.1, 0.5, 0.06, 1.0), 1e-20)  # kt0 = 0.6 > s: through the pole, deficit -6e9
 def test_subohmic_flow(args, fraction):
     point = point_of(args)
     if point is None:
@@ -240,7 +244,9 @@ def test_subohmic_flow(args, fraction):
     lambda_stop = fraction * point.bath.cutoff
     for fn in (sigma_x_deficit, subohmic_rg_flow):
         if 0 < lambda_stop <= point.bath.cutoff:
-            outcome(fn, point, lambda_stop)
+            value = outcome(fn, point, lambda_stop)
+            deficit = value.sx_accum if isinstance(value, tuple) else value
+            assert deficit is None or deficit >= 0
         else:
             with pytest.raises(PACKAGE_ERRORS):
                 fn(point, lambda_stop)

@@ -15,7 +15,9 @@ from dissipent import (
     NumericalError,
     OscillatorParams,
     SpinBosonPoint,
+    SweepConfig,
     delocalized_log_derivative,
+    detect_kink,
     discrete_bath_moments,
     discretize_oscillator_bath,
     discretize_spin_bath,
@@ -30,6 +32,7 @@ from dissipent import (
     oracle_run,
     ring_kernel_entropy,
     ring_kernel_eigenvalues,
+    run_sweep,
     spin_boson_ed,
     trace_power,
 )
@@ -297,9 +300,16 @@ def test_ring_doubling_length_adds_ln2():
     assert gap == pytest.approx(math.log(2.0), rel=0.02)
 
 
-def test_ring_tail_guard():
-    with pytest.raises(NumericalError):
-        ring_kernel_eigenvalues(1.0, 100.0, n_max=40)
+def test_ring_ladder_drops_a_tail_far_below_its_last_eigenvalue():
+    # the last kept lambda_n depends on a L^2 alone and is largest at the
+    # top of a step of n_max = ceil(sqrt(45 a L^2) / pi) + 2, just below
+    # a L^2 = (pi m)^2 / 45, where it is sqrt(45/pi)/m exp(-45 (1 + 2/m)^2):
+    # largest at m = 182, and falling for larger m
+    tops = [(math.pi * m) ** 2 / 45.0 * (1.0 - 1e-15) for m in range(1, 1001)]
+    grid = [10.0 ** (k / 10.0) for k in range(-300, 81)]  # a L^2 from 1e-30 to 1e8
+    last = [ring_kernel_eigenvalues(a_l2, 1.0)[-1] for a_l2 in tops + grid]
+    assert 2.2e-22 < max(last) < 2.21e-22
+    assert max(last) == last[181]
 
 
 # ------------------------------------------------------------------ replica traces
@@ -338,6 +348,12 @@ def test_trace_power_identity_order_eps_squared():
 def test_trace_power_domain():
     with pytest.raises(DomainError):
         trace_power(kernel_ab(100.0), 0)
+    # the replica closed form needs eps = sqrt(4b/a) < 1
+    for ratio in (2.0, 4.0):
+        with pytest.raises(DomainError, match="a/b > 4"):
+            trace_power(kernel_ab(ratio), 2)
+        with pytest.raises(DomainError, match="a/b > 4"):
+            kernel_eigenvalue_entropy(kernel_ab(ratio))
 
 
 # ------------------------------------------------------------------ the stdlib sums at 30 digits
@@ -454,10 +470,16 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
         lambda: discretize_spin_bath(BATH, 3, omega_min_frac=1e-3),
         lambda: kernel_eigenvalue_entropy(kernel_ab(100.0), tail_tol=1e-14),
         lambda: oracle_run("oscillator", {"eta": 1.0}, {"n_modes": 400}),
+        lambda: discretize_spin_bath(BATH, 3, scheme="logarithmic"),
+        lambda: ring_kernel_eigenvalues(1.0, 100.0, n_max=40),
+        lambda: ring_kernel_entropy(1.0, 100.0, n_max=40),
+        lambda: SweepConfig(model="oscillator", outputs=("S",)),
+        lambda: detect_kink(run_sweep(SweepConfig(model="free-particle")), "S", threshold=5.0),
     ],
     ids=[
         "scaling_constant", "temperature", "step", "method", "scheme", "convention",
-        "omega_min_frac", "tail_tol", "knobs",
+        "omega_min_frac", "tail_tol", "knobs", "spin-bath-scheme", "n_max-eigenvalues",
+        "n_max-entropy", "outputs", "threshold",
     ],
 )
 def test_removed_settings_are_refused(call):

@@ -335,6 +335,8 @@ def ohmic_cond(point, x):
 @given(ALPHA, log_uniform(1e-100, 0.5), log_uniform(1e-50, 1e50))
 @example(0.5 + 1e-9, 0.01, 100.0)  # where the 0/0 cancels to 9 digits
 @example(0.5 - 1e-8, 1e-6, 1.0)
+@example(0.0, 1e-200, 1.0)  # Delta0 r underflowed: 0.0 for Delta0 (1 - r)
+@example(0.3, 1e-200, 1.0)  # Delta0 r underflowed: 0.0 for 4.83e-286
 def test_ohmic_ground_energy(alpha, ratio, cutoff):
     point = spin_point(ratio * cutoff, alpha, cutoff)
     want, _, x = ohmic_ref(alpha, point.delta0, cutoff)

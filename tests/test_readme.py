@@ -1,8 +1,10 @@
 """The README's examples run as written: each command of its "Command line"
-block through cli.main, and its "Library quickstart" block.  Its oracle
-ledger has a row for every public function of bath, gaussian and
-spinboson, and cites only tests that exist."""
+block through cli.main, and its "Library quickstart" block.  Its "Command
+line" section names every option of the CLI.  Its oracle ledger has a row
+for every public function of bath, gaussian and spinboson, and cites only
+tests that exist."""
 
+import argparse
 import re
 import shlex
 import types
@@ -11,16 +13,20 @@ from pathlib import Path
 import pytest
 
 from dissipent import bath, gaussian, spinboson
-from dissipent.cli import main
+from dissipent.cli import build_parser, main
 
 TESTS = Path(__file__).resolve().parent
 README = (TESTS.parent / "README.md").read_text(encoding="utf-8")
 
 
+def section(heading: str) -> str:
+    """The text from the "## heading" line to the next "## " heading."""
+    return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def fenced_block(heading: str, lang: str) -> str:
-    """The first ```lang block after the "## heading" line."""
-    section = README.split(f"\n## {heading}\n", 1)[1]
-    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+    """The first ```lang block of the "## heading" section."""
+    return re.search(rf"```{lang}\n(.*?)```", section(heading), re.S).group(1)
 
 
 COMMANDS = [
@@ -42,6 +48,23 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def options(parser) -> set:
+    """Every option string of parser and of its subcommands, but --help."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= options(sub)
+    return found - {"-h", "--help"}
+
+
+def test_readme_names_every_cli_option():
+    text = section("Command line")
+    missing = [o for o in options(build_parser()) if not re.search(rf"{o}(?![\w-])", text)]
+    assert not missing, sorted(missing)
+
+
 def test_readme_library_quickstart(capsys):
     exec(compile(fenced_block("Library quickstart", "python"), "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
@@ -50,8 +73,7 @@ def test_readme_library_quickstart(capsys):
 # (function cell, test cell) of each row of the oracle ledger's table
 LEDGER = [
     (cells[1], cells[3])
-    for cells in (line.split("|") for line in README.split("\n## Oracle ledger\n", 1)[1]
-                  .split("\n## ", 1)[0].splitlines())
+    for cells in (line.split("|") for line in section("Oracle ledger").splitlines())
     if len(cells) == 6 and cells[1].startswith(" `")
 ]
 

@@ -40,8 +40,7 @@ RECORDS = {
     TracePowerResult: ({"direct": 0.5, "closed_form": 0.5}, {}),
     SweepConfig: (
         {"model": "oscillator"},
-        {"alpha_min": 0.01, "alpha_max": 1.0, "n_points": 100, "fixed": {}, "outputs": (),
-         "format": "csv"},
+        {"alpha_min": 0.01, "alpha_max": 1.0, "n_points": 100, "fixed": {}, "format": "csv"},
     ),
     SweepTable: ({"config": {"model": "oscillator"}, "column_names": ["alpha"],
                   "columns": {"alpha": [0.1]}}, {}),

@@ -603,6 +603,19 @@ def test_flow_preconditions():
         subohmic_rg_flow(point(0.5, 0.1, 0.01), 0.1)
     with pytest.raises(DomainError):
         subohmic_rg_flow(SpinBosonPoint(1.0, BathSpec(0.5, 0.1, cutoff=2.0)), 3.0)
+    for lambda_stop in (1e-2, 1e-6, 1e-20):
+        # kappa_tilde0 = 0.6 > s: the deficit integral ran through the pole
+        # of the one-loop solution (-6.0e9 at lambda_stop = 1e-20)
+        with pytest.raises(RegimeError, match="localized side"):
+            sigma_x_deficit(point(0.5, 0.06, 0.1, cutoff=1.0), lambda_stop)
+
+
+def test_flow_deficit_just_above_the_fixed_point_is_the_fixed_point_deficit():
+    # kappa_tilde0 within 1e-12 above s is s, for the deficit as for
+    # kappa_tilde (it was -1.0e62 against 5.0e98)
+    at, above = (sigma_x_deficit(point(0.5, alpha, 0.1, cutoff=1.0), 1e-100)
+                 for alpha in (0.05, 0.05 * (1.0 + 1e-13)))
+    assert above == at == pytest.approx(5.0e98, rel=1e-2)
 
 
 # ------------------------------------------------------------------ regimes
