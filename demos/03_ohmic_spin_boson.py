@@ -20,7 +20,7 @@ from dissipent import (
     sigma_x,
     spin_entropy,
 )
-from dissipent.sweep import preset_config, run_sweep
+from dissipent.sweep import preset_doc, run_sweep, sweep_config
 
 
 def point(alpha, ratio=0.01, cutoff=100.0):
@@ -47,7 +47,7 @@ for a in [0.1, 0.3, 0.45, 0.5, 0.55, 0.8, 1.1]:
     print(f"{a:6g} {sx:9.5f} {spin_entropy(sx):9.5f}")
 print(f"  ln 2 = {math.log(2):.5f}: the entropy saturates right after 1/2")
 
-table = run_sweep(preset_config("fig1-spinboson"))
+table = run_sweep(sweep_config(preset_doc("fig1-spinboson")))
 report = detect_kink(table, "sigma_x")
 print(
     f"\nkink detector on the coupling sweep: alpha* = {report.location:.4f} "

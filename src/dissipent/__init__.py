@@ -64,7 +64,6 @@ from .sweep import (
     SweepTable,
     detect_kink,
     oracle_run,
-    preset_config,
     preset_names,
     regime_map,
     run_sweep,

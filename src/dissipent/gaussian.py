@@ -175,11 +175,8 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
     """Second moments of the reduced oscillator state.
 
     nu = sqrt(<q^2><p^2>) is the symplectic eigenvalue (>= 1/2, with
-    equality only for the pure undamped ground state), eps = 1/nu and
-
-        eps_tilde = eps * sqrt(1 - eps) / sqrt(1 - eps^2 / 4)
-
-    enter the large-(a/b) entropy expansion; a/b = 4 <q^2><p^2> = 4 nu^2.
+    equality only for the pure undamped ground state), and eps = 1/nu
+    enters the large-(a/b) entropy expansion; a/b = 4 <q^2><p^2> = 4 nu^2.
     """
 
     __slots__ = ()
@@ -198,17 +195,6 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
     @property
     def eps(self) -> float:
         return 1.0 / self.nu
-
-    @property
-    def eps_tilde(self) -> float:
-        e = self.eps
-        if e >= 1.0:
-            raise RegimeError(f"eps_tilde needs eps < 1, got eps = {e}")
-        return _eps_tilde(e)
-
-    @property
-    def a_over_b(self) -> float:
-        return 4.0 * self.q2 * self.p2
 
 
 def oscillator_moments(p: OscillatorParams) -> MomentPair:
@@ -245,6 +231,7 @@ def oscillator_entropy_expansion(m: MomentPair) -> float:
     """Entropy from the eps-expansion of the replica trace,
 
         S = -[(eps_tilde/eps) ln eps_tilde + (eps_tilde/eps^2) ln(1 - eps)],
+        eps_tilde = eps * sqrt(1 - eps) / sqrt(1 - eps^2 / 4),
 
     valid for eps = 1/nu < 1 (intended regime a/b >> 1).  Raises RegimeError
     at eps >= 1; use the exact Gaussian entropy there instead.

@@ -33,13 +33,12 @@ from collections import namedtuple
 
 from .bath import BathSpec
 from .errors import ConfigError, DomainError, NumericalError, _finite
-from .gaussian import GaussianKernel, MomentPair, OscillatorParams, gaussian_entropy
+from .gaussian import GaussianKernel, MomentPair, OscillatorParams
 from .gaussian import _eps_tilde, _square
 from .spinboson import ReducedSpinState
 
 __all__ = [
     "DiscreteBath",
-    "gaussian_entropy",  # re-exported from gaussian, where the closed form lives
     "discretize_oscillator_bath",
     "discretize_spin_bath",
     "discrete_bath_moments",
@@ -52,6 +51,13 @@ __all__ = [
     "spin_boson_ed",
     "ed_fock_convergence",
 ]
+
+
+# most terms an oracle builds: bath modes or distinct ring eigenvalues,
+# about 1.6 s and 0.3 s of work at the limit
+_MAX_TERMS = 10**6
+# most terms of the eigenvalue-ladder entropy series, about 4 s of work
+_MAX_SERIES_TERMS = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +101,13 @@ def discretize_oscillator_bath(
     coordinate-coupled model.  Each bin carries one mode at the J-weighted
     mean frequency with lambda_k^2 = (2/pi) * omega_k * integral_bin J;
     the logarithmic scheme places modes with density ~ 1/omega between
-    omega_min (default 1e-3 * omega0) and the cutoff.
+    omega_min (default 1e-3 * omega0) and the cutoff.  n_modes runs from 8
+    to 10^6.
     """
     import numpy as np
 
-    if n_modes < 8:
-        raise ConfigError(f"need at least 8 modes, got {n_modes}")
+    if not 8 <= n_modes <= _MAX_TERMS:
+        raise ConfigError(f"need 8 to {_MAX_TERMS} modes, got {n_modes}")
     if omega_min is None:
         omega_min = 1e-3 * omega0
     if scheme == "logarithmic":
@@ -120,11 +127,12 @@ def discretize_oscillator_bath(
 def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
     """Discretise a power-law bath for the spin-coupled model on
     logarithmic bins between 1e-3 * cutoff and the cutoff:
-    lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1)."""
+    lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1),
+    with 1 to 10^6 modes."""
     import numpy as np
 
-    if n_modes < 1:
-        raise ConfigError("need at least one mode")
+    if not 1 <= n_modes <= _MAX_TERMS:
+        raise ConfigError(f"need 1 to {_MAX_TERMS} modes, got {n_modes}")
     edges = np.geomspace(1e-3 * bath.cutoff, bath.cutoff, n_modes + 1)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
@@ -140,8 +148,6 @@ _MOMENT_REL_ERR = 1e-10
 _TAIL_REL = 1e-17
 # node x mode elements per block of the mode sum
 _BLOCK = 1 << 16
-# most distinct ring eigenvalues a ladder holds, about 0.3 s of work
-_MAX_TERMS = 10**6
 
 
 def discrete_bath_moments(
@@ -306,10 +312,13 @@ class TracePowerResult(namedtuple("TracePowerResult", "direct closed_form")):
 
 def _kernel_eps_tilde(kernel: GaussianKernel) -> float:
     """Small-eps parameterisation of the kernel: eps^2 = 4b/a and gaussian's
-    eps_tilde = eps * sqrt(1-eps) / sqrt(1 - eps^2/4).  Needs a/b > 4."""
+    eps_tilde = eps * sqrt(1-eps) / sqrt(1 - eps^2/4).  Needs a/b > 4, and
+    4b/a above 0 (b > 0, and no underflow), where ln eps_tilde is finite."""
     e = math.sqrt(4.0 * kernel.b / kernel.a)
     if e >= 1.0:
         raise DomainError(f"replica closed form needs a/b > 4, got {kernel.a_over_b}")
+    if e == 0.0:
+        raise DomainError(f"replica closed form needs 4b/a > 0, got a={kernel.a}, b={kernel.b}")
     return _eps_tilde(e)
 
 
@@ -330,15 +339,13 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     """
     if n < 1:
         raise DomainError(f"replica index must be >= 1, got {n}")
-    if not kernel.b > 0:
-        raise DomainError("trace_power needs b > 0")
+    et = _kernel_eps_tilde(kernel)  # before log(4b): it refuses b = 0
     # work in logs: det A grows like (2a)^n
     log_det = math.fsum(
         math.log(4.0 * (kernel.b * math.cos(t) ** 2 + kernel.a * math.sin(t) ** 2))
         for t in (math.pi * m / n for m in range(1, n + 1))
     )
     direct = math.exp(0.5 * n * math.log(4.0 * kernel.b) - 0.5 * log_det)
-    et = _kernel_eps_tilde(kernel)
     closed = math.exp(n * math.log(et)) / -math.expm1(n * math.log1p(-et))
     return TracePowerResult(direct=direct, closed_form=closed)
 
@@ -351,20 +358,21 @@ def kernel_eigenvalue_entropy(kernel: GaussianKernel) -> tuple[float, float]:
         S = -ln e - (1-e) ln(1-e) / e.
 
     The series is summed term by term until the dropped tail (bounded by
-    the remaining geometric weight) is below 1e-14.
+    the remaining geometric weight) is below 1e-14: over the smallest k
+    with (1-e)^k <= 1e-14 terms, which past 10^7 is a NumericalError,
+    raised before the sum.
     """
     e = _kernel_eps_tilde(kernel)
+    terms = math.log(1e-14) / math.log1p(-e)
+    if terms > _MAX_SERIES_TERMS:
+        raise NumericalError(f"the entropy series needs {terms:.3g} terms, above {_MAX_SERIES_TERMS}")
     s_closed = -math.log(e) - (1.0 - e) * math.log1p(-e) / e
     s_series = 0.0
     weight = 1.0  # remaining total weight sum_{j>=k} lambda_j = (1-e)^k
-    k = 0
     while weight > 1e-14:
         lam = e * weight
         s_series -= lam * math.log(lam)
         weight *= 1.0 - e
-        k += 1
-        if k > 10_000_000:
-            raise NumericalError("entropy series failed to converge")
     return s_series, s_closed
 
 

@@ -52,11 +52,8 @@ __all__ = [
     "detect_kink",
     "regime_map",
     "oracle_run",
-    "preset_config",
     "preset_doc",
-    "preset_kind",
     "preset_names",
-    "preset_regime_map",
     "format_value",
     "table_to_csv",
     "table_to_json",
@@ -128,9 +125,6 @@ class SweepConfig(
             _check_type(key, val, MODEL_PARAMS[model][key])
         return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, format))
 
-    def resolved_fixed(self) -> dict:
-        return {**MODEL_PARAMS[self.model], **self.fixed}
-
 
 # the constructor takes the defaults given to namedtuple
 SweepConfig.__new__.__defaults__ = tuple(SweepConfig._field_defaults.values())
@@ -182,9 +176,9 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
     return [float(lo), *(10.0**x for x in logs[1:-1]), float(hi)][:n]
 
 
-class SweepTable(namedtuple("SweepTable", "config column_names columns")):
-    """A sweep's resolved configuration, its column names in order and
-    the columns by name."""
+class SweepTable(namedtuple("SweepTable", "config columns")):
+    """A sweep's resolved configuration and its columns by name, in
+    column order."""
 
     __slots__ = ()
 
@@ -213,7 +207,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     of the moment formulas past their regime, aborts the sweep.  A grid
     finer than its printed digits or too fine for doubles is a ConfigError.
     """
-    fixed = cfg.resolved_fixed()
+    fixed = {**MODEL_PARAMS[cfg.model], **cfg.fixed}
     grid = linspace(cfg.alpha_min, cfg.alpha_max, cfg.n_points)
     h = grid[1] - grid[0]  # the stencils divide by 2h and h^2
     # a spacing above 1e-11 of the largest |alpha| prints adjacent points
@@ -238,11 +232,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         "n_points": cfg.n_points,
         **{k: fixed[k] for k in sorted(fixed)},
     }
-    return SweepTable(
-        config=resolved,
-        column_names=names,
-        columns={k: cols[k] for k in names},
-    )
+    return SweepTable(config=resolved, columns={k: cols[k] for k in names})
 
 
 # Each model's row generator takes the grid and the model parameters in
@@ -344,19 +334,18 @@ def detect_kink(table: SweepTable, column: str) -> KinkReport | None:
 # ---------------------------------------------------------------------------
 
 
-class RegimeMap(namedtuple("RegimeMap", "s ratios alphas labels transition_line")):
+class RegimeMap(namedtuple("RegimeMap", "s ratios alphas labels")):
     """A sub-Ohmic regime map: the bath exponent s, the Delta0 / cutoff
-    grid `ratios`, the `alphas` grid, `labels` (one row of regime names per
-    alpha: labels[i][j] at (alphas[i], ratios[j])) and `transition_line`
-    (alpha = s * ratio per ratio column)."""
+    grid `ratios`, the `alphas` grid and `labels`, one row of regime names
+    per alpha: labels[i][j] at (alphas[i], ratios[j])."""
 
     __slots__ = ()
 
 
 def regime_map(s: float, ratios, alphas) -> RegimeMap:
-    """Classify every (Delta0/cutoff, alpha) cell of a sub-Ohmic model and
-    report the one-loop transition line alpha = s * Delta0/cutoff.  Both
-    axes must hold at least one value."""
+    """Classify every (Delta0/cutoff, alpha) cell of a sub-Ohmic model; a
+    cell is localised past the one-loop line alpha = s * Delta0/cutoff.
+    Both axes must hold at least one value."""
     free = BathSpec(s=s, alpha=0.0, cutoff=1.0)  # first: s = nan is a DomainError
     if not s < 1:
         raise RegimeError(f"regime map requires s < 1, got s = {s}")
@@ -369,9 +358,7 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
     for r in ratios:
         SpinBosonPoint(delta0=r, bath=free)
     labels = [_labels(BathSpec(s=s, alpha=a, cutoff=1.0).alpha, s, ratios) for a in alphas]
-    return RegimeMap(
-        s=s, ratios=ratios, alphas=alphas, labels=labels, transition_line=[s * r for r in ratios]
-    )
+    return RegimeMap(s=s, ratios=ratios, alphas=alphas, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +485,6 @@ def preset_names() -> tuple:
     return tuple(sorted(p.name[: -len(".json")] for p in folder.iterdir() if p.name.endswith(".json")))
 
 
-def preset_kind(name: str) -> str:
-    return preset_doc(name)["kind"]
-
-
-def preset_config(name: str) -> SweepConfig:
-    return sweep_config(preset_doc(name))
-
-
-def preset_regime_map(name: str) -> RegimeMap:
-    return regime_map_from_doc(preset_doc(name))
-
-
 def format_value(x) -> str:
     """Canonical 12-significant-digit representation used by both CSV and
     JSON output; strings pass through unchanged.  `.12g` prints every NaN,
@@ -557,13 +532,9 @@ def _csv(comments, names, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _columns(table: SweepTable) -> list:
-    return [table.columns[c] for c in table.column_names]
-
-
 def table_to_csv(table: SweepTable) -> str:
     config = [f"{k} = {format_value(table.config[k])}" for k in sorted(table.config)]
-    return _csv(["dissipent sweep", *config], table.column_names, _columns(table))
+    return _csv(["dissipent sweep", *config], table.columns, table.columns.values())
 
 
 def table_to_json(table: SweepTable) -> str:
@@ -572,12 +543,12 @@ def table_to_json(table: SweepTable) -> str:
     head = json.dumps(
         {
             "config": {k: format_value(v) for k, v in table.config.items()},
-            "columns": table.column_names,
+            "columns": list(table.columns),
         },
         indent=2,
         sort_keys=True,
     )
-    template, cells = _row_template(_columns(table), ",\n      ", encode_basestring_ascii)
+    template, cells = _row_template(table.columns.values(), ",\n      ", encode_basestring_ascii)
     row = "    [\n      " + template + "\n    ]"
     rows = [row % r for r in zip(*cells)]
     array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"

@@ -54,7 +54,7 @@ from dissipent import (
     subohmic_rg_flow,
 )
 from dissipent.cli import main as cli_main
-from dissipent.sweep import preset_config
+from dissipent.sweep import preset_doc, sweep_config
 
 LN2 = math.log(2.0)
 
@@ -206,7 +206,7 @@ def test_criterion_06a_divergence_law():
 
 @pytest.fixture(scope="module")
 def fig1_spinboson_table():
-    return run_sweep(preset_config("fig1-spinboson"))
+    return run_sweep(sweep_config(preset_doc("fig1-spinboson")))
 
 
 def test_criterion_06b_kink_at_half(fig1_spinboson_table):

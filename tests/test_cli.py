@@ -90,8 +90,11 @@ def test_exit_code_regime_map_ratio_past_the_cutoff(capsys):
         (["regime-map", "--s", "0.5", "--ratio-points", "0"], "one ratio and one alpha"),
         (["regime-map", "--s", "0.5", "--alpha-points", "0"], "one ratio and one alpha"),
         (["preset", "subohmic-map", "--format", "json"], "CSV only"),  # printed CSV
+        # past alpha = 1 delta_ren has no root: NaN cells
+        (["kink", "--model", "spin-boson", "--alpha-min", "0.0005", "--alpha-max", "1.1995",
+          "--alpha-points", "60", "--column", "delta_ren"], "non-finite entries"),
     ],
-    ids=["no-ratios", "no-alphas", "map-preset-json"],
+    ids=["no-ratios", "no-alphas", "map-preset-json", "kink-nan-column"],
 )
 def test_output_that_would_be_wrong_is_config_error(capsys, argv, word):
     assert run_cli(argv) == 2
@@ -335,6 +338,25 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
 )
 def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
     rc = run_cli(["sweep", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and word in err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["preset"], "preset name required"),
+        (["sweep", "--config", str(resources.files("dissipent") / "presets/subohmic-map.json")],
+         "not a sweep document"),
+        # numpy's "Maximum allowed size exceeded" traceback (exit 1) before
+        (["oracle", "--model", "oscillator", "--eta", "1", "--n-modes", str(10**30)],
+         "need 8 to 1000000 modes"),
+    ],
+    ids=["preset-without-name", "map-preset-as-sweep-config", "n-modes-1e30"],
+)
+def test_refused_command_is_config_error(capsys, argv, word):
+    rc = run_cli(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error") and word in err

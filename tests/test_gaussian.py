@@ -144,7 +144,7 @@ def test_a_over_b_identity():
         m = oscillator_moments(OscillatorParams(omega0=1.0, eta=2.0 * k, omega_c=100.0))
         f = oscillator_f(k)
         rhs = f * ((1.0 - 2.0 * k * k) * f + (4.0 * k / math.pi) * log_wc)
-        assert m.a_over_b == pytest.approx(rhs, rel=1e-12)
+        assert 4.0 * m.q2 * m.p2 == pytest.approx(rhs, rel=1e-12)
 
 
 def test_moments_heisenberg_bound():
@@ -238,3 +238,5 @@ def test_kernel_validation():
         GaussianKernel(a=1.0, b=2.0)
     with pytest.raises(DomainError):
         GaussianKernel(a=1.0, b=-0.1)
+    with pytest.raises(DomainError, match="b = 0"):
+        GaussianKernel(a=1.0, b=0.0).a_over_b

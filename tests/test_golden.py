@@ -33,10 +33,11 @@ import pytest
 from dissipent.sweep import (
     SweepTable,
     oracle_run,
-    preset_config,
-    preset_regime_map,
+    preset_doc,
+    regime_map_from_doc,
     regime_map_to_csv,
     run_sweep,
+    sweep_config,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,7 +54,7 @@ ORACLE_REL = 1e-10
 
 
 def _fig1(**fixed):
-    cfg = preset_config("fig1-spinboson")
+    cfg = sweep_config(preset_doc("fig1-spinboson"))
     return cfg._replace(fixed={**cfg.fixed, **fixed})
 
 
@@ -62,7 +63,7 @@ SWEEPS = {
     "fig1-spinboson": _fig1(),
     "spinboson-s0.5-ratio0.2": _fig1(delta0=20.0, lambda0=100.0, s=0.5),
     "spinboson-s1.5": _fig1(s=1.5),
-    "fig1-oscillator": preset_config("fig1-oscillator"),
+    "fig1-oscillator": sweep_config(preset_doc("fig1-oscillator")),
 }
 MAPS = ("subohmic-map",)  # regime-map presets
 
@@ -83,7 +84,7 @@ def _cell(x) -> str:
 
 
 def sweep_text(table: SweepTable) -> str:
-    names = table.column_names
+    names = list(table.columns)
     lines = [",".join(names)]
     for i in range(len(table.columns["alpha"])):
         lines.append(",".join(_cell(table.columns[c][i]) for c in names))
@@ -172,7 +173,7 @@ def test_sweep_matches_golden(name):
 @pytest.mark.parametrize("name", MAPS)
 def test_regime_map_matches_golden(name):
     want = (GOLDEN / f"{name}.csv").read_text()
-    assert regime_map_to_csv(preset_regime_map(name)) == want
+    assert regime_map_to_csv(regime_map_from_doc(preset_doc(name))) == want
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -213,7 +214,7 @@ def main() -> None:
     for name, cfg in SWEEPS.items():
         (GOLDEN / f"{name}.csv").write_text(sweep_text(run_sweep(cfg)))
     for name in MAPS:
-        (GOLDEN / f"{name}.csv").write_text(regime_map_to_csv(preset_regime_map(name)))
+        (GOLDEN / f"{name}.csv").write_text(regime_map_to_csv(regime_map_from_doc(preset_doc(name))))
     for name, args in ORACLES.items():
         (GOLDEN / f"{name}.csv").write_text(oracle_text(oracle_run(*args)))
 

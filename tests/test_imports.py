@@ -10,6 +10,7 @@ interpreter, since the test process has numpy and scipy loaded already."""
 import ast
 import contextlib
 import functools
+import importlib
 import io
 import json
 import os
@@ -234,3 +235,25 @@ def test_scipy_is_a_test_only_dependency():
 def test_eigh_is_bound_in_oracles():
     # the benchmark's tracer wraps dissipent.oracles.eigh, found by name
     assert callable(vars(dissipent.oracles)["eigh"])
+
+
+# the submodules that list their public names in __all__
+PUBLIC = ("bath", "gaussian", "spinboson", "oracles", "sweep")
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_every_listed_public_name_exists(name):
+    module = importlib.import_module(f"dissipent.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_the_package_binds_only_listed_public_names():
+    # a deletion that misses one of the lists fails here or above
+    tree = ast.parse((SRC / "dissipent" / "__init__.py").read_text(encoding="utf-8"))
+    seen = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in PUBLIC:
+            listed = importlib.import_module(f"dissipent.{node.module}").__all__
+            assert [a.name for a in node.names if a.name not in listed] == [], node.module
+            seen.add(node.module)
+    assert seen == set(PUBLIC)

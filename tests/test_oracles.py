@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import dissipent
 from dissipent import (
     BathSpec,
     ConfigError,
     DiscreteBath,
     DomainError,
+    GaussianKernel,
     MomentPair,
     NumericalError,
     OscillatorParams,
     SpinBosonPoint,
     SweepConfig,
+    SweepTable,
     delocalized_log_derivative,
     detect_kink,
     discrete_bath_moments,
@@ -30,6 +33,7 @@ from dissipent import (
     oscillator_f,
     oscillator_moments,
     oracle_run,
+    regime_map,
     ring_kernel_entropy,
     ring_kernel_eigenvalues,
     run_sweep,
@@ -277,9 +281,31 @@ def test_discretize_validation():
         discretize_oscillator_bath(1.0, 100.0, 4)
     with pytest.raises(ConfigError):
         discrete_bath_moments(OscillatorParams(1.0, 1.0, 100.0), 100, scheme="cubic")
+    with pytest.raises(ConfigError, match="need 1 to"):
+        discretize_spin_bath(BathSpec(s=1.0, alpha=0.1, cutoff=10.0), 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: discretize_oscillator_bath(1.0, 100.0, n),
+        lambda n: discretize_spin_bath(BathSpec(s=1.0, alpha=0.1, cutoff=10.0), n),
+    ],
+    ids=["oscillator-bath", "spin-bath"],
+)
+@pytest.mark.parametrize("n_modes", [10**6 + 1, 10**30])
+def test_too_many_modes_are_refused_before_any_array(call, n_modes):
+    # 10^30 modes ended in numpy's "Maximum allowed size exceeded"
+    with pytest.raises(ConfigError, match=f"to 1000000 modes, got {n_modes}"):
+        call(n_modes)
 
 
 # ------------------------------------------------------------------ ring kernel
+
+
+def test_ring_refuses_a_zero_width():
+    with pytest.raises(DomainError, match="a > 0"):
+        ring_kernel_entropy(0.0, 1.0)
 
 
 def test_ring_trace_is_one():
@@ -354,6 +380,19 @@ def test_trace_power_domain():
             trace_power(kernel_ab(ratio), 2)
         with pytest.raises(DomainError, match="a/b > 4"):
             kernel_eigenvalue_entropy(kernel_ab(ratio))
+    # and 4b/a > 0: ln eps_tilde raised ValueError where it underflows
+    for kernel in (GaussianKernel(1.0, 0.0), GaussianKernel(1e308, 5e-324)):
+        with pytest.raises(DomainError, match="4b/a > 0"):
+            trace_power(kernel, 2)
+        with pytest.raises(DomainError, match="4b/a > 0"):
+            kernel_eigenvalue_entropy(kernel)
+
+
+def test_series_entropy_refuses_its_term_count_before_summing():
+    # it summed 10^7 terms (3.9 s) before it raised; (1 - 2e-6)^k reaches
+    # 1e-14 at k = 1.61e7
+    with pytest.raises(NumericalError, match="1.61e\\+07 terms, above 10000000"):
+        kernel_eigenvalue_entropy(GaussianKernel(1e12, 1.0))
 
 
 # ------------------------------------------------------------------ the stdlib sums at 30 digits
@@ -444,6 +483,10 @@ def test_ed_dimension_guard():
     big = DiscreteBath(omegas=np.ones(4), couplings=np.ones(4))
     with pytest.raises(ConfigError):
         spin_boson_ed(1.0, big, fock_cut=10)  # 2 * 10^4 > 2^14
+    with pytest.raises(ConfigError, match="at most 4 modes"):
+        spin_boson_ed(1.0, DiscreteBath(omegas=np.ones(5), couplings=np.ones(5)), fock_cut=2)
+    with pytest.raises(ConfigError, match="fock_cut must be >= 2"):
+        spin_boson_ed(1.0, big, fock_cut=1)
 
 
 def test_ed_reduced_state_from_discretized_bath():
@@ -487,3 +530,30 @@ def test_removed_settings_are_refused(call):
     # and scheme from params
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (dissipent.sweep, "preset_kind"),  # preset_doc(name)["kind"]
+        (dissipent.sweep, "preset_config"),  # sweep_config(preset_doc(name))
+        (dissipent, "preset_config"),
+        (dissipent.sweep, "preset_regime_map"),  # regime_map_from_doc(preset_doc(name))
+        (regime_map(0.5, [0.1], [0.2]), "transition_line"),  # alpha = s * ratio, in _labels
+        (SweepTable(config={}, columns={"alpha": []}), "column_names"),  # list(table.columns)
+        (MomentPair(q2=1.0, p2=1.0), "eps_tilde"),  # inside oscillator_entropy_expansion
+        (MomentPair(q2=1.0, p2=1.0), "a_over_b"),  # 4 * m.q2 * m.p2
+        (dissipent.oracles, "gaussian_entropy"),  # gaussian.gaussian_entropy
+        (SweepConfig(model="oscillator"), "resolved_fixed"),  # inlined into run_sweep
+    ],
+    ids=[
+        "sweep.preset_kind", "sweep.preset_config", "dissipent.preset_config",
+        "sweep.preset_regime_map", "RegimeMap.transition_line", "SweepTable.column_names",
+        "MomentPair.eps_tilde", "MomentPair.a_over_b", "oracles.gaussian_entropy",
+        "SweepConfig.resolved_fixed",
+    ],
+)
+def test_removed_names_stay_removed(owner, name):
+    # each restated another public name, given in its comment
+    with pytest.raises(AttributeError):
+        getattr(owner, name)

@@ -42,11 +42,9 @@ RECORDS = {
         {"model": "oscillator"},
         {"alpha_min": 0.01, "alpha_max": 1.0, "n_points": 100, "fixed": {}, "format": "csv"},
     ),
-    SweepTable: ({"config": {"model": "oscillator"}, "column_names": ["alpha"],
-                  "columns": {"alpha": [0.1]}}, {}),
+    SweepTable: ({"config": {"model": "oscillator"}, "columns": {"alpha": [0.1]}}, {}),
     KinkReport: ({"location": 0.5, "strength": 12.0, "order": 2, "grid_spacing": 0.01}, {}),
-    RegimeMap: ({"s": 0.5, "ratios": [0.1], "alphas": [0.2], "labels": [["Coherent"]],
-                 "transition_line": [0.05]}, {}),
+    RegimeMap: ({"s": 0.5, "ratios": [0.1], "alphas": [0.2], "labels": [["Coherent"]]}, {}),
 }
 
 

@@ -38,12 +38,11 @@ from dissipent.sweep import (
     format_value,
     geomspace,
     linspace,
-    preset_config,
-    preset_kind,
+    preset_doc,
     preset_names,
-    preset_regime_map,
     oracle_to_csv,
     regime_map,
+    regime_map_from_doc,
     regime_map_to_csv,
     sweep_config,
     table_to_csv,
@@ -93,6 +92,7 @@ def test_config_validation_errors():
         ({"alpha_min": "0.1"}, "alpha_min"),
         ({"alpha_max": True}, "alpha_max"),  # a bool is no number
         ({"format": None}, "format"),
+        ({"format": "xml"}, "format must be csv or json"),
     ],
 )
 def test_sweep_config_refuses_mistyped_values(kw, word):
@@ -248,7 +248,7 @@ def test_oscillator_sweep_columns_and_monotone():
         fixed={"omega0": 1.0, "omega_c": 100.0},
     )
     tab = run_sweep(cfg)
-    assert tab.column_names[0] == "alpha"
+    assert list(tab.columns)[0] == "alpha"
     s = tab.columns["S"]
     assert np.all(np.diff(s) > 0)
     # expansion column is NaN where nu <= 1
@@ -294,9 +294,7 @@ def test_detect_kink_linear_column_returns_none():
     n = 101
     alpha = np.linspace(0.0, 1.0, n)
     y = 3.0 * alpha + 1.0
-    tab = SweepTable(
-        config={}, column_names=["alpha", "y"], columns={"alpha": alpha, "y": y},
-    )
+    tab = SweepTable(config={}, columns={"alpha": alpha, "y": y})
     assert detect_kink(tab, "y") is None
 
 
@@ -310,18 +308,12 @@ def test_detect_kink_finds_spin_boson_crossover(spin_table):
 
 def test_detect_kink_preconditions():
     alpha = np.linspace(0, 1, 60)
-    short = SweepTable(
-        config={}, column_names=["alpha", "y"],
-        columns={"alpha": alpha[:30], "y": alpha[:30]},
-    )
+    short = SweepTable(config={}, columns={"alpha": alpha[:30], "y": alpha[:30]})
     with pytest.raises(ConfigError):
         detect_kink(short, "y")
     with pytest.raises(ConfigError):
         detect_kink(short, "missing")
-    labels = SweepTable(
-        config={}, column_names=["alpha", "regime"],
-        columns={"alpha": alpha, "regime": ["Delocalized"] * 60},
-    )
+    labels = SweepTable(config={}, columns={"alpha": alpha, "regime": ["Delocalized"] * 60})
     with pytest.raises(ConfigError, match="regime"):
         detect_kink(labels, "regime")
 
@@ -342,7 +334,7 @@ def test_detect_kink_spike_at_a_full_ring_from_the_end():
     alpha = linspace(0.0, 1.0, 60)
     y = [0.0] * 60
     y[4] = 1.0  # D2 index 3
-    tab = SweepTable(config={}, column_names=["alpha", "y"], columns={"alpha": alpha, "y": y})
+    tab = SweepTable(config={}, columns={"alpha": alpha, "y": y})
     assert detect_kink(tab, "y").location == alpha[4]
 
 
@@ -390,7 +382,8 @@ def test_regime_map_structure_and_line():
     alphas = np.array([1e-4, 2.5e-4, 1e-1])
     rmap = regime_map(0.5, ratios, alphas)
     assert [len(row) for row in rmap.labels] == [2, 2, 2]
-    assert rmap.transition_line == pytest.approx(0.5 * ratios)
+    # the small-ratio column is localized exactly past the line alpha = s r
+    assert [row[0] == "Localized" for row in rmap.labels] == [a > 0.5 * ratios[0] for a in alphas]
     # small-ratio column: line separates incoherent (below) from localized
     assert rmap.labels[0][0] == "DelocalizedIncoherent"  # alpha < s r
     assert rmap.labels[2][0] == "Localized"  # alpha > s r
@@ -584,18 +577,18 @@ def old_csv(comments, names, rows) -> str:
 
 
 def old_rows(table):
-    return zip(*(table.columns[c] for c in table.column_names))
+    return zip(*table.columns.values())
 
 
 def old_table_to_csv(table) -> str:
     config = [f"{k} = {old_format_value(table.config[k])}" for k in sorted(table.config)]
-    return old_csv(["dissipent sweep", *config], table.column_names, old_rows(table))
+    return old_csv(["dissipent sweep", *config], list(table.columns), old_rows(table))
 
 
 def old_table_to_json(table) -> str:
     doc = {
         "config": {k: old_format_value(v) for k, v in sorted(table.config.items())},
-        "columns": table.column_names,
+        "columns": list(table.columns),
         "rows": [[old_format_value(x) for x in r] for r in old_rows(table)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -628,7 +621,6 @@ WRITER_SWEEPS = {
 # strings that JSON escapes, and a column of mixed types
 HAND_BUILT = SweepTable(
     config={"model": 'a"b\\é', "n": 3, "w": np.float64(0.1), "x": -0.0},
-    column_names=["alpha", "i", "f64", "edge", "text", "mixed"],
     columns={
         "alpha": [0.1, 0.2, 0.3],
         "i": [1, -2, 2**70],
@@ -638,14 +630,13 @@ HAND_BUILT = SweepTable(
         "mixed": [1, 2.5e-300, "nan"],
     },
 )
-EMPTY = SweepTable(config={"model": "x"}, column_names=["alpha", "S"],
-                   columns={"alpha": [], "S": []})
+EMPTY = SweepTable(config={"model": "x"}, columns={"alpha": [], "S": []})
 
 
 @functools.cache
 def writer_table(name):
     if name in preset_names():
-        return run_sweep(preset_config(name))
+        return run_sweep(sweep_config(preset_doc(name)))
     return run_sweep(WRITER_SWEEPS[name])
 
 
@@ -667,7 +658,8 @@ def test_writer_sweeps_hold_the_cells_they_stand_for():
 
 
 def test_regime_map_and_oracle_writers_match_the_per_cell_writers():
-    rmaps = [preset_regime_map(name) for name in preset_names() if preset_kind(name) != "sweep"]
+    docs = [preset_doc(name) for name in preset_names()]
+    rmaps = [regime_map_from_doc(doc) for doc in docs if doc["kind"] != "sweep"]
     rmaps.append(regime_map(0.5, [1e-3, 0.8], [1e-4, 2.5e-4, 1e-1]))
     assert rmaps and all(regime_map_to_csv(m) == old_regime_map_to_csv(m) for m in rmaps)
     runs = [
@@ -714,16 +706,27 @@ def test_header_echoes_resolved_config(spin_table):
 def test_presets_exist_and_load():
     names = preset_names()
     assert set(names) == {"fig1-oscillator", "fig1-spinboson", "subohmic-map"}
-    assert preset_kind("fig1-oscillator") == "sweep"
-    assert preset_kind("subohmic-map") == "regime-map"
-    cfg = preset_config("fig1-oscillator")
+    assert preset_doc("fig1-oscillator")["kind"] == "sweep"
+    assert preset_doc("subohmic-map")["kind"] == "regime-map"
+    cfg = sweep_config(preset_doc("fig1-oscillator"))
     assert cfg.model == "oscillator"
     assert cfg.fixed["omega_c"] == 100.0
     with pytest.raises(ConfigError):
-        preset_config("nope")
+        preset_doc("nope")
+
+
+@pytest.mark.parametrize(
+    "read, doc, word",
+    [(sweep_config, {"kind": "regime-map"}, "not a sweep document"),
+     (regime_map_from_doc, {"kind": "sweep"}, "not a regime-map document")],
+    ids=["sweep", "regime-map"],
+)
+def test_a_document_of_the_other_kind_is_refused(read, doc, word):
+    with pytest.raises(ConfigError, match=word):
+        read(doc)
 
 
 def test_subohmic_map_preset_runs():
-    rmap = preset_regime_map("subohmic-map")
+    rmap = regime_map_from_doc(preset_doc("subohmic-map"))
     labels = {label for row in rmap.labels for label in row}
     assert {"DelocalizedCoherent", "DelocalizedIncoherent", "Localized"} <= labels
