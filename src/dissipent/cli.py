@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError, NumericalError, RegimeError
 from .sweep import (
+    MAP_READS,
     MODEL_PARAMS,
     MODELS,
     SWEEP_KEYS,
@@ -38,9 +39,25 @@ from .sweep import (
 
 # every model parameter, each with its default (omega_c is shared)
 _PARAMS = {key: val for params in MODEL_PARAMS.values() for key, val in params.items()}
-# every oracle input, each with its default (eta has none and is a float);
-# an unset flag takes the default of the chosen oracle
+# every oracle input, each with its default (eta's is its type, float); an
+# unset flag takes the default of the chosen oracle
 _ORACLE_INPUTS = {key: val for reads in _ORACLE_READS.values() for key, val in reads.items()}
+
+
+def _add_flags(parser: argparse.ArgumentParser, reads: dict, defaults: bool = False) -> None:
+    """A flag --some-key for each key of `reads`, typed as its entry: a
+    type, or the type of a default.  Without `defaults` an unset flag is
+    None; with them it takes its entry's default, and is required where
+    the entry is a type."""
+    for key, entry in reads.items():
+        typed = isinstance(entry, type)
+        given = ({"required": True} if typed else {"default": entry}) if defaults else {}
+        parser.add_argument(f"--{key.replace('_', '-')}", type=entry if typed else type(entry), **given)
+
+
+def _given(args, keys) -> dict:
+    """The flags among `keys` that hold a value, given or by default."""
+    return {key: val for key in keys if (val := vars(args).get(key)) is not None}
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -49,19 +66,17 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-min", type=float)
     parser.add_argument("--alpha-max", type=float)
     parser.add_argument("--alpha-points", type=int, dest="n_points")
-    for key, default in _PARAMS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", type=type(default), dest=key)
+    _add_flags(parser, _PARAMS)
     parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="write here instead of stdout")
 
 
 def _lay_flags(doc: dict, args) -> dict:
     """`doc` with the sweep flags given on the command line laid over it."""
-    given = {key: val for key, val in vars(args).items() if val is not None}
-    fixed = {key: val for key, val in given.items() if key in _PARAMS}
+    fixed = _given(args, _PARAMS)
     if fixed and isinstance(doc.get("fixed", {}), dict):  # else sweep_config refuses it
         doc = {**doc, "fixed": {**doc.get("fixed", {}), **fixed}}
-    return {**doc, **{key: val for key, val in given.items() if key in SWEEP_KEYS}}
+    return {**doc, **_given(args, SWEEP_KEYS)}
 
 
 def _sweep_doc(args) -> dict:
@@ -104,12 +119,11 @@ def _kink_json(report: KinkReport | None) -> str:
 
 
 def _cmd_regime_map(args) -> str:
-    return regime_map_to_csv(regime_map_from_doc(vars(args)))
+    return regime_map_to_csv(regime_map_from_doc(_given(args, MAP_READS)))
 
 
 def _cmd_oracle(args) -> str:
-    params = {key: getattr(args, key) for key in _ORACLE_INPUTS if getattr(args, key) is not None}
-    return oracle_to_csv(oracle_run(args.model, params))
+    return oracle_to_csv(oracle_run(args.model, _given(args, _ORACLE_INPUTS)))
 
 
 def _cmd_preset(args) -> str:
@@ -142,21 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_kink.set_defaults(func=_cmd_kink)
 
     p_map = sub.add_parser("regime-map", help="sub-Ohmic regime classification grid")
-    p_map.add_argument("--s", type=float, required=True)
-    p_map.add_argument("--ratio-min", type=float, default=1e-3)
-    p_map.add_argument("--ratio-max", type=float, default=0.9)
-    p_map.add_argument("--ratio-points", type=int, default=25)
-    p_map.add_argument("--alpha-min", type=float, default=1e-4)
-    p_map.add_argument("--alpha-max", type=float, default=2.0)
-    p_map.add_argument("--alpha-points", type=int, default=25)
+    _add_flags(p_map, MAP_READS, defaults=True)
     p_map.add_argument("--output")
     p_map.set_defaults(func=_cmd_regime_map)
 
     p_oracle = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
     p_oracle.add_argument("--model", required=True, choices=list(_ORACLE_READS))
-    for key, default in _ORACLE_INPUTS.items():
-        kind = float if default is None else type(default)
-        p_oracle.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
+    _add_flags(p_oracle, _ORACLE_INPUTS)
     p_oracle.add_argument("--output")
     p_oracle.set_defaults(func=_cmd_oracle)
 

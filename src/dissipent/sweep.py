@@ -73,6 +73,8 @@ MODEL_PARAMS = {
     "spin-boson": {"delta0": 1.0, "lambda0": 100.0, "s": 1.0},
 }
 MODELS = tuple(MODEL_PARAMS)
+# most sweep rows and regime-map cells, about 10 s of work at the limit
+_MAX_POINTS = 10**6
 
 # model -> its sweep columns after alpha, in order
 _COLUMNS = {
@@ -117,6 +119,8 @@ class SweepConfig(
             raise ConfigError(f"alpha_min must be < alpha_max, got {alpha_min} >= {alpha_max}")
         if n_points < 3:
             raise ConfigError(f"n_points must be >= 3, got {n_points}")
+        if n_points > _MAX_POINTS:
+            raise ConfigError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
         if format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {format!r}")
         for key, val in fixed.items():
@@ -132,10 +136,13 @@ SweepConfig.__new__.__defaults__ = tuple(SweepConfig._field_defaults.values())
 # A sweep document (a sweep preset, or a --config file with the CLI flags
 # laid over it) has these keys and no others
 SWEEP_KEYS = ("kind", *SweepConfig._fields)
+# what _read takes from a sweep document, besides its kind
+_SWEEP_READS = {"model": str, **SweepConfig._field_defaults}
 
 
-# the type a document value must have, by the type of its default; no
-# default is a bool, and a bool (an int in Python) is refused everywhere
+# the type a document value must have, by its default or by the type that
+# stands for a required value; no default is a bool, and a bool (an int in
+# Python) is refused everywhere
 _TYPES = {
     int: ((numbers.Integral,), "an integer"),
     float: ((numbers.Real,), "a number"),
@@ -145,9 +152,32 @@ _TYPES = {
 
 
 def _check_type(name: str, value, default) -> None:
-    kinds, what = _TYPES[type(default)]
+    kinds, what = _TYPES[default if isinstance(default, type) else type(default)]
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
+    """`doc` laid over the defaults of `reads`, the one input check of
+    sweep documents, regime-map documents and oracle runs.  `reads` maps
+    each input to its default, or to a type where the input is required;
+    `what` names the reader in its messages.  A missing required input, an
+    input `reads` does not list and a value not of its entry's type are
+    ConfigErrors.  With `kind`, the document may carry a "kind", which
+    must be `kind`."""
+    if kind is not None:
+        if doc.get("kind", kind) != kind:
+            raise ConfigError(f"not {what}: kind {doc['kind']!r}")
+        doc = {key: val for key, val in doc.items() if key != "kind"}
+    missing = [key for key, entry in reads.items() if isinstance(entry, type) and key not in doc]
+    if missing:
+        raise ConfigError(f"{what} needs {', '.join(missing)}")
+    unread = sorted(set(doc) - set(reads))
+    if unread:
+        raise ConfigError(f"{what} does not read {unread}; it reads {', '.join(reads)}")
+    for key, val in doc.items():
+        _check_type(key, val, reads[key])
+    return {**reads, **doc}
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -366,15 +396,15 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
 # ---------------------------------------------------------------------------
 
 
-# oracle model -> the inputs it reads, each with its default; the first
-# one has none and is required.  This is the one list of oracles; the
-# spin-boson model has none yet.  The ring oracle is one-dimensional: it
-# reads no dim.
+# oracle model -> the inputs it reads, each with its default; eta has
+# none, and its type marks it required.  This is the one list of oracles;
+# the spin-boson model has none yet.  The ring oracle is one-dimensional:
+# it reads no dim.
 _ORACLE_READS = {
-    "free-particle": {"eta": None, "omega_c": MODEL_PARAMS["free-particle"]["omega_c"],
+    "free-particle": {"eta": float, "omega_c": MODEL_PARAMS["free-particle"]["omega_c"],
                       "length": MODEL_PARAMS["free-particle"]["length"]},
     "oscillator": {
-        "eta": None,
+        "eta": float,
         **MODEL_PARAMS["oscillator"],
         "n_modes": 400,
         "scheme": "logarithmic",
@@ -386,19 +416,12 @@ def oracle_run(model: str, params: dict) -> list[dict]:
     """Analytic value vs brute-force oracle, one row per observable, with
     absolute and relative deviation columns, for a model of
     _ORACLE_READS.  `params` must hold eta and nothing the oracle does not
-    read.  The model's parameters default from MODEL_PARAMS; the
-    oscillator oracle also reads its discretisation, n_modes (default
-    400) and scheme (default logarithmic)."""
+    read, each value typed as its default.  The model's parameters default
+    from MODEL_PARAMS; the oscillator oracle also reads its discretisation,
+    n_modes (default 400) and scheme (default logarithmic)."""
     if model not in _ORACLE_READS:
         raise ConfigError(f"no oracle for model {model!r}; oracles: {', '.join(_ORACLE_READS)}")
-    reads = _ORACLE_READS[model]
-    required = next(iter(reads))
-    if required not in params:
-        raise ConfigError(f"the {model} oracle needs {required}")
-    unread = sorted(set(params) - set(reads))
-    if unread:
-        raise ConfigError(f"the {model} oracle does not read {unread}; it reads {', '.join(reads)}")
-    par = {**reads, **params}
+    par = _read(f"the {model} oracle", params, _ORACLE_READS[model])
     rows = []
 
     def row(name, analytic, oracle):
@@ -415,7 +438,7 @@ def oracle_run(model: str, params: dict) -> list[dict]:
     if model == "oscillator":
         p = OscillatorParams(omega0=par["omega0"], eta=par["eta"], omega_c=par["omega_c"])
         m = oscillator_moments(p)
-        cov = discrete_bath_moments(p, n_modes=int(par["n_modes"]), scheme=par["scheme"])
+        cov = discrete_bath_moments(p, n_modes=par["n_modes"], scheme=par["scheme"])
         row("q2", m.q2, cov.q2)
         row("p2", m.p2, cov.p2)
         row("nu", m.nu, cov.nu)
@@ -448,24 +471,29 @@ def read_doc(path) -> dict:
 def sweep_config(doc: dict) -> SweepConfig:
     """The (validated) SweepConfig of a sweep document: "kind" and the
     fields of SweepConfig, of which only "model" is required."""
-    if doc.get("kind", "sweep") != "sweep":
-        raise ConfigError(f"not a sweep document: kind {doc['kind']!r}")
-    unknown = sorted(set(doc) - set(SWEEP_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown sweep key(s) {unknown}; known: {', '.join(SWEEP_KEYS)}")
-    if "model" not in doc:
-        raise ConfigError("model is required (flag --model or config file)")
-    return SweepConfig(**{k: v for k, v in doc.items() if k != "kind"})
+    return SweepConfig(**_read("a sweep document", doc, _SWEEP_READS, "sweep"))
+
+
+# a regime-map document's inputs, each with its default; s has none
+MAP_READS = {"s": float, "ratio_min": 1e-3, "ratio_max": 0.9, "ratio_points": 25,
+             "alpha_min": 1e-4, "alpha_max": 2.0, "alpha_points": 25}
 
 
 def regime_map_from_doc(doc: dict) -> RegimeMap:
     """The regime map of a regime-map document (a preset, or the flags of
-    the regime-map command): s and geometric ratio and alpha grids."""
-    if doc.get("kind", "regime-map") != "regime-map":
-        raise ConfigError(f"not a regime-map document: kind {doc['kind']!r}")
-    ratios = geomspace(doc["ratio_min"], doc["ratio_max"], doc["ratio_points"])
-    alphas = geomspace(doc["alpha_min"], doc["alpha_max"], doc["alpha_points"])
-    return regime_map(doc["s"], ratios, alphas)
+    the regime-map command): s and geometric ratio and alpha grids, from
+    the inputs of MAP_READS.  A map of more than _MAX_POINTS cells is
+    refused before either grid is built."""
+    par = _read("a regime-map document", doc, MAP_READS, "regime-map")
+    n_ratios, n_alphas = par["ratio_points"], par["alpha_points"]
+    # an empty axis counts as one: regime_map refuses it, after the other is built
+    if max(n_ratios, 1) * max(n_alphas, 1) > _MAX_POINTS:
+        raise ConfigError(
+            f"a regime map has at most {_MAX_POINTS} cells, got {n_ratios} ratios x {n_alphas} alphas"
+        )
+    ratios = geomspace(par["ratio_min"], par["ratio_max"], n_ratios)
+    alphas = geomspace(par["alpha_min"], par["alpha_max"], n_alphas)
+    return regime_map(par["s"], ratios, alphas)
 
 
 # figure-reproduction presets ship as JSON documents next to the code; their

@@ -6,7 +6,13 @@ from importlib import resources
 import pytest
 
 from dissipent.cli import build_parser, main
-from dissipent.sweep import MODEL_PARAMS
+from dissipent.sweep import (
+    _ORACLE_READS,
+    MAP_READS,
+    MODEL_PARAMS,
+    regime_map_from_doc,
+    regime_map_to_csv,
+)
 
 
 def run_cli(args):
@@ -352,8 +358,16 @@ def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
         # numpy's "Maximum allowed size exceeded" traceback (exit 1) before
         (["oracle", "--model", "oscillator", "--eta", "1", "--n-modes", str(10**30)],
          "need 8 to 1000000 modes"),
+        # these filled memory before
+        (["sweep", "--model", "oscillator", "--alpha-points", str(10**10)],
+         "n_points must be <= 1000000"),
+        (["kink", "--model", "oscillator", "--alpha-points", str(10**30)],
+         "n_points must be <= 1000000"),
+        (["regime-map", "--s", "0.5", "--ratio-points", str(10**9)], "at most 1000000 cells"),
+        (["regime-map", "--s", "0.5", "--alpha-points", str(10**30)], "at most 1000000 cells"),
     ],
-    ids=["preset-without-name", "map-preset-as-sweep-config", "n-modes-1e30"],
+    ids=["preset-without-name", "map-preset-as-sweep-config", "n-modes-1e30", "sweep-1e10-points",
+         "kink-1e30-points", "map-1e9-ratios", "map-1e30-alphas"],
 )
 def test_refused_command_is_config_error(capsys, argv, word):
     rc = run_cli(argv)
@@ -445,6 +459,27 @@ def test_preset_parses_its_json_once(monkeypatch, capsys, name):
 def test_regime_map_defaults_are_the_subohmic_map_preset(capsys):
     want = cli_stdout(capsys, ["preset", "subohmic-map"])
     assert cli_stdout(capsys, ["regime-map", "--s", "0.5"]) == want
+    # the command and a document of s alone take the defaults of one table
+    assert regime_map_to_csv(regime_map_from_doc({"s": 0.5})) == want
+
+
+def test_regime_map_and_oracle_flags_are_their_tables(capsys):
+    parser = build_parser()
+    own = {"command", "func", "output", "model"}
+    got = vars(parser.parse_args(["regime-map", "--s", "0.5"]))
+    assert {k: v for k, v in got.items() if k not in own} == {**MAP_READS, "s": 0.5}
+    with pytest.raises(SystemExit):  # s has no default: its flag is required
+        parser.parse_args(["regime-map"])
+    assert "--s" in capsys.readouterr().err
+    got = vars(parser.parse_args(["oracle", "--model", "oscillator"]))
+    inputs = {k: None for reads in _ORACLE_READS.values() for k in reads}
+    assert {k: v for k, v in got.items() if k not in own} == inputs
+    # each flag is typed as its table entry: a type, or the type of a default
+    for argv, table in [(["regime-map", "--s", "0.5"], MAP_READS),
+                        *((["oracle", "--model", m], reads) for m, reads in _ORACLE_READS.items())]:
+        for key, entry in table.items():
+            args = parser.parse_args([*argv, f"--{key.replace('_', '-')}", "3"])
+            assert type(getattr(args, key)) is (entry if isinstance(entry, type) else type(entry))
 
 
 @pytest.mark.parametrize(

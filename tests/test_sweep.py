@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -359,6 +360,11 @@ def test_oracle_run_free_particle():
         ("oscillator", {"eta": 1.0, "sigma_x": 0.5}, "sigma_x"),
         ("oscillator", {"eta": 1.0, "n_mode": 100}, "n_mode"),
         ("free-particle", {"eta": 1.0, "dim": 1}, "dim"),  # the ring oracle reads no dim
+        # each value is typed as its default; eta's entry is its type
+        ("oscillator", {"eta": 1.0, "n_modes": math.nan}, "n_modes"),  # was a ValueError
+        ("oscillator", {"eta": 1.0, "n_modes": 400.7}, "n_modes"),  # was truncated to 400
+        ("oscillator", {"eta": "1"}, "eta must be a number"),  # was a TypeError
+        ("free-particle", {"eta": True}, "eta must be a number"),  # was read as 1.0
     ],
 )
 def test_oracle_run_refuses_what_it_does_not_read(model, params, word):
@@ -724,6 +730,43 @@ def test_presets_exist_and_load():
 def test_a_document_of_the_other_kind_is_refused(read, doc, word):
     with pytest.raises(ConfigError, match=word):
         read(doc)
+
+
+@pytest.mark.parametrize(
+    "read, doc, word",
+    [
+        (sweep_config, {"alpha_min": 0.1}, "a sweep document needs model"),
+        (sweep_config, {"model": "oscillator", "n_point": 30}, "does not read ['n_point']"),
+        (sweep_config, {"model": 5}, "model must be a string"),
+        # each of these ended in a traceback, or was read in silence
+        (regime_map_from_doc, {}, "a regime-map document needs s"),  # was a KeyError
+        (regime_map_from_doc, {"s": "0.5"}, "s must be a number"),  # was a TypeError
+        (regime_map_from_doc, {"s": 0.5, "ratio_points": 5.5}, "ratio_points"),  # a TypeError
+        (regime_map_from_doc, {"s": 0.5, "ratio_points": True}, "ratio_points"),  # one ratio
+        (regime_map_from_doc, {"s": 0.5, "alpha_point": 40}, "alpha_point"),  # was ignored
+    ],
+    ids=["sweep-no-model", "sweep-unknown-key", "sweep-model-int", "map-no-s", "map-s-str",
+         "map-points-float", "map-points-bool", "map-unknown-key"],
+)
+def test_a_document_is_read_by_its_table(read, doc, word):
+    with pytest.raises(ConfigError, match=re.escape(word)):
+        read(doc)
+
+
+@pytest.mark.parametrize("n", [10**6 + 1, 10**30])
+def test_grids_past_a_million_points_are_refused_before_any_list(monkeypatch, n):
+    # the grid was built first, and filled memory
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(sweep, "linspace", no_grid)
+    with pytest.raises(ConfigError, match=f"n_points must be <= 1000000, got {n}"):
+        SweepConfig(model="oscillator", n_points=n)
+    assert SweepConfig(model="oscillator", n_points=10**6).n_points == 10**6
+    for shape in ((n, 1), (1, n), (1001, 1000), (0, n)):
+        doc = {"s": 0.5, "ratio_points": shape[0], "alpha_points": shape[1]}
+        with pytest.raises(ConfigError, match="at most 1000000 cells"):
+            regime_map_from_doc(doc)
 
 
 def test_subohmic_map_preset_runs():
