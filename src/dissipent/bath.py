@@ -17,13 +17,13 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, _finite, _in_range
+from .errors import DomainError, _Checked, _finite, _in_range
 
 __all__ = ["BathSpec", "adiabatic_exponent"]
 _TINY = sys.float_info.min  # the smallest normal double
 
 
-class BathSpec(namedtuple("BathSpec", "s alpha cutoff")):
+class BathSpec(_Checked, namedtuple("BathSpec", "s alpha cutoff")):
     """Parameterisation of a power-law bath.
 
     Attributes

@@ -19,8 +19,8 @@ from .sweep import (
     MAP_READS,
     MODEL_PARAMS,
     MODELS,
-    SWEEP_KEYS,
     KinkReport,
+    SweepConfig,
     _ORACLE_READS,
     detect_kink,
     format_value,
@@ -76,7 +76,7 @@ def _lay_flags(doc: dict, args) -> dict:
     fixed = _given(args, _PARAMS)
     if fixed and isinstance(doc.get("fixed", {}), dict):  # else sweep_config refuses it
         doc = {**doc, "fixed": {**doc.get("fixed", {}), **fixed}}
-    return {**doc, **_given(args, SWEEP_KEYS)}
+    return {**doc, **_given(args, SweepConfig._fields)}
 
 
 def _sweep_doc(args) -> dict:

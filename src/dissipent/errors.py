@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""The package's exception types, its range checks and its checked-record base.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
 RegimeError -> 4.  DomainError means a mathematical precondition was violated
@@ -42,3 +42,18 @@ def _finite(what: str, value):
     if abs(value) < math.inf:
         return value
     raise NumericalError(f"{what} is {value}, past the largest double")
+
+
+class _Checked:
+    """Base of a checked record, listed before its namedtuple: the record's
+    own __new__ takes the namedtuple's defaults, and _make (and so
+    _replace) builds through it, so that no record skips its checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__new__.__defaults__ = tuple(cls._field_defaults.values())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .bath import _log_ratio
-from .errors import DomainError, RegimeError, _finite, _in_range
+from .errors import DomainError, RegimeError, _Checked, _finite, _in_range
 
 __all__ = [
     "FreeParticleParams",
@@ -41,7 +41,7 @@ _LOG_PI = math.log(math.pi)
 
 
 def kappa_from_alpha(alpha: float) -> float:
-    return math.pi * alpha
+    return _finite("kappa", math.pi * alpha)
 
 
 def alpha_from_kappa(kappa: float) -> float:
@@ -49,7 +49,7 @@ def alpha_from_kappa(kappa: float) -> float:
 
 
 class FreeParticleParams(
-    namedtuple("FreeParticleParams", "eta omega_c length dim", defaults=(1,))
+    _Checked, namedtuple("FreeParticleParams", "eta omega_c length dim", defaults=(1,))
 ):
     """Dissipative free particle: friction eta, bath cutoff omega_c,
     box regulator L (the entropy is only defined relative to L) and
@@ -65,10 +65,6 @@ class FreeParticleParams(
             raise DomainError(f"dim must be an integer, got {dim!r}")
         _in_range("dim", dim, ">=", 1)
         return tuple.__new__(cls, (eta, omega_c, length, dim))
-
-
-# the constructor takes the defaults given to namedtuple
-FreeParticleParams.__new__.__defaults__ = tuple(FreeParticleParams._field_defaults.values())
 
 
 class FreeParticleResult(namedtuple("FreeParticleResult", "entropy a a_l2")):
@@ -123,14 +119,14 @@ def free_particle_entropy(p: FreeParticleParams) -> FreeParticleResult:
 
 
 def _square(x: float) -> float:
-    """x**2, or inf where that passes the largest double (** raises there)."""
+    """x**2 as a float, or inf where that passes the largest double."""
     try:
-        return x**2
+        return float(x**2)
     except OverflowError:
         return math.inf
 
 
-class OscillatorParams(namedtuple("OscillatorParams", "omega0 eta omega_c")):
+class OscillatorParams(_Checked, namedtuple("OscillatorParams", "omega0 eta omega_c")):
     """Damped harmonic oscillator: frequency omega0, Ohmic friction eta,
     bath cutoff omega_c (must exceed omega0 for the moment formulas)."""
 
@@ -171,7 +167,7 @@ def oscillator_f(kappa: float) -> float:
     return 2.0 / math.pi
 
 
-class MomentPair(namedtuple("MomentPair", "q2 p2")):
+class MomentPair(_Checked, namedtuple("MomentPair", "q2 p2")):
     """Second moments of the reduced oscillator state.
 
     nu = sqrt(<q^2><p^2>) is the symplectic eigenvalue (>= 1/2, with
@@ -182,7 +178,8 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
     __slots__ = ()
 
     def __new__(cls, q2: float, p2: float):
-        nu = math.sqrt(_in_range("<q^2>", q2, ">", 0) * _in_range("<p^2>", p2, ">", 0))
+        # a float product: that of two integers can pass the largest double
+        nu = math.sqrt(float(_in_range("<q^2>", q2, ">", 0)) * _in_range("<p^2>", p2, ">", 0))
         if nu < 0.5 - 1e-12:
             raise DomainError(f"nu = {nu} violates the Heisenberg bound 1/2")
         _in_range("a/b = 4 <q^2><p^2>", 4.0 * q2 * p2, ">", 0)
@@ -190,7 +187,7 @@ class MomentPair(namedtuple("MomentPair", "q2 p2")):
 
     @property
     def nu(self) -> float:
-        return math.sqrt(self.q2 * self.p2)
+        return math.sqrt(float(self.q2) * self.p2)
 
     @property
     def eps(self) -> float:
@@ -281,7 +278,7 @@ def oscillator_entropy(p: OscillatorParams) -> float:
     return gaussian_entropy(oscillator_moments(p).nu)
 
 
-class GaussianKernel(namedtuple("GaussianKernel", "a b")):
+class GaussianKernel(_Checked, namedtuple("GaussianKernel", "a b")):
     """Parameters (a, b) of the normalised Gaussian kernel
 
         rho(x, x') = sqrt(4 b / pi) exp(-a (x-x')^2 - b (x+x')^2),

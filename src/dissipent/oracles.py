@@ -110,10 +110,11 @@ def discretize_oscillator_bath(
         raise ConfigError(f"need 8 to {_MAX_TERMS} modes, got {n_modes}")
     if omega_min is None:
         omega_min = 1e-3 * omega0
+    # a float cutoff: numpy takes an integer past 2**63 as a Python object
     if scheme == "logarithmic":
-        edges = np.geomspace(omega_min, omega_c, n_modes + 1)
+        edges = np.geomspace(omega_min, float(omega_c), n_modes + 1)
     elif scheme == "linear":
-        edges = np.linspace(omega_min, omega_c, n_modes + 1)
+        edges = np.linspace(omega_min, float(omega_c), n_modes + 1)
     else:
         raise ConfigError(f"unknown discretization scheme {scheme!r}")
     lo, hi = edges[:-1], edges[1:]
@@ -133,7 +134,7 @@ def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
 
     if not 1 <= n_modes <= _MAX_TERMS:
         raise ConfigError(f"need 1 to {_MAX_TERMS} modes, got {n_modes}")
-    edges = np.geomspace(1e-3 * bath.cutoff, bath.cutoff, n_modes + 1)
+    edges = np.geomspace(1e-3 * bath.cutoff, float(bath.cutoff), n_modes + 1)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
     bin_j = 2.0 * bath.alpha * bath.cutoff ** (1.0 - s) * (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)

@@ -39,7 +39,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from .bath import BathSpec, _log_exponent, _log_ratio, _log_scale
-from .errors import DomainError, NumericalError, RegimeError, _finite, _in_range
+from .errors import DomainError, NumericalError, RegimeError, _Checked, _finite, _in_range
 
 __all__ = [
     "SpinBosonPoint",
@@ -73,7 +73,7 @@ _LOG_FLOOR = math.log(BRACKET_FLOOR)
 SCALING_TRUST_MIN_RATIO = 0.1
 
 
-class SpinBosonPoint(namedtuple("SpinBosonPoint", "delta0 bath")):
+class SpinBosonPoint(_Checked, namedtuple("SpinBosonPoint", "delta0 bath")):
     """A point in spin-boson parameter space.
 
     delta0 : bare tunneling amplitude, 0 < delta0 < bath.cutoff, with
@@ -106,7 +106,7 @@ class SpinBosonPoint(namedtuple("SpinBosonPoint", "delta0 bath")):
     @property
     def kappa_tilde0(self) -> float:
         """Initial value alpha * cutoff / Delta0 of the one-loop coupling."""
-        return self.bath.alpha * self.bath.cutoff / self.delta0
+        return self.bath.alpha * float(self.bath.cutoff) / self.delta0
 
 
 class ReducedSpinState(namedtuple("ReducedSpinState", "sx sz entropy")):
@@ -456,7 +456,7 @@ def kappa_tilde_flow(kappa_tilde0: float, s: float, ell: float) -> float:
     kt0 < s flows to zero as (lambda/cutoff)^s with a relative offset
     kt0/(s - kt0) deep in the flow.
     """
-    return _kappa_tilde_of_decay(kappa_tilde0, s, math.exp(-s * ell))
+    return _kappa_tilde_of_decay(kappa_tilde0, s, math.exp(-s * float(ell)))
 
 
 def _kappa_tilde_of_decay(kappa_tilde0, s, decay):

@@ -20,7 +20,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .bath import BathSpec, _log_ratio
-from .errors import ConfigError, RegimeError, _in_range
+from .errors import _LARGEST, ConfigError, RegimeError, _Checked, _in_range
 from .gaussian import (
     FreeParticleParams,
     OscillatorParams,
@@ -87,11 +87,9 @@ _STENCIL = frozenset(("dS_dalpha", "d2S_dalpha2"))
 
 
 class SweepConfig(
-    namedtuple(
-        "SweepConfig",
-        "model alpha_min alpha_max n_points fixed format",
-        defaults=(0.01, 1.0, 100, {}, "csv"),
-    )
+    _Checked,
+    namedtuple("SweepConfig", "model alpha_min alpha_max n_points fixed format",
+               defaults=(0.01, 1.0, 100, {}, "csv")),
 ):
     """The sweep document, validated on construction: every field but
     `model` has the document's default, and a value must have the type of
@@ -105,15 +103,13 @@ class SweepConfig(
     __slots__ = ()
 
     def __new__(cls, model, alpha_min, alpha_max, n_points, fixed, format):
-        values = (alpha_min, alpha_max, n_points, fixed, format)
-        # model has no default; MODELS holds its values
-        for (name, default), value in zip(cls._field_defaults.items(), values, strict=True):
-            _check_type(name, value, default)
+        values = (model, alpha_min, alpha_max, n_points, fixed, format)
+        _read("a sweep document", dict(zip(cls._fields, values)), _SWEEP_READS)
         fixed = dict(fixed)  # not the default's dict, which every instance would share
         if model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
         for name, bound in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
-            if not math.isfinite(bound):
+            if not abs(bound) <= _LARGEST:  # so an integer converts to a float
                 raise ConfigError(f"{name} must be finite, got {bound}")
         if not alpha_min < alpha_max:
             raise ConfigError(f"alpha_min must be < alpha_max, got {alpha_min} >= {alpha_max}")
@@ -123,19 +119,10 @@ class SweepConfig(
             raise ConfigError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
         if format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {format!r}")
-        for key, val in fixed.items():
-            if key not in MODEL_PARAMS[model]:
-                raise ConfigError(f"unknown parameter {key!r} for model {model}")
-            _check_type(key, val, MODEL_PARAMS[model][key])
+        _read(f"the {model} model", fixed, MODEL_PARAMS[model])
         return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, format))
 
 
-# the constructor takes the defaults given to namedtuple
-SweepConfig.__new__.__defaults__ = tuple(SweepConfig._field_defaults.values())
-
-# A sweep document (a sweep preset, or a --config file with the CLI flags
-# laid over it) has these keys and no others
-SWEEP_KEYS = ("kind", *SweepConfig._fields)
 # what _read takes from a sweep document, besides its kind
 _SWEEP_READS = {"model": str, **SweepConfig._field_defaults}
 
@@ -149,12 +136,6 @@ _TYPES = {
     str: ((str,), "a string"),
     dict: ((dict,), "an object"),
 }
-
-
-def _check_type(name: str, value, default) -> None:
-    kinds, what = _TYPES[default if isinstance(default, type) else type(default)]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
@@ -176,7 +157,10 @@ def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
     if unread:
         raise ConfigError(f"{what} does not read {unread}; it reads {', '.join(reads)}")
     for key, val in doc.items():
-        _check_type(key, val, reads[key])
+        entry = reads[key]
+        kinds, kind_name = _TYPES[entry if isinstance(entry, type) else type(entry)]
+        if not isinstance(val, kinds) or isinstance(val, bool):
+            raise ConfigError(f"{key} must be {kind_name}, got {val!r}")
     return {**reads, **doc}
 
 
@@ -203,7 +187,10 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
     if not (lo > 0 and hi > 0):
         raise ConfigError(f"a geometric grid needs positive bounds, got {lo} and {hi}")
     logs = linspace(math.log10(lo), math.log10(hi), n)
-    return [float(lo), *(10.0**x for x in logs[1:-1]), float(hi)][:n]
+    try:
+        return [float(lo), *(10.0**x for x in logs[1:-1]), float(hi)][:n]
+    except OverflowError:  # a log rounded past that of the largest double
+        raise ConfigError(f"a geometric grid from {lo} to {hi} passes the largest double") from None
 
 
 class SweepTable(namedtuple("SweepTable", "config columns")):

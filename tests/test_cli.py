@@ -336,10 +336,12 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
         ("[1, 2]", "object"),  # not an object
         # a removed parameter: the spin-boson sweep is at T = 0
         ({**OSC, "model": "spin-boson", "fixed": {"temperature": 0.0}}, "temperature"),
+        # an integer whose square passes the largest double: OverflowError (exit 1)
+        ({"model": "free-particle", "fixed": {"length": 10**200}}, "a L**2"),
     ],
     ids=[
         "unknown-key", "unknown-output", "fmt-key", "branch-key", "invalid-json",
-        "top-level-list", "temperature-param",
+        "top-level-list", "temperature-param", "integer-length",
     ],
 )
 def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):

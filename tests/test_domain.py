@@ -2,9 +2,10 @@
 
 Each property draws a public function's arguments from the ranges its
 records accept, extremes included (about 1e-320 to 1e300, and the
-smallest subnormal), and requires a finite result or one of the four
-package errors; on the command line that is exit code 0, 2, 3 or 4 with a
-one-line message, never a traceback (exit 1).  Every defect these
+smallest subnormal), with exact integers up to the largest double mixed
+in wherever a number is accepted, and requires a finite result or one of
+the four package errors; on the command line that is exit code 0, 2, 3 or
+4 with a one-line message, never a traceback (exit 1).  Every defect these
 properties found is pinned as an @example.
 
 Under the derandomized `dissipent` profile the file takes about 2 s; the
@@ -14,8 +15,11 @@ larger fixed-seed budget.
 
 import contextlib
 import io
+import json
 import math
+import pathlib
 import sys
+import tempfile
 from enum import Enum
 
 import pytest
@@ -60,7 +64,7 @@ from dissipent import (
     subohmic_rg_flow,
 )
 from dissipent.cli import main
-from dissipent.sweep import preset_names
+from dissipent.sweep import oracle_run, preset_names, regime_map_from_doc
 
 PACKAGE_ERRORS = (ConfigError, DomainError, NumericalError, RegimeError)
 # a budget per property: a fifth of the loaded profile's examples
@@ -72,19 +76,27 @@ def log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
 
 
+# a positive integer up to the largest double, which the records accept
+# where they accept a number: Python integers grow past any double
+INTEGER = st.one_of(
+    st.integers(1, 1000),
+    log_uniform(1.0, 1e308).map(int),
+    st.just(int(sys.float_info.max)),
+)
 # a positive double from the smallest subnormal to 1e300, the extremes and
-# the smallest normal double drawn on their own as well
+# the smallest normal double drawn on their own as well, or an integer
 POSITIVE = st.one_of(
     log_uniform(1e-320, 1e300),
     st.sampled_from([5e-324, 1e-320, sys.float_info.min, 1e-3, 1.0, 1e300]),
+    INTEGER,
 )
-NON_NEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+NON_NEGATIVE = st.one_of(st.sampled_from([0.0, 0]), POSITIVE)
 # bath exponents: the special s = 1 and the sub- and super-Ohmic sides
 EXPONENT = st.one_of(st.sampled_from([1.0, 0.5, 1.5, 1.0 - 1e-13]), POSITIVE)
 # couplings: the Ohmic landmarks 1/2 and 1 besides the whole range
 COUPLING = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 / math.pi]), NON_NEGATIVE)
 # fractions of a reference scale, in (0, 1]
-FRACTION = st.one_of(st.just(1.0), log_uniform(1e-320, 1.0))
+FRACTION = st.one_of(st.sampled_from([1.0, 1]), log_uniform(1e-320, 1.0))
 
 
 def finite(value) -> bool:
@@ -135,6 +147,7 @@ def test_bath(s, alpha, cutoff, fraction):
 @example(1e-300, 1e-300, 1e160, 1)  # a L**2 overflowed: S = inf
 @example(1.0, 100.0, 100.0, 10**308)  # S = inf
 @example(1.0, 100.0, 100.0, 10**400)  # 0.5 * dim raised OverflowError
+@example(1.0, 100.0, 10**200, 1)  # the integer length**2 did not convert to a float
 def test_free_particle(eta, omega_c, length, dim):
     p = outcome(FreeParticleParams, eta, omega_c, length, dim)
     if p is not None:
@@ -162,16 +175,19 @@ def test_oscillator(omega0, eta, omega_c):
 
 @BUDGET
 @given(COUPLING)
+@example(int(sys.float_info.max))  # kappa = pi alpha overflowed: inf
 def test_coupling_axis(alpha):
     kappa = outcome(kappa_from_alpha, alpha)
-    outcome(alpha_from_kappa, kappa)
-    outcome(oscillator_f, kappa)
+    if kappa is not None:
+        outcome(alpha_from_kappa, kappa)
+        outcome(oscillator_f, kappa)
 
 
 @BUDGET
 @given(st.one_of(POSITIVE, st.just(math.inf)), st.one_of(POSITIVE, st.just(math.inf)))
 @example(math.inf, 1.0)  # a non-finite moment was accepted
 @example(1e8, 1e300)  # a/b = 4 <q^2><p^2> overflowed: inf
+@example(10**200, 10**200)  # the integer <q^2><p^2> did not convert to a float
 def test_moment_pair(q2, p2):
     m = outcome(MomentPair, q2, p2)
     if m is None:
@@ -201,7 +217,8 @@ def spin_points(draw):
     """(delta0, s, alpha, cutoff) with delta0 below the cutoff."""
     cutoff = draw(POSITIVE)
     ratio = draw(st.one_of(log_uniform(sys.float_info.min, 0.999), st.just(0.01)))
-    return ratio * cutoff, draw(EXPONENT), draw(COUPLING), cutoff
+    delta0 = ratio * cutoff
+    return draw(st.sampled_from([delta0, int(delta0)])), draw(EXPONENT), draw(COUPLING), cutoff
 
 
 def point_of(args):
@@ -238,6 +255,7 @@ def test_spin_boson_point(args, temperature):
 @example((1e-16, 5e-324, 5e-324, 1.0), 1.0)  # kt0 just above s: ZeroDivisionError
 @example((0.1, 0.5, 0.05 * (1.0 + 1e-13), 1.0), 1e-100)  # kt0 just above s: deficit -1e62
 @example((0.1, 0.5, 0.06, 1.0), 1e-20)  # kt0 = 0.6 > s: through the pole, deficit -6e9
+@example((1, 0.5, 10**200, 10**200), 1.0)  # the integer alpha cutoff did not convert to a float
 def test_subohmic_flow(args, fraction):
     point = point_of(args)
     if point is None:
@@ -256,6 +274,7 @@ def test_subohmic_flow(args, fraction):
 @BUDGET
 @given(POSITIVE, st.one_of(FRACTION, st.just(0.0)), NON_NEGATIVE)
 @example(1e300, 0.1, 0.0)  # s kt0 overflowed: inf
+@example(10**200, 0.0, 10**200)  # the integer s ell did not convert to a float
 def test_kappa_tilde_flow(s, fraction, ell):
     # its range: 0 <= kt0 <= s and ell >= 0
     outcome(kappa_tilde_flow, fraction * s, s, ell)
@@ -295,6 +314,15 @@ def flags(**values) -> list:
     return [a for key, val in values.items() for a in (f"--{key.replace('_', '-')}", repr(val))]
 
 
+def run_with_config(argv, doc) -> tuple:
+    """run(argv) with `doc` written to a JSON file given as --config: a
+    document keeps an integer exact, where a flag parses it as a float."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = pathlib.Path(folder, "config.json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return run([*argv, "--config", path])
+
+
 # the sweep models, each with the parameters it reads and their draws
 MODEL_DRAWS = {
     "free-particle": {"omega_c": POSITIVE, "length": POSITIVE, "dim": st.integers(1, 3)},
@@ -304,35 +332,50 @@ MODEL_DRAWS = {
 
 
 @st.composite
-def sweep_flags(draw, points):
+def sweep_docs(draw):
+    """A sweep document: a model, its grid bounds and some of its parameters."""
     model = draw(st.sampled_from(sorted(MODEL_DRAWS)))
     fixed = {key: draw(s) for key, s in MODEL_DRAWS[model].items() if draw(st.booleans())}
     lo = draw(st.one_of(POSITIVE, st.floats(-2.0, 2.0)))
-    hi = lo + draw(POSITIVE)
-    return ["--model", model, *flags(alpha_min=lo, alpha_max=hi, alpha_points=points, **fixed)]
+    return {"model": model, "alpha_min": lo, "alpha_max": lo + draw(POSITIVE), "fixed": fixed}
+
+
+def sweep_flags(doc, points) -> list:
+    """The flags that state sweep document `doc`, with `points` grid points."""
+    grid = {key: doc[key] for key in ("alpha_min", "alpha_max") if key in doc}
+    return ["--model", doc["model"], *flags(**grid, alpha_points=points, **doc["fixed"])]
 
 
 @BUDGET
-@given(sweep_flags(3))
-@example(["--model", "free-particle", "--length", "1e200"])
-@example(["--model", "free-particle", "--length", "1e-200"])
-@example(["--model", "oscillator", "--omega0", "1e-320"])
-def test_sweep_command(argv):
-    run(["sweep", *argv])
+@given(sweep_docs())
+@example({"model": "free-particle", "fixed": {"length": 1e200}})
+@example({"model": "free-particle", "fixed": {"length": 1e-200}})
+@example({"model": "oscillator", "fixed": {"omega0": 1e-320}})
+@example({"model": "free-particle", "fixed": {"length": 10**200}})  # length**2 raised OverflowError
+# math.isfinite raised OverflowError on an integer past the largest double
+@example({"model": "oscillator", "alpha_min": 0, "alpha_max": 10**400, "fixed": {}})
+def test_sweep_command(doc):
+    # the document as flags, and as a --config file
+    run(["sweep", *sweep_flags(doc, 3)])
+    run_with_config(["sweep", "--alpha-points", "3"], doc)
 
 
 @BUDGET
-@given(sweep_flags(50))
-def test_kink_command(argv):
-    run(["kink", *argv])
+@given(sweep_docs())
+def test_kink_command(doc):
+    run(["kink", *sweep_flags(doc, 50)])
 
 
 @BUDGET
 @given(EXPONENT, POSITIVE, POSITIVE, POSITIVE, POSITIVE)
+# 10 to the power of log10 of the largest double raised OverflowError
+@example(0.5, 0.1, 0.5, sys.float_info.max, sys.float_info.max)
 def test_regime_map_command(s, ratio_min, ratio_max, alpha_min, alpha_max):
-    run(["regime-map", *flags(s=s, ratio_min=ratio_min, ratio_max=ratio_max,
-                                    alpha_min=alpha_min, alpha_max=alpha_max),
-               "--ratio-points", "4", "--alpha-points", "4"])
+    doc = {"s": s, "ratio_min": ratio_min, "ratio_max": ratio_max,
+           "alpha_min": alpha_min, "alpha_max": alpha_max, "ratio_points": 4, "alpha_points": 4}
+    run(["regime-map", *flags(**doc)])
+    with contextlib.suppress(*PACKAGE_ERRORS):
+        regime_map_from_doc(doc)  # the same document, its integers kept
 
 
 ORACLE_DRAWS = {
@@ -343,26 +386,32 @@ ORACLE_DRAWS = {
 
 
 @st.composite
-def oracle_flags(draw):
+def oracle_inputs(draw):
+    """An oracle model and its inputs: eta and some of the others."""
     model = draw(st.sampled_from(sorted(ORACLE_DRAWS)))
     given_ = {key: draw(s) for key, s in ORACLE_DRAWS[model].items() if draw(st.booleans())}
-    argv = ["--model", model, *flags(eta=draw(NON_NEGATIVE), **given_)]
-    return [a.strip("'") for a in argv]  # the scheme's repr is quoted
+    return model, {"eta": draw(NON_NEGATIVE), **given_}
 
 
 @BUDGET
-@given(oracle_flags())
-@example(["--model", "free-particle", "--eta", "1", "--length", "1e200"])
-@example(["--model", "free-particle", "--eta", "1", "--length", "1e-200"])
-@example(["--model", "oscillator", "--eta", "1", "--omega0", "1e-100"])
-@example(["--model", "oscillator", "--eta", "1.0", "--omega-c", "1e+72"])
-@example(["--model", "oscillator", "--eta", "0.0", "--omega0", "2.2250738585072014e-308"])
-@example(["--model", "oscillator", "--eta", "1.0", "--omega0", "2.4754494749775103e-43"])
-@example(["--model", "free-particle", "--eta", "1", "--length", "1e-160"])  # q overflowed: NaN rows
-def test_oracle_command(argv):
+@given(oracle_inputs())
+@example(("free-particle", {"eta": 1.0, "length": 1e200}))
+@example(("free-particle", {"eta": 1.0, "length": 1e-200}))
+@example(("oscillator", {"eta": 1.0, "omega0": 1e-100}))
+@example(("oscillator", {"eta": 1.0, "omega_c": 1e72}))
+@example(("oscillator", {"eta": 0.0, "omega0": 2.2250738585072014e-308}))
+@example(("oscillator", {"eta": 1.0, "omega0": 2.4754494749775103e-43}))
+@example(("free-particle", {"eta": 1.0, "length": 1e-160}))  # q overflowed: NaN rows
+@example(("oscillator", {"eta": 1.0, "omega_c": 10**20}))  # numpy took the integer as an object
+def test_oracle_command(inputs):
     # every oracle row is a number: a NaN or inf cell is a defect
-    code, out = run(["oracle", *argv])
+    model, params = inputs
+    argv = ["--model", model, *flags(**params)]
+    code, out = run(["oracle", *[a.strip("'") for a in argv]])  # the scheme's repr is quoted
     assert not (code == 0 and ("nan" in out or "inf" in out)), out
+    with contextlib.suppress(*PACKAGE_ERRORS):
+        rows = oracle_run(model, params)  # the same inputs, their integers kept
+        assert all(finite(v) for row in rows for v in row.values()), rows
 
 
 @pytest.mark.parametrize("eta, omega_c", [(3e17, 7.6e17), (4.8e93, 1e96)])

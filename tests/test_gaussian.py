@@ -84,6 +84,15 @@ def test_free_particle_dim_is_an_integer_and_not_a_bool(dim):
 # ------------------------------------------------------------------ f(kappa)
 
 
+def test_integers_whose_square_passes_a_double_are_domain_errors():
+    # Python squares and multiplies integers exactly, and converting the
+    # result raised OverflowError
+    with pytest.raises(DomainError, match="a L"):
+        free_particle_entropy(FreeParticleParams(1.0, 100.0, 10**200))
+    with pytest.raises(DomainError, match="a/b"):
+        MomentPair(10**200, 10**200)
+
+
 def test_f_undamped_limit():
     assert oscillator_f(0.0) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,9 +1,16 @@
 """The package's record types are named tuples: immutable, without an
 instance __dict__, with a `Name(field=value, ...)` repr, and built by
-keyword with their defaults."""
+keyword with their defaults.  A checked record is built only through its
+constructor's checks."""
+
+import importlib
+import pkgutil
+import re
 
 import numpy as np
 import pytest
+
+import dissipent
 
 from dissipent import (
     BathSpec,
@@ -21,6 +28,7 @@ from dissipent import (
     SweepConfig,
     SweepTable,
 )
+from dissipent.errors import _Checked
 from dissipent.oracles import TracePowerResult
 
 BATH = BathSpec(s=1.0, alpha=0.1, cutoff=100.0)
@@ -89,3 +97,43 @@ def test_sweep_configs_do_not_share_fixed():
     assert a.fixed is not SweepConfig._field_defaults["fixed"]
     given = {"omega0": 2.0}
     assert SweepConfig(model="oscillator", fixed=given).fixed is not given
+
+
+# checked record -> a field value its constructor refuses
+OUT_OF_DOMAIN = {
+    BathSpec: {"alpha": -1.0},
+    FreeParticleParams: {"dim": 0},
+    OscillatorParams: {"omega0": 0.0},
+    MomentPair: {"q2": -1.0},
+    GaussianKernel: {"b": 2.0},
+    SpinBosonPoint: {"delta0": 0.0},
+    SweepConfig: {"n_points": 1},
+}
+
+
+@pytest.mark.parametrize("cls", OUT_OF_DOMAIN, ids=lambda cls: cls.__name__)
+def test_copies_are_checked_as_the_constructor_checks(cls):
+    # _replace and _make built through tuple.__new__, skipping every check
+    needed, defaults = RECORDS[cls]
+    bad = {**needed, **defaults, **OUT_OF_DOMAIN[cls]}
+    with pytest.raises(ValueError) as refused:
+        cls(**bad)
+    match = re.escape(str(refused.value))
+    with pytest.raises(type(refused.value), match=match):
+        cls(**needed)._replace(**OUT_OF_DOMAIN[cls])
+    with pytest.raises(type(refused.value), match=match):
+        cls._make(bad.values())
+
+
+def test_every_record_with_its_own_constructor_is_checked():
+    # a namedtuple subclass that checks in __new__ but not through _Checked
+    # would leave _make and _replace unchecked
+    modules = [importlib.import_module(f"dissipent.{m.name}")
+               for m in pkgutil.iter_modules(dissipent.__path__)]
+    checking = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        and "__new__" in vars(obj)
+    }
+    assert checking == set(OUT_OF_DOMAIN)
+    assert all(issubclass(cls, _Checked) for cls in checking)

@@ -51,6 +51,18 @@ def test_spin_entropy_half():
     assert spin_entropy(0.5) == pytest.approx(0.5623351446188083, rel=1e-14)
 
 
+@pytest.mark.parametrize("sx", [0.0, 0.3, 0.9, 1 - 1e-9, 1 - 2**-52, -0.7])
+def test_spin_entropy_is_that_of_the_diagonalised_state(sx):
+    # an oracle that shares no formula with spin_entropy: mpmath's Jacobi
+    # eigenvalues of the reduced density matrix [[1, sx], [sx, 1]] / 2 at 50
+    # digits, where spin_entropy writes down m = (1 - |sx|)/2
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    lams = mp.eigsy(mp.matrix([[1, sx], [sx, 1]]) / 2, eigvals_only=True)
+    want = -mp.fsum(lam * mp.log(lam) for lam in lams)
+    assert abs(spin_entropy(sx) - want) <= 4 * 2.0**-53 * want
+
+
 def test_spin_entropy_even_and_bounded():
     for sx in np.linspace(0.0, 1.0, 21):
         s = spin_entropy(sx)

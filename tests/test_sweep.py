@@ -33,7 +33,6 @@ from dissipent import (
 )
 from dissipent import sweep
 from dissipent.sweep import (
-    SWEEP_KEYS,
     SweepTable,
     _central_derivatives,
     format_value,
@@ -116,8 +115,8 @@ def test_sweep_config_is_the_sweep_document():
     cfg = SweepConfig(model="oscillator")
     assert (cfg.alpha_min, cfg.alpha_max, cfg.n_points, cfg.format) == (0.01, 1.0, 100, "csv")
     assert sweep_config({"kind": "sweep", "model": "oscillator"}) == cfg
-    assert SWEEP_KEYS == (
-        "kind", "model", "alpha_min", "alpha_max", "n_points", "fixed", "format",
+    assert SweepConfig._fields == (
+        "model", "alpha_min", "alpha_max", "n_points", "fixed", "format",
     )
 
 
