@@ -8,6 +8,7 @@ RegimeError -> 4.  DomainError means a mathematical precondition was violated
 import math
 import sys
 
+__all__ = ["ConfigError", "DomainError", "NumericalError", "RegimeError"]
 _LARGEST = sys.float_info.max
 
 

@@ -1,11 +1,13 @@
-"""Import hygiene: the package, every closed-form CLI command and the
-free-particle oracle run on the standard library alone, only the
-oscillator oracle loads numpy (on first call), only kink detection loads
-statistics, nothing loads dataclasses, and inspect loads only where numpy
-loads it; no module under src/dissipent imports scipy, which is a
-test-only dependency, and bath.py and gaussian.py do not import numpy
-either.  Each runtime case runs in a fresh
-interpreter, since the test process has numpy and scipy loaded already."""
+"""Import hygiene: `import dissipent` loads only its errors module, and a
+public name loads its own module on first access; the package, every
+closed-form CLI command and the free-particle oracle run on the standard
+library alone, only the oscillator oracle loads numpy (on first call),
+only kink detection loads statistics, nothing loads dataclasses, and
+inspect loads only where numpy loads it; no module under src/dissipent
+imports scipy, which is a test-only dependency, and bath.py and
+gaussian.py do not import numpy either.  Each runtime case runs in a
+fresh interpreter, since the test process has numpy and scipy loaded
+already."""
 
 import ast
 import contextlib
@@ -16,7 +18,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -139,11 +140,12 @@ def test_no_dataclasses_and_no_inspect_of_our_own(argv):
     assert out["inspect"] == (fresh("import numpy")["inspect"] if out["numpy"] else [])
 
 
-def test_oracles_module_is_loaded_with_the_package():
-    # the benchmark's tracer wraps these names only in modules already loaded
+def test_oracles_module_is_loaded_with_the_cli():
+    # the benchmark's tracer wraps these names only in modules already
+    # loaded, and its warm pass imports dissipent.cli before it installs
     names = ("eigh", "discrete_bath_moments", "ring_kernel_entropy")
     body = (
-        "import dissipent\n"
+        "import dissipent.cli\n"
         "mod = sys.modules.get('dissipent.oracles')\n"
         f"result = mod is not None and [callable(getattr(mod, n, None)) for n in {names!r}]"
     )
@@ -238,27 +240,89 @@ def test_eigh_is_bound_in_oracles():
     assert callable(vars(dissipent.oracles)["eigh"])
 
 
-# the submodules that list their public names in __all__
+# the submodules that list their public names in __all__, in the order the
+# package walks them
 PUBLIC = ("bath", "gaussian", "spinboson", "oracles", "sweep")
+# the dissipent.* modules a probe body has loaded by its end
+LOADED = "result = sorted(m for m in sys.modules if m.startswith('dissipent.'))"
 
 
-@pytest.mark.parametrize("name", PUBLIC)
+@pytest.mark.parametrize("name", ["errors", *PUBLIC])
 def test_every_listed_public_name_exists(name):
     module = importlib.import_module(f"dissipent.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_errors_lists_every_exception_class_it_defines():
+    errors = dissipent.errors
+    classes = {n for n, v in vars(errors).items() if isinstance(v, type)
+               and issubclass(v, Exception) and v.__module__ == errors.__name__}
+    assert sorted(errors.__all__) == sorted(classes)
+
+
 def test_the_package_binds_exactly_the_listed_public_names():
-    # each public name is listed once, in its module's __all__; errors has
-    # none, and the package binds its four classes by name
-    modules = {n for n, v in vars(dissipent).items() if isinstance(v, types.ModuleType)}
-    public = {n for n in vars(dissipent) if not n.startswith("_")} - modules
-    listed = {n for name in PUBLIC for n in importlib.import_module(f"dissipent.{name}").__all__}
-    errors = {"ConfigError", "DomainError", "NumericalError", "RegimeError"}
-    assert public == listed | errors
-    assert {m for m in modules if not m.startswith("_")} <= {*PUBLIC, "errors", "cli"}
+    # each public name is listed once, in its module's __all__, and the
+    # package resolves it to that module's object
+    homes = {}
+    for name in ("errors", *PUBLIC):
+        module = importlib.import_module(f"dissipent.{name}")
+        homes.update((n, module) for n in module.__all__ if n not in homes)
+    assert sorted(dissipent.__all__) == sorted(homes)  # each name once
+    assert dir(dissipent) == sorted(homes)
+    assert [n for n, m in homes.items() if getattr(dissipent, n) is not getattr(m, n)] == []
     # and __init__ lists none of them by hand
     tree = ast.parse((SRC / "dissipent" / "__init__.py").read_text(encoding="utf-8"))
     froms = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert [a.name for n in froms if n.module in PUBLIC for a in n.names if a.name != "*"] == []
+    assert [a.name for n in froms for a in n.names if a.name != "*"] == []
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert strings & set(homes) == set()
     assert dissipent.__version__ == "0.1.0"
+
+
+def test_import_loads_errors_alone():
+    assert fresh(f"import dissipent\n{LOADED}")["result"] == ["dissipent.errors"]
+
+
+# a name of each module, whose first access loads that module and those
+# before it in the walk, and binds the name in the package
+FIRST_ACCESS = {
+    "BathSpec": "bath",
+    "oscillator_moments": "gaussian",
+    "delta_ren": "spinboson",
+    "discrete_bath_moments": "oracles",
+    "run_sweep": "sweep",
+}
+
+
+@pytest.mark.parametrize("name", FIRST_ACCESS)
+def test_a_name_loads_its_module_on_first_access(name):
+    home = FIRST_ACCESS[name]
+    body = (
+        "import dissipent\n"
+        f"bound = dissipent.{name} is vars(dissipent)['{name}']\n"
+        f"{LOADED} + [bound]"
+    )
+    walked = [f"dissipent.{m}" for m in PUBLIC[: PUBLIC.index(home) + 1]]
+    assert fresh(body)["result"] == sorted(["dissipent.errors", *walked]) + [True]
+
+
+def test_a_dunder_probe_loads_no_module():
+    # pytest, inspect and doctest look for __wrapped__ on what they unwrap
+    body = f"import dissipent\nwrapped = getattr(dissipent, '__wrapped__', None)\n{LOADED} + [wrapped]"
+    assert fresh(body)["result"] == ["dissipent.errors", None]
+
+
+def test_star_import_binds_exactly_the_listed_names():
+    body = (
+        "names = set(dir())\n"
+        "from dissipent import *\n"
+        "result = sorted(set(dir()) - names - {'names'})"
+    )
+    assert fresh(body)["result"] == sorted(dissipent.__all__)
+
+
+def test_an_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'dissipent' has no attribute 'nope'$"):
+        dissipent.nope
+    with pytest.raises(ImportError, match="cannot import name 'nope'"):
+        from dissipent import nope  # noqa: F401

@@ -402,6 +402,24 @@ def test_sigma_x_superohmic_max_form():
     assert sigma_x(deep) == pytest.approx(2e-3, rel=1e-10)
 
 
+# |gap| / (alpha^2 ln^2 r + alpha r) of the max rule against second-order
+# perturbation theory reads at most 1.95 on this grid (r = 1e-2, alpha =
+# 1e-5) and about 0.36 at r = 1e-6; as alpha -> 0 it tends to 2 - 1.5 r,
+# since the two slopes differ by alpha (2 r + O(r^2))
+PT_BOUND = 2.5
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_sigma_x_matches_weak_coupling_perturbation_theory(r, alpha):
+    # continuum second-order PT for (Delta0/2) sigma_x + sigma_z sum
+    # (lambda_k/2)(b_k + b_k^dag), J = 2 alpha w at cutoff 1 and Delta0 = r:
+    # |<sigma_x>| = 1 - alpha (ln((1+r)/r) - 1/(1+r)) + O(alpha^2)
+    pt = 1.0 - alpha * (math.log1p(r) - math.log(r) - 1.0 / (1.0 + r))
+    gap = sigma_x(SpinBosonPoint(delta0=r, bath=BathSpec(s=1.0, alpha=alpha, cutoff=1.0))) - pt
+    assert abs(gap) <= PT_BOUND * (alpha**2 * math.log(r) ** 2 + alpha * r)
+
+
 def test_coherence_crossover_alpha():
     assert coherence_crossover_alpha(point(1.0, 0.1, 0.01)) == 0.5
     # super-Ohmic: crossing of exp(-alpha) with 2r, i.e. ln(1/(2r))
