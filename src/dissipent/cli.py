@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -112,6 +111,8 @@ def _cmd_kink(args) -> str:
 
 
 def _kink_json(report: KinkReport | None) -> str:
+    import json  # as in sweep, only where JSON is written
+
     if report is None:
         return "null\n"
     doc = {k: format_value(v) for k, v in report._asdict().items()}

@@ -13,11 +13,9 @@ table is written through one row template.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 
 from .bath import BathSpec, _log_ratio
 from .errors import _LARGEST, ConfigError, RegimeError, _Checked, _in_range
@@ -138,14 +136,12 @@ _TYPES = {
 }
 
 
-def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
-    """`doc` laid over the defaults of `reads`, the one input check of
-    sweep documents, regime-map documents and oracle runs.  `reads` maps
-    each input to its default, or to a type where the input is required;
-    `what` names the reader in its messages.  A missing required input, an
-    input `reads` does not list and a value not of its entry's type are
-    ConfigErrors.  With `kind`, the document may carry a "kind", which
-    must be `kind`."""
+def _keys(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
+    """`doc` without its "kind", once its keys are checked against `reads`,
+    which maps each input to its default, or to a type where the input is
+    required; `what` names the reader in its messages.  A missing required
+    input and an input `reads` does not list are ConfigErrors.  With
+    `kind`, the document may carry a "kind", which must be `kind`."""
     if kind is not None:
         if doc.get("kind", kind) != kind:
             raise ConfigError(f"not {what}: kind {doc['kind']!r}")
@@ -156,6 +152,15 @@ def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
     unread = sorted(set(doc) - set(reads))
     if unread:
         raise ConfigError(f"{what} does not read {unread}; it reads {', '.join(reads)}")
+    return doc
+
+
+def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
+    """`doc` laid over the defaults of `reads`, the one input check of
+    sweep documents, regime-map documents and oracle runs: its keys are
+    checked by _keys, and a value not of its entry's type is a
+    ConfigError."""
+    doc = _keys(what, doc, reads, kind)
     for key, val in doc.items():
         entry = reads[key]
         kinds, kind_name = _TYPES[entry if isinstance(entry, type) else type(entry)]
@@ -444,6 +449,8 @@ def oracle_run(model: str, params: dict) -> list[dict]:
 def read_doc(path) -> dict:
     """The JSON object in a preset or config file; a missing or unreadable
     file, invalid JSON and anything but an object are ConfigErrors."""
+    import json  # here and in table_to_json alone: CSV commands never load it
+
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -457,8 +464,9 @@ def read_doc(path) -> dict:
 
 def sweep_config(doc: dict) -> SweepConfig:
     """The (validated) SweepConfig of a sweep document: "kind" and the
-    fields of SweepConfig, of which only "model" is required."""
-    return SweepConfig(**_read("a sweep document", doc, _SWEEP_READS, "sweep"))
+    fields of SweepConfig, of which only "model" is required.  Only the
+    keys are checked here; SweepConfig checks the values."""
+    return SweepConfig(**_keys("a sweep document", doc, _SWEEP_READS, "sweep"))
 
 
 # a regime-map document's inputs, each with its default; s has none
@@ -555,6 +563,9 @@ def table_to_csv(table: SweepTable) -> str:
 def table_to_json(table: SweepTable) -> str:
     """The table as json.dumps(doc, indent=2, sort_keys=True) writes it,
     byte for byte, with every value a format_value string."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     head = json.dumps(
         {
             "config": {k: format_value(v) for k, v in table.config.items()},

@@ -1,9 +1,10 @@
 """Import hygiene: `import dissipent` loads only its errors module, and a
 public name loads its own module on first access; the package, every
 closed-form CLI command and the free-particle oracle run on the standard
-library alone, only the oscillator oracle loads numpy (on first call),
-only kink detection loads statistics, nothing loads dataclasses, and
-inspect loads only where numpy loads it; no module under src/dissipent
+library alone, only the oscillator oracle loads numpy (on first call) and
+none of it past numpy's core, only kink detection loads statistics, only
+the commands that read or write JSON load json, nothing loads
+dataclasses, and inspect loads only where numpy loads it; no module under src/dissipent
 imports scipy, which is a test-only dependency, and bath.py and
 gaussian.py do not import numpy either.  Each runtime case runs in a
 fresh interpreter, since the test process has numpy and scipy loaded
@@ -27,14 +28,17 @@ import dissipent
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `body` with its stdout swallowed, then prints its `result` and the
-# scipy, numpy, statistics, dataclasses and inspect modules loaded by then
+# modules of each package of LIBS loaded by then; the probe loads json only
+# after it has looked
+LIBS = ("scipy", "numpy", "numpy.polynomial", "statistics", "dataclasses", "inspect", "json")
 PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 result = None
 with contextlib.redirect_stdout(io.StringIO()):
 {body}
-loaded = {{lib: sorted(m for m in sys.modules if m.split(".")[0] == lib)
-          for lib in ("scipy", "numpy", "statistics", "dataclasses", "inspect")}}
+loaded = {{lib: sorted(m for m in sys.modules if m == lib or m.startswith(lib + "."))
+          for lib in {libs!r}}}
+import json
 print(json.dumps({{"result": result, **loaded}}))
 """
 
@@ -62,7 +66,7 @@ def fresh(body: str) -> dict:
     """`result` and the loaded modules of each library PROBE reports, of
     `body` run in a fresh interpreter with the package on PYTHONPATH; each
     body runs once per session."""
-    code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()))
+    code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()), libs=LIBS)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
@@ -152,6 +156,54 @@ def test_oracles_module_is_loaded_with_the_cli():
     out = fresh(body)
     assert out["result"] == [True] * len(names)
     assert out["numpy"] == []
+
+
+@pytest.mark.parametrize("argv", NUMPY_ORACLES.values(), ids=NUMPY_ORACLES.keys())
+def test_oracle_commands_load_numpy_core_alone(argv):
+    # the 16-node rule is constants: numpy.polynomial cost about 1.3 MB a job
+    out = fresh(cli_body(argv))
+    assert out["result"] == 0
+    assert out["numpy"] and out["numpy.polynomial"] == []
+
+
+def test_every_integral_loads_numpy_core_alone():
+    # the oscillator oracle, the free-energy flow and the sub-Ohmic flow
+    out = fresh(FORMER_SCIPY_USERS)
+    assert out["numpy"] and out["numpy.polynomial"] == []
+
+
+# the commands that neither read nor write JSON: CSV sweeps given by flags,
+# regime maps, the preset list and both oracles
+NO_JSON = {
+    "sweep-oscillator-csv": ["sweep", "--model", "oscillator", "--alpha-points", "5"],
+    "regime-map": NO_NUMPY["regime-map"],
+    "preset-list": NO_NUMPY["preset-list"],
+    "oracle-free-particle": NO_NUMPY["oracle-free-particle"],
+    **NUMPY_ORACLES,
+}
+PRESETS = SRC / "dissipent" / "presets"
+# and those that do: a JSON table, a config file, a preset document, a kink report
+JSON_USERS = {
+    "sweep-json": ["sweep", "--model", "oscillator", "--alpha-points", "5", "--format", "json"],
+    "sweep-config": ["sweep", "--config", str(PRESETS / "fig1-oscillator.json"),
+                     "--alpha-points", "5"],
+    "preset-csv": ["preset", "fig1-oscillator", "--format", "csv"],
+    "kink": NO_NUMPY["kink"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_JSON.values(), ids=NO_JSON.keys())
+def test_commands_without_json_do_not_load_it(argv):
+    out = fresh(cli_body(argv))
+    assert out["result"] == 0
+    assert out["json"] == []
+
+
+@pytest.mark.parametrize("argv", JSON_USERS.values(), ids=JSON_USERS.keys())
+def test_commands_that_read_or_write_json_load_it(argv):
+    out = fresh(cli_body(argv))
+    assert out["result"] == 0
+    assert "json" in out["json"]
 
 
 @pytest.mark.parametrize("argv", NUMPY_ORACLES.values(), ids=NUMPY_ORACLES.keys())

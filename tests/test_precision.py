@@ -377,3 +377,40 @@ def test_kappa_tilde_flow(s, fraction, ell):
     want = s_ if kt == s_ else s_ * kt / (kt + (s_ - kt) * mp.exp(s_ * l_))
     # exp(-s ell) is rounded with its argument: relative error s ell
     check("kappa_tilde_flow", got, want, 8 * (1 + s * ell))
+
+
+# ------------------------------------------------------------------ quadrature rule
+
+
+def legendre_rule_ref(x: float):
+    """The root of P_16 next to x and its Gauss weight 2 / ((1 - r^2) P_16'(r)^2),
+    at 50 digits, with (1 - r^2) P_n' = n (P_(n-1) - r P_n)."""
+    r = mp.findroot(lambda t: mp.legendre(16, t), mp.mpf(x))
+    slope = 16 * (mp.legendre(15, r) - r * mp.legendre(16, r)) / (1 - r * r)
+    return r, 2 / ((1 - r * r) * slope**2)
+
+
+def test_quadrature_rule_against_50_digit_legendre_roots():
+    # the literals are leggauss(16)'s values: its nodes round correctly,
+    # its weights are up to 63 ulps off (kept so outputs stay bit-identical)
+    from dissipent._quadrature import _HALF_RULE
+
+    assert len(_HALF_RULE) == 8
+    for x, w in _HALF_RULE:
+        r, wr = legendre_rule_ref(x)
+        assert abs(x - r) <= math.ulp(float(r)), f"node {x!r} against {r}"
+        assert abs(w - wr) <= 64 * math.ulp(float(wr)), f"weight {w!r} against {wr}"
+
+
+def test_quadrature_rule_is_symmetric_and_integrates_polynomials():
+    from dissipent._quadrature import _NODES, _WEIGHTS
+
+    nodes, weights = _NODES.tolist(), _WEIGHTS.tolist()
+    assert len(nodes) == len(weights) == 16
+    assert nodes == sorted(nodes) and nodes == [-x for x in reversed(nodes)]
+    assert weights == weights[::-1]
+    # exact for degree <= 2n - 1 = 31: int x^k over [-1, 1] is 2/(k+1) for even k
+    for k in range(32):
+        got = sum(w * x**k for x, w in zip(nodes, weights))
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(got - want) <= 1e-15, f"x^{k}: {got!r} against {want!r}"

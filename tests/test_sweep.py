@@ -347,6 +347,28 @@ def test_oracle_run_free_particle():
     assert rows["trace"]["abs_dev"] < 1e-10
 
 
+# eta -> (S analytic, S oracle, trace oracle), as float.hex, as each value
+# was when every row built its own ring ladder
+FREE_PARTICLE_ORACLE = {
+    0.5: ("0x1.06769a5647a94p+2", "0x1.06769a5647a94p+2", "0x1.fffffffffffffp-1"),
+    8.57: ("0x1.48d8312e0dfe6p+2", "0x1.48d8312e0dfe6p+2", "0x1.0000000000000p+0"),
+    100.0: ("0x1.58be69297e496p+2", "0x1.58be69297e496p+2", "0x1.0000000000000p+0"),
+}
+
+
+@pytest.mark.parametrize("eta", FREE_PARTICLE_ORACLE)
+def test_free_particle_oracle_rows_share_one_ring_ladder(eta):
+    from dissipent.oracles import _ring_ladder
+
+    _ring_ladder.cache_clear()
+    rows = {r["observable"]: r for r in oracle_run("free-particle", {"eta": eta})}
+    info = _ring_ladder.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    got = (rows["S"]["analytic"], rows["S"]["oracle"], rows["trace"]["oracle"])
+    assert tuple(map(float.hex, got)) == FREE_PARTICLE_ORACLE[eta]
+    assert rows["trace"]["analytic"] == 1.0
+
+
 @pytest.mark.parametrize(
     "model, params, word",
     [
