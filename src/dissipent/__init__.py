@@ -7,12 +7,10 @@ determinants, truncated-Fock exact diagonalisation)."""
 
 import importlib as _importlib
 
-from .errors import *
-
 __version__ = "0.1.0"
-# each module's public names are its __all__; errors loads with the package,
-# any other module on first access to one of its names (PEP 562).  They are
-# in dependency order, so a match loads the fewest modules
+# each module's public names are its __all__, and a module loads on first
+# access to one of its names (PEP 562): `import dissipent` loads none.  They
+# are in dependency order, so a match loads the fewest modules
 _MODULES = ("errors", "bath", "gaussian", "spinboson", "oracles", "sweep")
 
 

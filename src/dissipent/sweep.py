@@ -18,7 +18,7 @@ import numbers
 from collections import namedtuple
 
 from .bath import BathSpec, _log_ratio
-from .errors import _LARGEST, ConfigError, RegimeError, _Checked, _in_range
+from .errors import ConfigError, RegimeError, _Checked, _in_range
 from .gaussian import (
     FreeParticleParams,
     OscillatorParams,
@@ -102,12 +102,12 @@ class SweepConfig(
 
     def __new__(cls, model, alpha_min, alpha_max, n_points, fixed, format):
         values = (model, alpha_min, alpha_max, n_points, fixed, format)
-        _read("a sweep document", dict(zip(cls._fields, values)), _SWEEP_READS)
-        fixed = dict(fixed)  # not the default's dict, which every instance would share
+        doc = _read("a sweep document", dict(zip(cls._fields, values)), _SWEEP_READS)
+        alpha_min, alpha_max = doc["alpha_min"], doc["alpha_max"]
         if model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
         for name, bound in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
-            if not abs(bound) <= _LARGEST:  # so an integer converts to a float
+            if not math.isfinite(bound):
                 raise ConfigError(f"{name} must be finite, got {bound}")
         if not alpha_min < alpha_max:
             raise ConfigError(f"alpha_min must be < alpha_max, got {alpha_min} >= {alpha_max}")
@@ -117,7 +117,8 @@ class SweepConfig(
             raise ConfigError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
         if format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {format!r}")
-        _read(f"the {model} model", fixed, MODEL_PARAMS[model])
+        par = _read(f"the {model} model", fixed, MODEL_PARAMS[model])
+        fixed = {key: par[key] for key in fixed}  # not the default's dict, which all would share
         return tuple.__new__(cls, (model, alpha_min, alpha_max, n_points, fixed, format))
 
 
@@ -159,14 +160,23 @@ def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
     """`doc` laid over the defaults of `reads`, the one input check of
     sweep documents, regime-map documents and oracle runs: its keys are
     checked by _keys, and a value not of its entry's type is a
-    ConfigError."""
+    ConfigError.  A value whose entry is a float is returned as a float,
+    so that 1e20 and 10**20 print alike; an integer past the largest
+    double is a ConfigError."""
     doc = _keys(what, doc, reads, kind)
+    read = {**reads, **doc}
     for key, val in doc.items():
         entry = reads[key]
-        kinds, kind_name = _TYPES[entry if isinstance(entry, type) else type(entry)]
+        typ = entry if isinstance(entry, type) else type(entry)
+        kinds, kind_name = _TYPES[typ]
         if not isinstance(val, kinds) or isinstance(val, bool):
             raise ConfigError(f"{key} must be {kind_name}, got {val!r}")
-    return {**reads, **doc}
+        if typ is float:
+            try:
+                read[key] = float(val)
+            except OverflowError:  # an integer past the largest double
+                raise ConfigError(f"{key} must be finite, got {val}") from None
+    return read
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:

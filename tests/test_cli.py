@@ -338,10 +338,14 @@ OSC = {"model": "oscillator", "alpha_min": 0.01, "alpha_max": 0.3, "n_points": 3
         ({**OSC, "model": "spin-boson", "fixed": {"temperature": 0.0}}, "temperature"),
         # an integer whose square passes the largest double: OverflowError (exit 1)
         ({"model": "free-particle", "fixed": {"length": 10**200}}, "a L**2"),
+        # integers that convert to no double
+        ({"model": "free-particle", "fixed": {"length": 10**400}}, "length must be finite"),
+        ({**OSC, "alpha_max": 10**400}, "alpha_max must be finite"),
     ],
     ids=[
         "unknown-key", "unknown-output", "fmt-key", "branch-key", "invalid-json",
-        "top-level-list", "temperature-param", "integer-length",
+        "top-level-list", "temperature-param", "integer-length", "integer-length-past-double",
+        "integer-bound-past-double",
     ],
 )
 def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
@@ -349,6 +353,16 @@ def test_bad_config_document_is_config_error(tmp_path, capsys, doc, word):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error") and word in err
+
+
+def test_an_integer_prints_as_the_same_float(tmp_path, capsys):
+    # 10**20 headed its table with all 21 digits, and 1e20 with 1e+20
+    heads = []
+    for length in (10**20, 1e20):
+        doc = {"model": "free-particle", "n_points": 3, "fixed": {"length": length}}
+        assert run_cli(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        heads += [line for line in capsys.readouterr().out.splitlines() if "length" in line]
+    assert heads == ["# length = 1e+20"] * 2
 
 
 @pytest.mark.parametrize(

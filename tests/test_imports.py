@@ -1,8 +1,8 @@
-"""Import hygiene: `import dissipent` loads only its errors module, and a
-public name loads its own module on first access; the package, every
-closed-form CLI command and the free-particle oracle run on the standard
-library alone, only the oscillator oracle loads numpy (on first call) and
-none of it past numpy's core, only kink detection loads statistics, only
+"""Import hygiene: `import dissipent` loads none of its modules, and a
+public name, an error class too, loads its own module on first access;
+the package, every closed-form CLI command and the free-particle oracle
+run on the standard library alone, only the oscillator oracle loads numpy
+(on first call) and none of it past numpy's core, only kink detection loads statistics, only
 the commands that read or write JSON load json, nothing loads
 dataclasses, and inspect loads only where numpy loads it; no module under src/dissipent
 imports scipy, which is a test-only dependency, and bath.py and
@@ -294,12 +294,12 @@ def test_eigh_is_bound_in_oracles():
 
 # the submodules that list their public names in __all__, in the order the
 # package walks them
-PUBLIC = ("bath", "gaussian", "spinboson", "oracles", "sweep")
+PUBLIC = ("errors", "bath", "gaussian", "spinboson", "oracles", "sweep")
 # the dissipent.* modules a probe body has loaded by its end
 LOADED = "result = sorted(m for m in sys.modules if m.startswith('dissipent.'))"
 
 
-@pytest.mark.parametrize("name", ["errors", *PUBLIC])
+@pytest.mark.parametrize("name", PUBLIC)
 def test_every_listed_public_name_exists(name):
     module = importlib.import_module(f"dissipent.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
@@ -316,7 +316,7 @@ def test_the_package_binds_exactly_the_listed_public_names():
     # each public name is listed once, in its module's __all__, and the
     # package resolves it to that module's object
     homes = {}
-    for name in ("errors", *PUBLIC):
+    for name in PUBLIC:
         module = importlib.import_module(f"dissipent.{name}")
         homes.update((n, module) for n in module.__all__ if n not in homes)
     assert sorted(dissipent.__all__) == sorted(homes)  # each name once
@@ -331,13 +331,14 @@ def test_the_package_binds_exactly_the_listed_public_names():
     assert dissipent.__version__ == "0.1.0"
 
 
-def test_import_loads_errors_alone():
-    assert fresh(f"import dissipent\n{LOADED}")["result"] == ["dissipent.errors"]
+def test_import_loads_no_module():
+    assert fresh(f"import dissipent\n{LOADED}")["result"] == []
 
 
 # a name of each module, whose first access loads that module and those
 # before it in the walk, and binds the name in the package
 FIRST_ACCESS = {
+    "DomainError": "errors",
     "BathSpec": "bath",
     "oscillator_moments": "gaussian",
     "delta_ren": "spinboson",
@@ -355,13 +356,33 @@ def test_a_name_loads_its_module_on_first_access(name):
         f"{LOADED} + [bound]"
     )
     walked = [f"dissipent.{m}" for m in PUBLIC[: PUBLIC.index(home) + 1]]
-    assert fresh(body)["result"] == sorted(["dissipent.errors", *walked]) + [True]
+    assert fresh(body)["result"] == sorted(walked) + [True]
+
+
+def test_the_error_classes_load_on_first_access():
+    # a class is bound in the package only once it is read; each is its
+    # dissipent.errors counterpart, and an except clause naming it through
+    # the package catches the package's refusal
+    body = (
+        "import dissipent\n"
+        "bound = 'ConfigError' in vars(dissipent)\n"
+        "from dissipent import ConfigError\n"
+        f"{LOADED} + [bound]\n"
+        "try:\n"
+        "    dissipent.BathSpec(-1.0, 0.0, 1.0)\n"
+        "except dissipent.DomainError:\n"
+        "    result.append('caught')\n"
+        "errors = sys.modules['dissipent.errors']\n"
+        "result.append([getattr(dissipent, n) is getattr(errors, n) for n in errors.__all__])"
+    )
+    same = [True] * len(dissipent.errors.__all__)
+    assert fresh(body)["result"] == ["dissipent.errors", False, "caught", same]
 
 
 def test_a_dunder_probe_loads_no_module():
     # pytest, inspect and doctest look for __wrapped__ on what they unwrap
     body = f"import dissipent\nwrapped = getattr(dissipent, '__wrapped__', None)\n{LOADED} + [wrapped]"
-    assert fresh(body)["result"] == ["dissipent.errors", None]
+    assert fresh(body)["result"] == [None]
 
 
 def test_star_import_binds_exactly_the_listed_names():

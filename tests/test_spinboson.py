@@ -420,6 +420,56 @@ def test_sigma_x_matches_weak_coupling_perturbation_theory(r, alpha):
     assert abs(gap) <= PT_BOUND * (alpha**2 * math.log(r) ** 2 + alpha * r)
 
 
+# Away from s = 1 the max rule's O(alpha) slope of |<sigma_x>| is not PT's.
+# This is a measured curve, not a bug: the adiabatic exponent's sharp lower
+# limit gives the slope -Y(r) + r^(s-1), Y = (1 - r^(s-1))/(s-1), where PT
+# gives -I_s(r), I_s(r) = int_0^1 w^s/(r+w)^2 dw (cutoff 1, Delta0 = r).
+# As r -> 0 their ratio tends to pi (1-s)/sin(pi s) for s < 1, and to 1
+# for s > 1.
+def adiabatic_slope(s, r):
+    return r ** (s - 1.0) - (1.0 - r ** (s - 1.0)) / (s - 1.0)
+
+
+def package_slope(s, r):
+    # (d Delta_ren / d Delta0 - 1)/alpha, at an alpha that moves it by 1e-9
+    alpha = 1e-9 / abs(adiabatic_slope(s, r))
+    bath = BathSpec(s=s, alpha=alpha, cutoff=1.0)
+    return (delta_ren_derivative(SpinBosonPoint(delta0=r, bath=bath)) - 1.0) / alpha
+
+
+def pt_slope(s, r):
+    return -float(mpmath.quad(lambda w: w**s / (r + w) ** 2, [0, r, 1]))
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-2])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 1.5, 2.0])
+def test_weak_coupling_slope_is_the_adiabatic_one(s, r):
+    # the largest relative gap read 2.4e-6, at s = 0.8 and r = 1e-8
+    assert package_slope(s, r) == pytest.approx(adiabatic_slope(s, r), rel=5e-6)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_subohmic_slope_ratio_to_pt_tends_to_its_limit(s):
+    # 2.71827, 1.57091 and 1.07119 read against 2.71826, 1.57080 and 1.06896
+    ratio = pt_slope(s, 1e-8) / package_slope(s, 1e-8)
+    assert ratio == pytest.approx(math.pi * (1.0 - s) / math.sin(math.pi * s), rel=3e-3)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_superohmic_slope_ratio_to_pt_tends_to_one(s):
+    # 0.999913 at s = 1.5 and 0.999998 at s = 2
+    assert abs(pt_slope(s, 1e-8) / package_slope(s, 1e-8) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("s, pt, adiabatic", [(0.5, -13.72, -8.00), (1.5, -1.569, -1.700),
+                                              (2.0, -0.918, -0.980)])
+def test_weak_coupling_slopes_at_a_ratio_of_a_hundredth(s, pt, adiabatic):
+    # each to the digits it is quoted with
+    digits = 2 if s < 1 else 3
+    assert round(pt_slope(s, 1e-2), digits) == pt
+    assert round(package_slope(s, 1e-2), digits) == adiabatic
+
+
 def test_coherence_crossover_alpha():
     assert coherence_crossover_alpha(point(1.0, 0.1, 0.01)) == 0.5
     # super-Ohmic: crossing of exp(-alpha) with 2r, i.e. ln(1/(2r))

@@ -120,6 +120,15 @@ def test_sweep_config_is_the_sweep_document():
     )
 
 
+def test_sweep_config_stores_a_float_input_as_a_float():
+    # the integer fields stay integers
+    cfg = SweepConfig(model="free-particle", alpha_min=0, alpha_max=2, n_points=3,
+                      fixed={"length": 10**20, "dim": 2})
+    assert cfg == ("free-particle", 0.0, 2.0, 3, {"length": 1e20, "dim": 2}, "csv")
+    stored = (cfg.alpha_min, cfg.alpha_max, cfg.n_points, cfg.fixed["length"], cfg.fixed["dim"])
+    assert list(map(type, stored)) == [float, float, int, float, int]
+
+
 # grids through the couplings the paper singles out: 1/pi (kappa = 1) for
 # the oscillator, 1/2 and 1 for the Ohmic spin-boson model
 BRANCH_GRIDS = {
