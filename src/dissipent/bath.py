@@ -17,7 +17,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, _Checked, _finite, _in_range
+from .errors import DomainError, _Checked, _finite, _in_range, _shown
 
 __all__ = ["BathSpec", "adiabatic_exponent"]
 _TINY = sys.float_info.min  # the smallest normal double
@@ -73,7 +73,7 @@ def _log_scale(name: str, scale: float, cutoff: float) -> float:
     """u = ln(scale / cutoff) <= 0 of a running scale, which must lie in
     (0, cutoff]: the package's one rule for it, else a DomainError."""
     if not 0 < scale <= cutoff:
-        raise DomainError(f"{name} must lie in (0, cutoff], got {scale} with cutoff {cutoff}")
+        raise DomainError(f"{name} must lie in (0, cutoff], got {_shown(scale)} with cutoff {cutoff}")
     return _log_ratio(scale, cutoff)
 
 

@@ -28,6 +28,17 @@ class NumericalError(RuntimeError):
     """A solver or quadrature failed to converge to the requested tolerance."""
 
 
+def _shown(value, conv=str) -> str:
+    """conv(value), the one text by which a message echoes a value; an int
+    past Python's limit on the digits it converts (4,300) is named by size."""
+    try:
+        return conv(value)
+    except ValueError:  # the limit, hit by an int or by a value holding one
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def _in_range(name: str, value, op: str, low):
     """value, if it is finite and value op low holds, op being ">" or ">=";
     else the package's one DomainError for a range (NaN fails both).  An
@@ -35,7 +46,7 @@ def _in_range(name: str, value, op: str, low):
     converts to a float."""
     if (value > low if op == ">" else value >= low) and value <= _LARGEST:
         return value
-    raise DomainError(f"{name} must be finite and {op} {low}, got {value}")
+    raise DomainError(f"{name} must be finite and {op} {low}, got {_shown(value)}")
 
 
 def _finite(what: str, value):

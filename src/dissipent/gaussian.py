@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .bath import _log_ratio
-from .errors import DomainError, RegimeError, _Checked, _finite, _in_range
+from .errors import DomainError, RegimeError, _Checked, _finite, _in_range, _shown
 
 __all__ = [
     "FreeParticleParams",
@@ -62,7 +62,7 @@ class FreeParticleParams(
         _in_range("omega_c", omega_c, ">", 0)
         _in_range("length", length, ">", 0)
         if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
-            raise DomainError(f"dim must be an integer, got {dim!r}")
+            raise DomainError(f"dim must be an integer, got {_shown(dim, repr)}")
         _in_range("dim", dim, ">=", 1)
         return tuple.__new__(cls, (eta, omega_c, length, dim))
 
@@ -262,7 +262,7 @@ def gaussian_entropy(nu: float) -> float:
     S(1/2) = 0 exactly (d <= 0 gives 0), and S -> ln(nu) + 1 for large nu.
     """
     if nu < 0.5 - 1e-12:
-        raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {nu}")
+        raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {_shown(nu)}")
     d = nu - 0.5
     if d <= 0.0:
         return 0.0
@@ -291,9 +291,9 @@ class GaussianKernel(_Checked, namedtuple("GaussianKernel", "a b")):
 
     def __new__(cls, a: float, b: float):
         if not b >= 0:
-            raise DomainError(f"b must be >= 0, got {b}")
+            raise DomainError(f"b must be >= 0, got {_shown(b)}")
         if not a > b:
-            raise DomainError(f"need a > b for a valid state, got a={a}, b={b}")
+            raise DomainError(f"need a > b for a valid state, got a={_shown(a)}, b={_shown(b)}")
         return tuple.__new__(cls, (a, b))
 
     @property

@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 
 from .bath import BathSpec
-from .errors import ConfigError, DomainError, NumericalError, _finite
+from .errors import ConfigError, DomainError, NumericalError, _finite, _shown
 from .gaussian import GaussianKernel, MomentPair, OscillatorParams
 from .gaussian import _eps_tilde, _square
 from .spinboson import ReducedSpinState
@@ -108,7 +108,7 @@ def discretize_oscillator_bath(
     import numpy as np
 
     if not 8 <= n_modes <= _MAX_TERMS:
-        raise ConfigError(f"need 8 to {_MAX_TERMS} modes, got {n_modes}")
+        raise ConfigError(f"need 8 to {_MAX_TERMS} modes, got {_shown(n_modes)}")
     if omega_min is None:
         omega_min = 1e-3 * omega0
     # a float cutoff: numpy takes an integer past 2**63 as a Python object
@@ -117,7 +117,7 @@ def discretize_oscillator_bath(
     elif scheme == "linear":
         edges = np.linspace(omega_min, float(omega_c), n_modes + 1)
     else:
-        raise ConfigError(f"unknown discretization scheme {scheme!r}")
+        raise ConfigError(f"unknown discretization scheme {_shown(scheme, repr)}")
     lo, hi = edges[:-1], edges[1:]
     bin_j = eta * (hi**2 - lo**2) / 2.0
     # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
@@ -134,7 +134,7 @@ def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
     import numpy as np
 
     if not 1 <= n_modes <= _MAX_TERMS:
-        raise ConfigError(f"need 1 to {_MAX_TERMS} modes, got {n_modes}")
+        raise ConfigError(f"need 1 to {_MAX_TERMS} modes, got {_shown(n_modes)}")
     edges = np.geomspace(1e-3 * bath.cutoff, float(bath.cutoff), n_modes + 1)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
@@ -344,7 +344,7 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     O(eps^2) per replica factor.
     """
     if n < 1:
-        raise DomainError(f"replica index must be >= 1, got {n}")
+        raise DomainError(f"replica index must be >= 1, got {_shown(n)}")
     et = _kernel_eps_tilde(kernel)  # before log(4b): it refuses b = 0
     # work in logs: det A grows like (2a)^n
     log_det = math.fsum(

@@ -39,7 +39,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from .bath import BathSpec, _log_exponent, _log_ratio, _log_scale
-from .errors import DomainError, NumericalError, RegimeError, _Checked, _finite, _in_range
+from .errors import DomainError, NumericalError, RegimeError, _Checked, _finite, _in_range, _shown
 
 __all__ = [
     "SpinBosonPoint",
@@ -88,9 +88,9 @@ class SpinBosonPoint(_Checked, namedtuple("SpinBosonPoint", "delta0 bath")):
 
     def __new__(cls, delta0: float, bath: BathSpec):
         if not delta0 > 0:
-            raise DomainError(f"delta0 must be > 0, got {delta0}")
+            raise DomainError(f"delta0 must be > 0, got {_shown(delta0)}")
         if delta0 >= bath.cutoff:
-            raise DomainError(f"delta0 must be below the cutoff ({delta0} >= {bath.cutoff})")
+            raise DomainError(f"delta0 must be below the cutoff ({_shown(delta0)} >= {bath.cutoff})")
         ratio = delta0 / bath.cutoff
         if ratio < sys.float_info.min:  # 1/r would overflow
             raise DomainError(f"delta0/cutoff = {ratio} is subnormal")
@@ -121,7 +121,7 @@ def spin_entropy(sx: float) -> float:
     -m ln m - (1-m) log1p(-m) in the smaller one, m = (1-|sx|)/2, which keeps
     full precision as |sx| -> 1.  S(0) = ln 2, S(+-1) = 0."""
     if not abs(sx) <= 1.0:
-        raise DomainError(f"|<sigma_x>| must be <= 1, got {sx}")
+        raise DomainError(f"|<sigma_x>| must be <= 1, got {_shown(sx)}")
     m = (1.0 - abs(sx)) / 2.0  # the smaller eigenvalue, exact for |sx| >= 1/2
     return -m * math.log(m) - (1.0 - m) * math.log1p(-m) if m else 0.0
 
@@ -137,30 +137,32 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     * cutoff; that is a value, not an error (localized Ohmic phase
     alpha >= 1, or the deep sub-Ohmic scaling regime).
     """
-    bath = point.bath
-    if bath.alpha == 0.0:
-        return point.delta0
-    t = _solve(bath.alpha, bath.s, math.log(point.ratio))
-    return None if t is None else math.exp(t) * bath.cutoff
+    delta0, (s, alpha, cutoff) = point
+    if alpha == 0.0:
+        return delta0
+    t = _solve(alpha, s, math.log(delta0 / cutoff))
+    return None if t is None else math.exp(t) * cutoff
 
 
 def _solve(alpha: float, s: float, log_r: float) -> float | None:
     """t = ln(Delta_ren/cutoff) for alpha > 0 and log_r = ln(Delta0/cutoff):
     the root of h(t) = t - ln(r) + X(t), X = _log_exponent(alpha, s), or
-    None when _root_at_or_above finds none above _LOG_FLOOR.  For s < 1
-    (h convex) Newton from t = 0 falls monotonically to the largest root,
-    the first fixed point met flowing down from the cutoff; for s >= 1
-    (h concave, one root) Newton from the floor rises monotonically to it.
+    None when none lies above _LOG_FLOOR.  For s < 1 (h convex, tested by
+    _root_at_or_above) Newton from t = 0 falls monotonically to the largest
+    root, the first fixed point met flowing down from the cutoff; for s >= 1
+    (h concave, one root iff h(floor) <= 0) Newton rises to it from the floor.
     """
     exponent = _log_exponent(alpha, s)
-    if not _root_at_or_above(exponent, _lowest(alpha, s), log_r, _LOG_FLOOR):
-        return None
     # Newton steps down from 0 (h > 0 above the root) or up from the floor (h < 0 below it)
     t, sign = (0.0, 1.0) if s < 1.0 else (_LOG_FLOOR, -1.0)
+    if sign > 0.0 and not _root_at_or_above(exponent, _lowest(alpha, s), log_r, _LOG_FLOOR):
+        return None
+    x, dx = exponent(t)
+    if sign < 0.0 and t - log_r + x > 0.0:  # concave h is lowest here, at the floor: no root
+        return None
     # monotone Newton: h keeps its starting sign and h' > 0 along the way;
     # either failing means the iterate sits on the root to rounding
     for _ in range(100):
-        x, dx = exponent(t)
         h, dh = t - log_r + x, 1.0 + dx
         if not (sign * h > 0.0 and dh > 0.0):
             break
@@ -168,6 +170,7 @@ def _solve(alpha: float, s: float, log_r: float) -> float | None:
         t -= step
         if abs(step) <= 1e-15 * abs(t):
             break
+        x, dx = exponent(t)
     if abs(t - log_r + exponent(t)[0]) > 1e-9:
         raise NumericalError("delta_ren solver failed to converge")
     return None if t <= _LOG_FLOOR else t
@@ -175,9 +178,8 @@ def _solve(alpha: float, s: float, log_r: float) -> float | None:
 
 def _lowest(alpha: float, s: float) -> float:
     """Where delta_ren's h(t) = t - ln r + X(t) is lowest on t <= 0, for
-    alpha > 0: h'' = -alpha (s-1) e^((s-1) t), so for s < 1 (h convex) at
-    min(ln(alpha)/(1-s), 0), and for s >= 1 (h concave) towards -inf."""
-    return min(math.log(alpha) / (1.0 - s), 0.0) if s < 1.0 else -math.inf
+    alpha > 0 and s < 1 (h'' = -alpha (s-1) e^((s-1) t) > 0): min(ln(alpha)/(1-s), 0)."""
+    return min(math.log(alpha) / (1.0 - s), 0.0)
 
 
 def _root_at_or_above(exponent, t_min: float, log_r: float, t_low: float) -> bool:
@@ -189,10 +191,9 @@ def _root_at_or_above(exponent, t_min: float, log_r: float, t_low: float) -> boo
     return t - log_r + exponent(t)[0] <= 0.0
 
 
-def _slope(point: SpinBosonPoint, dr: float) -> float:
-    """d Delta_ren / d Delta0 at a root dr of point's self-consistency equation."""
-    s, alpha, cutoff = point.bath
-    return (dr / point.delta0) / _dh(1.0 - alpha * (dr / cutoff) ** (s - 1.0))
+def _slope(dr: float, delta0: float, s: float, alpha: float, cutoff: float) -> float:
+    """d Delta_ren / d Delta0 at a root dr of (delta0, BathSpec(s, alpha, cutoff))."""
+    return (dr / delta0) / _dh(1.0 - alpha * (dr / cutoff) ** (s - 1.0))
 
 
 def _dh(dh: float) -> float:
@@ -212,7 +213,7 @@ def delta_ren_derivative(point: SpinBosonPoint) -> float | None:
     None when delta_ren has no solution; 1 at alpha = 0.
     """
     dr = delta_ren(point)
-    return None if dr is None else _slope(point, dr)
+    return None if dr is None else _slope(dr, point.delta0, *point.bath)
 
 
 def delocalized_log_derivative(point: SpinBosonPoint) -> float:
@@ -321,13 +322,12 @@ def sigma_x(point: SpinBosonPoint) -> float:
     branch 2 Delta0/cutoff is forced.  Applies to Ohmic and non-Ohmic baths
     alike; for s = 1 the branch crossing sits at alpha = 1/2 exactly.
     """
-    return _max_rule_sigma_x(point, delta_ren(point))
+    return _max_rule(delta_ren(point), 2.0 * point.ratio, point.delta0, *point.bath)
 
 
-def _max_rule_sigma_x(point: SpinBosonPoint, dr: float | None) -> float:
-    """The max rule of sigma_x, given dr = delta_ren(point)."""
-    pert = 2.0 * point.ratio
-    return min(1.0, pert if dr is None else max(_slope(point, dr), pert))
+def _max_rule(dr, two_r: float, delta0: float, s: float, alpha: float, cutoff: float) -> float:
+    """The max rule of sigma_x at (delta0, BathSpec(s, alpha, cutoff)), dr its delta_ren."""
+    return min(1.0, two_r if dr is None else max(_slope(dr, delta0, s, alpha, cutoff), two_r))
 
 
 def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
@@ -548,22 +548,26 @@ def subohmic_regime(point: SpinBosonPoint) -> Regime:
     bath = point.bath
     if bath.s >= 1:
         raise RegimeError(f"subohmic_regime requires s < 1, got s = {bath.s}")
-    return Regime(_labels(bath.alpha, bath.s, [point.ratio])[0])
+    return Regime(_labels(bath.alpha, bath.s, _cells(bath.s, [point.ratio]))[0])
 
 
-def _labels(alpha: float, s: float, ratios) -> list[str]:
-    """The rule of subohmic_regime along a row of ratios r = Delta0/cutoff
-    at coupling alpha >= 0 and exponent s < 1: the label string of each r,
-    with the exponent built once.  Delta_ren >= Delta0^2/cutoff says that
-    delta_ren's h has a root at or above ln r^2: its existence test at
-    t_low = ln r^2, with no solve."""
+def _cells(s: float, ratios) -> list[tuple]:
+    """(ln r, s r, r >= SCALING_TRUST_MIN_RATIO), which _labels reads, of each ratio r."""
+    return [(math.log(r), s * r, r >= SCALING_TRUST_MIN_RATIO) for r in ratios]
+
+
+def _labels(alpha: float, s: float, cells) -> list[str]:
+    """The rule of subohmic_regime along a row of _cells(s, ratios), at
+    coupling alpha >= 0 and exponent s < 1, with the exponent built once.
+    Delta_ren >= Delta0^2/cutoff says that delta_ren's h has a root at or
+    above ln r^2: its existence test at t_low = ln r^2, with no solve.  The
+    line alpha = s r is written here alone."""
     if alpha == 0.0:
-        return [_COHERENT] * len(ratios)
+        return [_COHERENT] * len(cells)
     exponent, t_min = _log_exponent(alpha, s), _lowest(alpha, s)
     return [
         _COHERENT
-        if r >= SCALING_TRUST_MIN_RATIO
-        and _root_at_or_above(exponent, t_min, (log_r := math.log(r)), 2.0 * log_r)
-        else _LOCALIZED if alpha > s * r else _INCOHERENT
-        for r in ratios
+        if trusted and _root_at_or_above(exponent, t_min, log_r, 2.0 * log_r)
+        else _LOCALIZED if alpha > s_r else _INCOHERENT
+        for log_r, s_r, trusted in cells
     ]

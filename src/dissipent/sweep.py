@@ -18,7 +18,7 @@ import numbers
 from collections import namedtuple
 
 from .bath import BathSpec, _log_ratio
-from .errors import ConfigError, RegimeError, _Checked, _in_range
+from .errors import ConfigError, RegimeError, _Checked, _in_range, _shown
 from .gaussian import (
     FreeParticleParams,
     OscillatorParams,
@@ -35,8 +35,9 @@ from .oracles import (
 )
 from .spinboson import (
     SpinBosonPoint,
+    _cells,
     _labels,
-    _max_rule_sigma_x,
+    _max_rule,
     delta_ren,
     spin_entropy,
 )
@@ -112,9 +113,9 @@ class SweepConfig(
         if not alpha_min < alpha_max:
             raise ConfigError(f"alpha_min must be < alpha_max, got {alpha_min} >= {alpha_max}")
         if n_points < 3:
-            raise ConfigError(f"n_points must be >= 3, got {n_points}")
+            raise ConfigError(f"n_points must be >= 3, got {_shown(n_points)}")
         if n_points > _MAX_POINTS:
-            raise ConfigError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
+            raise ConfigError(f"n_points must be <= {_MAX_POINTS}, got {_shown(n_points)}")
         if format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {format!r}")
         par = _read(f"the {model} model", fixed, MODEL_PARAMS[model])
@@ -145,7 +146,7 @@ def _keys(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
     `kind`, the document may carry a "kind", which must be `kind`."""
     if kind is not None:
         if doc.get("kind", kind) != kind:
-            raise ConfigError(f"not {what}: kind {doc['kind']!r}")
+            raise ConfigError(f"not {what}: kind {_shown(doc['kind'], repr)}")
         doc = {key: val for key, val in doc.items() if key != "kind"}
     missing = [key for key, entry in reads.items() if isinstance(entry, type) and key not in doc]
     if missing:
@@ -170,12 +171,12 @@ def _read(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
         typ = entry if isinstance(entry, type) else type(entry)
         kinds, kind_name = _TYPES[typ]
         if not isinstance(val, kinds) or isinstance(val, bool):
-            raise ConfigError(f"{key} must be {kind_name}, got {val!r}")
+            raise ConfigError(f"{key} must be {kind_name}, got {_shown(val, repr)}")
         if typ is float:
             try:
                 read[key] = float(val)
             except OverflowError:  # an integer past the largest double
-                raise ConfigError(f"{key} must be finite, got {val}") from None
+                raise ConfigError(f"{key} must be finite, got {_shown(val)}") from None
     return read
 
 
@@ -183,7 +184,7 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     """n points from lo to hi, equal to numpy.linspace(lo, hi, n) bit for
     bit: i * step + lo, with the last point set to hi."""
     if n < 0:
-        raise ConfigError(f"number of points must be >= 0, got {n}")
+        raise ConfigError(f"number of points must be >= 0, got {_shown(n)}")
     div = max(n - 1, 1)  # a single point is 0 * (hi - lo) + lo
     step = (hi - lo) / div
     if step == 0.0:  # underflow: numpy scales by the fraction instead
@@ -272,7 +273,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 # columns in _COLUMNS order, without the stencil columns.  The
 # Gaussian rows check the first point's record, then call the float cores;
 # the grid, increasing and finite, keeps each free-particle eta in range,
-# but an oscillator eta = 2 kappa omega0 can overflow.
+# but an oscillator eta = 2 kappa omega0 can overflow.  The spin-boson
+# rows form r, 2r and the regime cells once; each calls delta_ren on its record.
 
 
 def _oscillator_rows(grid, omega0, omega_c):
@@ -287,11 +289,12 @@ def _oscillator_rows(grid, omega0, omega_c):
 
 
 def _spin_boson_rows(grid, delta0, lambda0, s):
+    ratio = SpinBosonPoint(delta0, BathSpec(s, grid[0], lambda0)).ratio
+    two_r, cells = 2.0 * ratio, _cells(s, (ratio,)) if s < 1 else None
     for a in grid:
-        point = SpinBosonPoint(delta0=delta0, bath=BathSpec(s=s, alpha=a, cutoff=lambda0))
-        dr = delta_ren(point)
-        sx = _max_rule_sigma_x(point, dr)
-        regime = _labels(a, s, (point.ratio,))[0] if s < 1 else ""
+        dr = delta_ren(SpinBosonPoint(delta0, BathSpec(s, a, lambda0)))
+        sx = _max_rule(dr, two_r, delta0, s, a, lambda0)
+        regime = _labels(a, s, cells)[0] if cells else ""
         yield math.nan if dr is None else dr, sx, spin_entropy(sx), regime
 
 
@@ -385,11 +388,10 @@ def regime_map(s: float, ratios, alphas) -> RegimeMap:
     alphas = [float(a) for a in alphas]
     if not (ratios and alphas):
         raise ConfigError("a regime map needs at least one ratio and one alpha")
-    # each axis value is validated once: a point per ratio column, then a
-    # bath per alpha row, which is labelled in one call
-    for r in ratios:
-        SpinBosonPoint(delta0=r, bath=free)
-    labels = [_labels(BathSpec(s=s, alpha=a, cutoff=1.0).alpha, s, ratios) for a in alphas]
+    # each axis value is validated once: a point per ratio column, whose
+    # cells are formed once, then a bath per alpha row, labelled in one call
+    cells = _cells(s, [SpinBosonPoint(r, free).delta0 for r in ratios])
+    labels = [_labels(BathSpec(s, a, 1.0).alpha, s, cells) for a in alphas]
     return RegimeMap(s=s, ratios=ratios, alphas=alphas, labels=labels)
 
 
@@ -494,7 +496,8 @@ def regime_map_from_doc(doc: dict) -> RegimeMap:
     # an empty axis counts as one: regime_map refuses it, after the other is built
     if max(n_ratios, 1) * max(n_alphas, 1) > _MAX_POINTS:
         raise ConfigError(
-            f"a regime map has at most {_MAX_POINTS} cells, got {n_ratios} ratios x {n_alphas} alphas"
+            f"a regime map has at most {_MAX_POINTS} cells, "
+            f"got {_shown(n_ratios)} ratios x {_shown(n_alphas)} alphas"
         )
     ratios = geomspace(par["ratio_min"], par["ratio_max"], n_ratios)
     alphas = geomspace(par["alpha_min"], par["alpha_max"], n_alphas)
@@ -600,7 +603,8 @@ def regime_map_to_csv(rmap: RegimeMap) -> str:
         "transition line: alpha = s * delta0_over_lambda0",
     ]
     header = ["alpha\\ratio"] + [format_value(r) for r in rmap.ratios]
-    return _csv(comments, header, [rmap.alphas, *zip(*rmap.labels)])
+    rows = [",".join(("%.12g" % a, *labels)) for a, labels in zip(rmap.alphas, rmap.labels)]
+    return _csv(comments, header, ()) + "".join(row + "\n" for row in rows)
 
 
 def oracle_to_csv(rows: list[dict]) -> str:

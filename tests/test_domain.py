@@ -64,7 +64,16 @@ from dissipent import (
     subohmic_rg_flow,
 )
 from dissipent.cli import main
-from dissipent.sweep import oracle_run, preset_names, regime_map_from_doc
+from dissipent.oracles import discretize_oscillator_bath, discretize_spin_bath, trace_power
+from dissipent.sweep import (
+    SweepConfig,
+    linspace,
+    oracle_run,
+    preset_names,
+    regime_map_from_doc,
+    run_sweep,
+    sweep_config,
+)
 
 PACKAGE_ERRORS = (ConfigError, DomainError, NumericalError, RegimeError)
 # a budget per property: a fifth of the loaded profile's examples
@@ -426,3 +435,45 @@ def test_ring_ladder_is_refused_before_it_is_built(eta, omega_c, capsys):
 @given(st.sampled_from(preset_names()), st.sampled_from([[], ["--format", "json"]]))
 def test_preset_command(name, fmt):
     run(["preset", name, *fmt])
+
+
+# ------------------------------------------- integers past the digit limit
+
+# an integer past Python's limit on the digits it converts to text (4,300
+# by default, since 3.11 and 3.10.7): a message that echoed it with str or
+# repr raised ValueError in place of the package's error
+HUGE = 10**5000
+# each site that echoes a value it refuses, with a call that reaches it
+ECHOING = {
+    "BathSpec s": lambda: BathSpec(HUGE, 0.1, 1.0),
+    "SpinBosonPoint delta0": lambda: SpinBosonPoint(HUGE, BathSpec(1.0, 0.1, 1.0)),
+    "SpinBosonPoint delta0 <= 0": lambda: SpinBosonPoint(-HUGE, BathSpec(1.0, 0.1, 1.0)),
+    "free-particle sweep dim": lambda: run_sweep(SweepConfig("free-particle", fixed={"dim": HUGE})),
+    "FreeParticleParams dim": lambda: FreeParticleParams(1.0, 1.0, 1.0, [HUGE]),
+    "SweepConfig alpha_max": lambda: SweepConfig("oscillator", alpha_max=HUGE),
+    "SweepConfig n_points": lambda: SweepConfig("oscillator", n_points=HUGE),
+    "SweepConfig n_points < 3": lambda: SweepConfig("oscillator", n_points=-HUGE),
+    "SweepConfig model": lambda: SweepConfig(HUGE),
+    "sweep document kind": lambda: sweep_config({"kind": HUGE, "model": "oscillator"}),
+    "regime_map_from_doc ratio_points": lambda: regime_map_from_doc({"s": 0.5, "ratio_points": HUGE}),
+    "oracle_run oscillator n_modes": lambda: oracle_run("oscillator", {"eta": 1.0, "n_modes": HUGE}),
+    "linspace": lambda: linspace(0.0, 1.0, -HUGE),
+    "spin_entropy": lambda: spin_entropy(-HUGE),
+    "gaussian_entropy": lambda: gaussian_entropy(-HUGE),
+    "GaussianKernel b": lambda: GaussianKernel(1.0, -HUGE),
+    "GaussianKernel a": lambda: GaussianKernel(-HUGE, 0.0),
+    "adiabatic_exponent lambda_low": lambda: adiabatic_exponent(BathSpec(1.0, 0.1, 1.0), HUGE),
+    "discretize_oscillator_bath n_modes": lambda: discretize_oscillator_bath(1.0, 100.0, HUGE),
+    "discretize_oscillator_bath scheme": lambda: discretize_oscillator_bath(1.0, 100.0, 8, HUGE),
+    "discretize_spin_bath n_modes": lambda: discretize_spin_bath(BathSpec(1.0, 0.1, 1.0), HUGE),
+    "trace_power n": lambda: trace_power(GaussianKernel(1.0, 0.1), -HUGE),
+}
+
+
+@pytest.mark.parametrize("call", ECHOING.values(), ids=ECHOING)
+def test_an_integer_past_the_digit_limit_gets_the_package_error(call):
+    with pytest.raises(PACKAGE_ERRORS) as refusal:
+        call()
+    if hasattr(sys, "get_int_max_str_digits"):  # the limit exists: the integer is named by size
+        message = str(refusal.value)
+        assert "an integer of 16610 bits" in message or "a list too long to print" in message

@@ -2,7 +2,8 @@
 block through cli.main, and its "Library quickstart" block.  Its "Command
 line" section names every option of the CLI.  Its oracle ledger has a row
 for every public function of bath, gaussian and spinboson, and cites only
-tests that exist."""
+tests that exist.  Its count of strict-xfail checks, and of known
+discrepancies, is the suite's number of strict xfails."""
 
 import argparse
 import re
@@ -90,3 +91,19 @@ def test_oracle_ledger_cites_tests_that_exist():
     assert len(cited) >= len(LEDGER)
     for file, name in cited:
         assert re.search(rf"^def {name}\(", (TESTS / file).read_text(encoding="utf-8"), re.M), name
+
+
+COUNTS = {"Three": 3, "Four": 4, "Five": 5, "Six": 6}
+
+
+def test_readme_counts_the_strict_xfails():
+    # "N checks are marked strict-`xfail`" and "N standard claims" with N
+    # numbered known discrepancies: one per strict xfail of the suite
+    marked = sum(
+        len(re.findall(r"@pytest\.mark\.xfail\(\s*strict=True", path.read_text(encoding="utf-8")))
+        for path in TESTS.glob("test_*.py")
+    )
+    checks = re.search(r"(\w+) checks are marked strict-`xfail`", README).group(1)
+    claims = re.search(r"(\w+) standard claims", section("Known analytical discrepancies")).group(1)
+    items = re.findall(r"^\d+\. \*\*", section("Known analytical discrepancies"), re.M)
+    assert COUNTS[checks] == COUNTS[claims] == len(items) == marked

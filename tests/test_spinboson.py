@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
@@ -11,6 +11,7 @@ from scipy.optimize import minimize_scalar
 from dissipent import (
     BathSpec,
     DomainError,
+    NumericalError,
     Regime,
     RegimeError,
     SpinBosonPoint,
@@ -30,6 +31,7 @@ from dissipent import (
     subohmic_regime,
     subohmic_rg_flow,
 )
+from dissipent import spinboson
 from dissipent.spinboson import BRACKET_FLOOR
 
 
@@ -284,6 +286,95 @@ def test_delta_ren_near_tangent_root():
     assert abs(log_residual(pt, t)) <= 1e-12
 
 
+def solve_before_floor_reuse(alpha, s, log_r):
+    """spinboson._solve as it was before it started Newton for s >= 1 from
+    the h(floor) of its existence test: the reference the solver must
+    match bit for bit.  It reads the exponent through the module, so that a
+    test can count its evaluations; for s >= 1 it lowers the existence test
+    to the floor by t_min = -inf, as _lowest did."""
+    exponent = spinboson._log_exponent(alpha, s)
+    t_min = spinboson._lowest(alpha, s) if s < 1.0 else -math.inf  # h concave: no minimum
+    if not spinboson._root_at_or_above(exponent, t_min, log_r, spinboson._LOG_FLOOR):
+        return None
+    t, sign = (0.0, 1.0) if s < 1.0 else (spinboson._LOG_FLOOR, -1.0)
+    for _ in range(100):
+        x, dx = exponent(t)
+        h, dh = t - log_r + x, 1.0 + dx
+        if not (sign * h > 0.0 and dh > 0.0):
+            break
+        step = h / dh
+        t -= step
+        if abs(step) <= 1e-15 * abs(t):
+            break
+    if abs(t - log_r + exponent(t)[0]) > 1e-9:
+        raise NumericalError("delta_ren solver failed to converge")
+    return None if t <= spinboson._LOG_FLOOR else t
+
+
+def solve_outcome(solve, alpha, s, log_r):
+    """solve's root, None, or the NumericalError it raised, by message."""
+    try:
+        return solve(alpha, s, log_r)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@given(
+    s=st.one_of(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]),
+                st.floats(0.1, 3.0, exclude_min=True, exclude_max=True)),
+    alpha=st.floats(0.0, 3.0, exclude_min=True),
+    log_r=st.floats(-40.0, -1e-6),
+    root_offset=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+)
+@example(s=1.0, alpha=0.3, log_r=math.log(0.01), root_offset=None)
+@example(s=1.5, alpha=0.5, log_r=0.0, root_offset=1e-9)  # a root just above the floor
+@example(s=1.5, alpha=0.5, log_r=0.0, root_offset=-1e-9)  # and just below it
+def test_solve_matches_the_solver_before_floor_reuse(s, alpha, log_r, root_offset):
+    if root_offset is not None:  # ln r that puts the root at the floor plus root_offset
+        t_root = T_FLOOR + root_offset
+        log_r = t_root + spinboson._log_exponent(alpha, s)(t_root)[0]
+        assume(log_r < 0.0)
+    want = solve_outcome(solve_before_floor_reuse, alpha, s, log_r)
+    got = solve_outcome(spinboson._solve, alpha, s, log_r)
+    assert got == want and type(got) is type(want)
+
+
+def exponent_evaluations(monkeypatch, solve, alpha, s, log_r):
+    """How many times solve evaluates the bath exponent for one root."""
+    count = [0]
+    build = spinboson._log_exponent
+
+    def counted(*args):
+        exponent = build(*args)
+
+        def evaluate(u):
+            count[0] += 1
+            return exponent(u)
+
+        return evaluate
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spinboson, "_log_exponent", counted)
+        solve(alpha, s, log_r)
+    return count[0]
+
+
+# (s, alpha, r) with a root, and the exponent evaluations of one solve
+# before and now: for s >= 1 the existence test's h(floor) is Newton's
+# first step, one evaluation fewer; for s < 1 nothing changed
+@pytest.mark.parametrize("s, alpha, r, before, now", [
+    (1.0, 0.3, 0.01, 4, 3), (1.0, 0.9, 0.5, 5, 4), (1.5, 0.5, 0.01, 7, 6), (2.0, 1.0, 1e-3, 6, 5),
+    (0.5, 0.1, 0.3, 7, 7), (0.8, 0.05, 0.01, 7, 7),
+])
+def test_solve_evaluates_the_exponent_once_fewer_for_s_at_least_one(
+    monkeypatch, s, alpha, r, before, now
+):
+    log_r = math.log(r)
+    assert spinboson._solve(alpha, s, log_r) is not None
+    assert exponent_evaluations(monkeypatch, solve_before_floor_reuse, alpha, s, log_r) == before
+    assert exponent_evaluations(monkeypatch, spinboson._solve, alpha, s, log_r) == now
+
+
 # ------------------------------------------------------------------ Ohmic energy
 
 
@@ -407,17 +498,45 @@ def test_sigma_x_superohmic_max_form():
 # 1e-5) and about 0.36 at r = 1e-6; as alpha -> 0 it tends to 2 - 1.5 r,
 # since the two slopes differ by alpha (2 r + O(r^2))
 PT_BOUND = 2.5
+PT_COUPLINGS = [1e-5, 1e-4, 1e-3, 1e-2]
+PT_RATIOS = [1e-2, 1e-3, 1e-4, 1e-6]
 
 
-@pytest.mark.parametrize("alpha", [1e-5, 1e-4, 1e-3, 1e-2])
-@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-6])
-def test_sigma_x_matches_weak_coupling_perturbation_theory(r, alpha):
-    # continuum second-order PT for (Delta0/2) sigma_x + sigma_z sum
-    # (lambda_k/2)(b_k + b_k^dag), J = 2 alpha w at cutoff 1 and Delta0 = r:
-    # |<sigma_x>| = 1 - alpha (ln((1+r)/r) - 1/(1+r)) + O(alpha^2)
+def meets_weak_coupling_perturbation_theory(observable, r, alpha) -> bool:
+    """Whether observable (a route to |<sigma_x>|) at s = 1, cutoff 1 and
+    Delta0 = r lies within PT_BOUND (alpha^2 ln^2 r + alpha r) of continuum
+    second-order PT for (Delta0/2) sigma_x + sigma_z sum (lambda_k/2)(b_k +
+    b_k^dag), J = 2 alpha w: |<sigma_x>| = 1 - alpha (ln((1+r)/r) -
+    1/(1+r)) + O(alpha^2)."""
     pt = 1.0 - alpha * (math.log1p(r) - math.log(r) - 1.0 / (1.0 + r))
-    gap = sigma_x(SpinBosonPoint(delta0=r, bath=BathSpec(s=1.0, alpha=alpha, cutoff=1.0))) - pt
-    assert abs(gap) <= PT_BOUND * (alpha**2 * math.log(r) ** 2 + alpha * r)
+    gap = observable(SpinBosonPoint(delta0=r, bath=BathSpec(s=1.0, alpha=alpha, cutoff=1.0))) - pt
+    return abs(gap) <= PT_BOUND * (alpha**2 * math.log(r) ** 2 + alpha * r)
+
+
+@pytest.mark.parametrize("alpha", PT_COUPLINGS)
+@pytest.mark.parametrize("r", PT_RATIOS)
+def test_sigma_x_matches_weak_coupling_perturbation_theory(r, alpha):
+    assert meets_weak_coupling_perturbation_theory(sigma_x, r, alpha)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known discrepancy 4: the energy route 2 dE/dDelta0 misses "
+    "weak-coupling PT at all 16 points of the max rule's check.  At "
+    "alpha = 0 it is 2 (1 - 2r) before its clip to 1, because the free "
+    "spin's flow energy Delta0 (1 - r) already carries the factor 2 that "
+    "the Hellmann-Feynman route applies again, so it stays at 1 while PT "
+    "falls as 1 - alpha I_1(r); halved, its slope at alpha = 0 is "
+    "ln r + 3 - 4r, still 2 off PT's",
+)
+def test_ohmic_sigma_x_energy_matches_weak_coupling_perturbation_theory():
+    misses = [
+        (r, alpha)
+        for r in PT_RATIOS
+        for alpha in PT_COUPLINGS
+        if not meets_weak_coupling_perturbation_theory(ohmic_sigma_x_energy, r, alpha)
+    ]
+    assert not misses, misses
 
 
 # Away from s = 1 the max rule's O(alpha) slope of |<sigma_x>| is not PT's.

@@ -462,6 +462,10 @@ AXIS_ALPHA = st.one_of(st.floats(0.0, 3.0), st.just(0.0))
     st.lists(AXIS_ALPHA, min_size=1, max_size=4),
 )
 @example(0.5, [1e-3, 0.1, 0.8], [0.0, 1e-4, 0.1])  # an alpha = 0 row in and past the trust band
+# edges of the precomputed cells: a ratio of exactly SCALING_TRUST_MIN_RATIO,
+# and alpha exactly s r, on the line, where the cell is not yet localized
+@example(0.5, [0.1, 0.4], [0.5 * 0.1, 0.5 * 0.4])
+@example(0.3, [0.1, 0.7, 1e-3], [0.3 * 0.1, 0.3 * 0.7, 0.3 * 1e-3])
 def test_regime_map_labels_are_subohmic_regime(s, ratios, alphas):
     rmap = regime_map(s, ratios, alphas)
     want = [
@@ -473,6 +477,10 @@ def test_regime_map_labels_are_subohmic_regime(s, ratios, alphas):
 
 @given(st.floats(0.05, 0.95), st.floats(1.0, 90.0), st.floats(1e-4, 1.0))
 @example(0.5, 20.0, 0.04)
+# the last grid point is alpha_max: exactly s r, at r = 0.1 =
+# SCALING_TRUST_MIN_RATIO and, below it, on the line alpha = s r
+@example(0.5, 10.0, 0.5 * (10.0 / 100.0))
+@example(0.3, 5.0, 0.3 * (5.0 / 100.0))
 def test_subohmic_sweep_regime_is_subohmic_regime(s, delta0, alpha_max):
     # cutoff 100, not 1: Delta_ren >= Delta0^2/cutoff must keep its units
     fixed = {"delta0": delta0, "lambda0": 100.0, "s": s}
