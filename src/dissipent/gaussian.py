@@ -234,19 +234,22 @@ def oscillator_entropy_expansion(m: MomentPair) -> float:
     at eps >= 1; use the exact Gaussian entropy there instead.
     """
     e = m.eps
-    if e >= 1.0:
+    entropy = _expansion(e)
+    if math.isnan(entropy):
         raise RegimeError(
             f"entropy expansion needs eps < 1 (nu > 1), got eps = {e}; "
             "use the exact Gaussian entropy"
         )
-    return _expansion(e)
+    return entropy
 
 
 def _eps_tilde(e: float) -> float:
     return e * math.sqrt(1.0 - e) / math.sqrt(1.0 - 0.25 * e * e)
 
 
-def _expansion(e: float) -> float:  # oscillator_entropy_expansion at eps = e < 1
+def _expansion(e: float) -> float:  # oscillator_entropy_expansion at eps = e, NaN unless e < 1
+    if not e < 1.0:
+        return math.nan
     et = _eps_tilde(e)
     return -((et / e) * math.log(et) + (et / (e * e)) * math.log1p(-e))
 

@@ -28,7 +28,6 @@ and the free-particle oracle, load no numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -259,17 +258,13 @@ def discrete_bath_moments(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _ring_ladder(a: float, length: float) -> tuple[float, tuple]:
+def _ring_ladder(a: float, length: float) -> tuple[float, list]:
     """q = k_1^2 / (4a) and the distinct ring eigenvalues lambda_n =
     lambda_0 exp(-q n^2), n = 0..n_max.  lambda_n falls like
     exp(-pi^2 n^2 / (a L^2)), so n_max = ceil(sqrt(45 a) L / pi) + 2 puts
     the last one more than 45 e-folds below lambda_0: below 2.21e-22 for
     every a L^2 (largest at a L^2 = (182 pi)^2 / 45).  A count past
-    _MAX_TERMS is refused before the ladder is built.
-
-    The last ladder is kept, immutable, so the free-particle oracle's
-    entropy and trace rows build one."""
+    _MAX_TERMS is refused before the ladder is built."""
     if not (a > 0 and length > 0):
         raise DomainError("need a > 0 and length > 0")
     reach = math.sqrt(45.0 * a) * length / math.pi
@@ -278,7 +273,7 @@ def _ring_ladder(a: float, length: float) -> tuple[float, tuple]:
     n_max = int(math.ceil(reach)) + 2
     lam0 = _finite("lambda_0", (1.0 / length) * math.sqrt(math.pi / a))
     q = _finite("q", _square(2.0 * math.pi / length) / (4.0 * a))
-    return q, tuple(lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1))
+    return q, [lam0 * math.exp(-q * (n * n)) for n in range(n_max + 1)]
 
 
 def ring_kernel_eigenvalues(a: float, length: float) -> list[float]:

@@ -138,20 +138,23 @@ def delta_ren(point: SpinBosonPoint) -> float | None:
     alpha >= 1, or the deep sub-Ohmic scaling regime).
     """
     delta0, (s, alpha, cutoff) = point
-    if alpha == 0.0:
+    if alpha == 0.0:  # exactly: e^(ln r) cutoff can round below delta0
         return delta0
     t = _solve(alpha, s, math.log(delta0 / cutoff))
     return None if t is None else math.exp(t) * cutoff
 
 
 def _solve(alpha: float, s: float, log_r: float) -> float | None:
-    """t = ln(Delta_ren/cutoff) for alpha > 0 and log_r = ln(Delta0/cutoff):
-    the root of h(t) = t - ln(r) + X(t), X = _log_exponent(alpha, s), or
-    None when none lies above _LOG_FLOOR.  For s < 1 (h convex, tested by
-    _root_at_or_above) Newton from t = 0 falls monotonically to the largest
-    root, the first fixed point met flowing down from the cutoff; for s >= 1
-    (h concave, one root iff h(floor) <= 0) Newton rises to it from the floor.
+    """t = ln(Delta_ren/cutoff) for log_r = ln(Delta0/cutoff): the root of
+    h(t) = t - ln(r) + X(t), X = _log_exponent(alpha, s), or None when none
+    lies above _LOG_FLOOR.  At alpha = 0 it is ln r, returned as is.  For
+    s < 1 (h convex, tested by _root_at_or_above) Newton from t = 0 falls
+    monotonically to the largest root, the first fixed point met flowing
+    down from the cutoff; for s >= 1 (h concave, one root iff h(floor) <= 0)
+    Newton rises to it from the floor.
     """
+    if alpha == 0.0:
+        return log_r
     exponent = _log_exponent(alpha, s)
     # Newton steps down from 0 (h > 0 above the root) or up from the floor (h < 0 below it)
     t, sign = (0.0, 1.0) if s < 1.0 else (_LOG_FLOOR, -1.0)
@@ -235,7 +238,7 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
     if point.bath.is_ohmic:  # in closed form, also below the solver's floor
         t = log_r / (1.0 - a) if a < 1.0 else None
     else:
-        t = _solve(a, s, log_r) if a > 0.0 else log_r
+        t = _solve(a, s, log_r)
     if t is None:
         raise RegimeError(f"no delocalized branch at alpha = {a:g}")
     y, dy = _log_exponent(1.0, s)(t)
@@ -250,14 +253,22 @@ def delocalized_log_derivative(point: SpinBosonPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ohmic_log_and_g(point: SpinBosonPoint) -> tuple[float, float]:
-    """(ln r, g) for the Ohmic energies, 0 <= alpha < 1: with
-    x = (2a-1) ln(r) / (1-a), r^(a/(1-a)) - r = r expm1(x), and
-    g = expm1(x) / x, which is 1 at x = 0 (alpha = 1/2)."""
+def _ohmic_energy(point: SpinBosonPoint, caller: str) -> tuple[float, float]:
+    """(E, 2 dE/dDelta0) of the closed-form Ohmic energy, the second not yet
+    clipped; RegimeError naming caller unless s = 1.  With r = Delta0/cutoff,
+    x = (2a-1) ln(r) / (1-a) and g = expm1(x) / x, which is 1 at x = 0
+    (alpha = 1/2), r^(a/(1-a)) - r = r expm1(x) for alpha < 1."""
+    if not point.bath.is_ohmic:
+        raise RegimeError(f"{caller} requires s = 1, got s = {point.bath.s}")
     a = point.bath.alpha
-    log_r = math.log(point.ratio)
+    r = point.ratio
+    if a >= 1.0:
+        return point.delta0 * r / (2.0 * a - 1.0), 4.0 * r / (2.0 * a - 1.0)
+    log_r = math.log(r)
     x = (2.0 * a - 1.0) * log_r / (1.0 - a)
-    return log_r, (math.expm1(x) / x if x else 1.0)
+    g = math.expm1(x) / x if x else 1.0
+    energy = -(r * log_r * g / (1.0 - a)) * point.delta0  # Delta0 r alone can underflow
+    return energy, 2.0 * r / (1.0 - a) * (-g * log_r / (1.0 - a) - 1.0)
 
 
 def ohmic_ground_energy(point: SpinBosonPoint) -> float:
@@ -265,7 +276,7 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     with r = Delta0/cutoff:
 
         0 <= alpha < 1 : E = [Delta0 r^(a/(1-a)) - Delta0 r] / (1-2a)
-                           = -Delta0 r ln(r) g / (1-a),   g as above
+                           = -Delta0 r ln(r) g / (1-a),   g as in _ohmic_energy
         alpha >= 1     : E = Delta0 r / (2a - 1)
 
     The first line is one analytic function of alpha, the free spin's
@@ -276,14 +287,7 @@ def ohmic_ground_energy(point: SpinBosonPoint) -> float:
     coincides with the flow quadrature (Delta_ren = 0 there); E is
     continuous across alpha = 1.
     """
-    if not point.bath.is_ohmic:
-        raise RegimeError(f"ohmic_ground_energy requires s = 1, got s = {point.bath.s}")
-    a = point.bath.alpha
-    r = point.ratio
-    if a >= 1.0:
-        return point.delta0 * r / (2.0 * a - 1.0)
-    log_r, g = _ohmic_log_and_g(point)
-    return -(r * log_r * g / (1.0 - a)) * point.delta0  # Delta0 r alone can underflow
+    return _ohmic_energy(point, "ohmic_ground_energy")[0]
 
 
 def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
@@ -292,16 +296,7 @@ def ohmic_sigma_x_energy(point: SpinBosonPoint) -> float:
     ohmic_ground_energy, and 4r/(2a-1) for alpha >= 1.  This is the
     energy-route coherence; the max-rule sigma_x below is the one used for
     crossover analysis."""
-    if not point.bath.is_ohmic:
-        raise RegimeError(f"requires s = 1, got s = {point.bath.s}")
-    a = point.bath.alpha
-    r = point.ratio
-    if a >= 1.0:
-        val = 4.0 * r / (2.0 * a - 1.0)
-    else:
-        log_r, g = _ohmic_log_and_g(point)
-        val = 2.0 * r / (1.0 - a) * (-g * log_r / (1.0 - a) - 1.0)
-    return min(1.0, max(0.0, val))
+    return min(1.0, max(0.0, _ohmic_energy(point, "ohmic_sigma_x_energy")[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +332,19 @@ def coherence_crossover_alpha(point: SpinBosonPoint) -> float:
     For s = 1 the crossing is exactly 1/2: there d Delta_ren/d Delta0
     = r^(a/(1-a))/(1-a) equals 2r identically.  For s != 1 it is located
     by bisection to 1e-10 on [1e-6, hi], hi doubled from 1 until the
-    perturbative branch wins; for a super-Ohmic bath it sits near
-    (s-1) ln(cutoff/Delta0).  RegimeError when the perturbative branch
-    already wins at alpha = 1e-6, so that there is no crossing.
+    perturbative branch wins, each step one _solve and _slope on floats;
+    for a super-Ohmic bath it sits near (s-1) ln(cutoff/Delta0).
+    RegimeError when the perturbative branch already wins at alpha = 1e-6,
+    so that there is no crossing.
     """
     if point.bath.is_ohmic:
         return 0.5
+    delta0, (s, _, cutoff) = point
+    log_r, two_r = math.log(point.ratio), 2.0 * point.ratio
 
-    def gap(alpha: float) -> float:
-        d = delta_ren_derivative(point._replace(bath=point.bath._replace(alpha=alpha)))
-        if d is None:
-            return -1.0
-        return d - 2.0 * point.ratio
+    def gap(alpha: float) -> float:  # delta_ren_derivative - 2r, -1 where no root
+        t = _solve(alpha, s, log_r)
+        return -1.0 if t is None else _slope(math.exp(t) * cutoff, delta0, s, alpha, cutoff) - two_r
 
     lo, hi = 1e-6, 1.0
     if not gap(lo) > 0:
@@ -402,7 +398,7 @@ def flow_free_energy(point: SpinBosonPoint, temperature: float = 0.0) -> float:
     _in_range("temperature", temperature, ">=", 0)
     (s, alpha, cutoff), log_r = point.bath, math.log(point.ratio)
     # limits in u = ln(L/cutoff), which cannot underflow: t = ln(Delta_ren/cutoff) and ln(T/cutoff)
-    t = _solve(alpha, s, log_r) if alpha else log_r
+    t = _solve(alpha, s, log_r)
     lower = max(-math.inf if t is None else t,
                 _log_ratio(temperature, cutoff) if temperature else -math.inf)
     if lower >= 0.0:

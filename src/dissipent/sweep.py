@@ -284,8 +284,7 @@ def _oscillator_rows(grid, omega0, omega_c):
     for k in kappas:
         eta = _in_range("eta", 2.0 * k * omega0, ">=", 0)
         q2, p2, nu = _moments(omega0, eta, omega_c, log_ratio)
-        e = 1.0 / nu  # oscillator_entropy_expansion raises where e >= 1
-        yield k, q2, p2, nu, gaussian_entropy(nu), _expansion(e) if e < 1.0 else math.nan
+        yield k, q2, p2, nu, gaussian_entropy(nu), _expansion(1.0 / nu)
 
 
 def _spin_boson_rows(grid, delta0, lambda0, s):

@@ -21,6 +21,7 @@ from dissipent import (
     oscillator_f,
     oscillator_moments,
 )
+from dissipent import gaussian
 
 # ------------------------------------------------------------------ free particle
 
@@ -195,6 +196,13 @@ def test_expansion_regime_error():
         oscillator_entropy_expansion(m)
     near = MomentPair(q2=1.0, p2=1.0 / 0.999**2)  # eps = 0.999... boundary
     assert oscillator_entropy_expansion(near) > 0.0
+
+
+@pytest.mark.parametrize("e", [1.0, 1.5, math.nan])
+def test_expansion_core_is_nan_past_its_regime(e):
+    # the one test of eps < 1: the core gives NaN, which a sweep prints and
+    # oscillator_entropy_expansion refuses
+    assert math.isnan(gaussian._expansion(e))
 
 
 def test_expansion_leading_asymptotics():

@@ -375,6 +375,16 @@ def test_solve_evaluates_the_exponent_once_fewer_for_s_at_least_one(
     assert exponent_evaluations(monkeypatch, spinboson._solve, alpha, s, log_r) == now
 
 
+# r = 1e-20 puts ln r below the floor: the free spin's root is returned all the same
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("r", [0.3, 0.01, 1e-20])
+def test_solve_at_zero_coupling_is_log_r(s, r):
+    # every consumer of the root (delta_ren aside, which returns delta0 as
+    # is), flow_free_energy and delocalized_log_derivative included, reads
+    # the free spin's t = ln r from _solve
+    assert spinboson._solve(0.0, s, math.log(r)) == math.log(r)
+
+
 # ------------------------------------------------------------------ Ohmic energy
 
 
@@ -406,8 +416,10 @@ def test_ohmic_energy_continuity_at_half_and_one():
 
 
 def test_ohmic_energy_wrong_model():
-    with pytest.raises(RegimeError):
-        ohmic_ground_energy(point(0.5, 0.3, 0.01))
+    # one guard for both energies; its message names the function called
+    for energy in (ohmic_ground_energy, ohmic_sigma_x_energy):
+        with pytest.raises(RegimeError, match=rf"^{energy.__name__} requires s = 1, got s = 0.5$"):
+            energy(point(0.5, 0.3, 0.01))
 
 
 def test_subnormal_ratio_is_a_domain_error():
@@ -631,6 +643,26 @@ def test_coherence_crossover_alpha_without_a_crossing_is_regime_error():
 )
 def test_coherence_crossover_alpha_values_are_unchanged(s, alpha, ratio, want):
     assert coherence_crossover_alpha(point(s, alpha, ratio)) == want
+
+
+@pytest.mark.parametrize("s, ratio", [(2.0, 0.01), (0.5, 0.2), (1.5, 0.05)])
+def test_coherence_crossover_alpha_bisects_on_floats(monkeypatch, s, ratio):
+    # each bisection step solves on floats: no record is built after the
+    # argument, where one SpinBosonPoint and one BathSpec per step were
+    pt = point(s, 0.1, ratio)
+    built = []
+
+    def counted(new):
+        def build(cls, *args):
+            built.append(cls)
+            return new(cls, *args)
+
+        return build
+
+    for record in (SpinBosonPoint, BathSpec):
+        monkeypatch.setattr(record, "__new__", counted(record.__new__))
+    assert coherence_crossover_alpha(pt) > 0.0
+    assert built == []
 
 
 def log_slope_derivative_ref(s, alpha, ratio):

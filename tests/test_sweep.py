@@ -366,13 +366,8 @@ FREE_PARTICLE_ORACLE = {
 
 
 @pytest.mark.parametrize("eta", FREE_PARTICLE_ORACLE)
-def test_free_particle_oracle_rows_share_one_ring_ladder(eta):
-    from dissipent.oracles import _ring_ladder
-
-    _ring_ladder.cache_clear()
+def test_free_particle_oracle_rows_keep_their_values(eta):
     rows = {r["observable"]: r for r in oracle_run("free-particle", {"eta": eta})}
-    info = _ring_ladder.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
     got = (rows["S"]["analytic"], rows["S"]["oracle"], rows["trace"]["oracle"])
     assert tuple(map(float.hex, got)) == FREE_PARTICLE_ORACLE[eta]
     assert rows["trace"]["analytic"] == 1.0
@@ -526,18 +521,26 @@ def test_spin_boson_rows_are_the_public_functions_bit_for_bit(fixed):
 
 
 @pytest.mark.parametrize(
-    "fixed",
-    [{"omega0": 1.0, "omega_c": 100.0}, {"omega0": 0.5, "omega_c": 1e4}],
-    ids=["fig1", "wide-cutoff"],
+    "fixed, grid",
+    [
+        ({"omega0": 1.0, "omega_c": 100.0}, (0.0, 3.0, 301)),
+        ({"omega0": 0.5, "omega_c": 1e4}, (0.0, 3.0, 301)),
+        # `sweep --model oscillator --omega-c 1e6 --alpha-max 3 --alpha-points 400`
+        ({"omega0": 1.0, "omega_c": 1e6}, (0.01, 3.0, 400)),
+    ],
+    ids=["fig1", "wide-cutoff", "cli-wide-cutoff"],
 )
-def test_oscillator_rows_are_the_public_functions_bit_for_bit(fixed):
+def test_oscillator_rows_are_the_public_functions_bit_for_bit(fixed, grid):
     # the rows validate the fixed parameters once and call the float-level
     # cores; each cell must be what the public functions return, to the
-    # last bit, and S_expansion NaN exactly where the expansion raises
+    # last bit, and S_expansion NaN exactly where the expansion raises, as
+    # printed too
     w0, wc = fixed["omega0"], fixed["omega_c"]
-    cols = run_sweep(
-        SweepConfig(model="oscillator", alpha_min=0.0, alpha_max=3.0, n_points=301, fixed=fixed)
-    ).columns
+    table = run_sweep(SweepConfig("oscillator", *grid, fixed=fixed))
+    cols = table.columns
+    printed = table_to_csv(table).splitlines()
+    at = printed[printed.index(",".join(cols)) + 1:]  # the rows after the header
+    s_expansion = [row.split(",")[list(cols).index("S_expansion")] for row in at]
     expansion_nan = 0
     for i, a in enumerate(cols["alpha"]):
         k = kappa_from_alpha(a)
@@ -547,10 +550,10 @@ def test_oscillator_rows_are_the_public_functions_bit_for_bit(fixed):
         try:
             want = oscillator_entropy_expansion(m)
         except RegimeError:
-            assert math.isnan(cols["S_expansion"][i])
+            assert math.isnan(cols["S_expansion"][i]) and s_expansion[i] == "nan"
             expansion_nan += 1
         else:
-            assert cols["S_expansion"][i] == want
+            assert cols["S_expansion"][i] == want and s_expansion[i] == format_value(want)
     # the grid crosses nu = 1 and kappa = 1 (alpha = 1/pi)
     assert 0 < expansion_nan < len(cols["alpha"])
     assert min(cols["kappa"]) < 1.0 < max(cols["kappa"])
