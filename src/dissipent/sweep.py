@@ -151,9 +151,12 @@ def _keys(what: str, doc: dict, reads: dict, kind: str | None = None) -> dict:
     missing = [key for key, entry in reads.items() if isinstance(entry, type) and key not in doc]
     if missing:
         raise ConfigError(f"{what} needs {', '.join(missing)}")
-    unread = sorted(set(doc) - set(reads))
+    # string keys by value, then any other key by its text, so that mixed types sort
+    unread = sorted((key for key in doc if key not in reads),
+                    key=lambda key: (0, key) if isinstance(key, str) else (1, _shown(key, repr)))
     if unread:
-        raise ConfigError(f"{what} does not read {unread}; it reads {', '.join(reads)}")
+        listed = ", ".join(_shown(key, repr) for key in unread)
+        raise ConfigError(f"{what} does not read [{listed}]; it reads {', '.join(reads)}")
     return doc
 
 
@@ -334,15 +337,15 @@ def detect_kink(table: SweepTable, column: str) -> KinkReport | None:
     Returns None when no cell qualifies.
     """
     if column not in table.columns:
-        raise ConfigError(f"unknown column {column!r}")
+        raise ConfigError(f"unknown column {_shown(column, repr)}")
     try:
         y = [float(v) for v in table.columns[column]]
     except (TypeError, ValueError):
-        raise ConfigError(f"column {column!r} is not numeric") from None
+        raise ConfigError(f"column {_shown(column, repr)} is not numeric") from None
     if len(y) < 50:
         raise ConfigError(f"detect_kink needs >= 50 grid points, got {len(y)}")
     if not all(map(math.isfinite, y)):
-        raise ConfigError(f"column {column!r} contains non-finite entries")
+        raise ConfigError(f"column {_shown(column, repr)} contains non-finite entries")
     import statistics  # only here: it loads fractions and decimal
 
     d2 = [abs(y[j + 1] - 2.0 * y[j] + y[j - 1]) for j in range(1, len(y) - 1)]
@@ -423,7 +426,9 @@ def oracle_run(model: str, params: dict) -> list[dict]:
     from MODEL_PARAMS; the oscillator oracle also reads its discretisation,
     n_modes (default 400) and scheme (default logarithmic)."""
     if model not in _ORACLE_READS:
-        raise ConfigError(f"no oracle for model {model!r}; oracles: {', '.join(_ORACLE_READS)}")
+        raise ConfigError(
+            f"no oracle for model {_shown(model, repr)}; oracles: {', '.join(_ORACLE_READS)}"
+        )
     par = _read(f"the {model} oracle", params, _ORACLE_READS[model])
     rows = []
 
@@ -509,7 +514,7 @@ def preset_doc(name: str) -> dict:
     from importlib import resources
 
     if name not in preset_names():
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+        raise ConfigError(f"unknown preset {_shown(name, repr)}; available: {', '.join(preset_names())}")
     return read_doc(resources.files("dissipent").joinpath(f"presets/{name}.json"))
 
 

@@ -67,8 +67,10 @@ from dissipent.cli import main
 from dissipent.oracles import discretize_oscillator_bath, discretize_spin_bath, trace_power
 from dissipent.sweep import (
     SweepConfig,
+    detect_kink,
     linspace,
     oracle_run,
+    preset_doc,
     preset_names,
     regime_map_from_doc,
     run_sweep,
@@ -457,6 +459,9 @@ ECHOING = {
     "sweep document kind": lambda: sweep_config({"kind": HUGE, "model": "oscillator"}),
     "regime_map_from_doc ratio_points": lambda: regime_map_from_doc({"s": 0.5, "ratio_points": HUGE}),
     "oracle_run oscillator n_modes": lambda: oracle_run("oscillator", {"eta": 1.0, "n_modes": HUGE}),
+    "oracle_run model": lambda: oracle_run(HUGE, {}),
+    "preset_doc name": lambda: preset_doc(HUGE),
+    "detect_kink column": lambda: detect_kink(run_sweep(SweepConfig("oscillator")), HUGE),
     "linspace": lambda: linspace(0.0, 1.0, -HUGE),
     "spin_entropy": lambda: spin_entropy(-HUGE),
     "gaussian_entropy": lambda: gaussian_entropy(-HUGE),

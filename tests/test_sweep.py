@@ -794,6 +794,21 @@ def test_a_document_is_read_by_its_table(read, doc, word):
         read(doc)
 
 
+# each reader of a document or of oracle parameters; a key that is not a
+# string, sorted against the strings, raised TypeError
+@pytest.mark.parametrize(
+    "read",
+    [lambda extra: sweep_config({"model": "oscillator", **extra}),
+     lambda extra: regime_map_from_doc({"s": 0.5, **extra}),
+     lambda extra: oracle_run("oscillator", {"eta": 1.0, **extra})],
+    ids=["sweep", "regime-map", "oracle"],
+)
+def test_unread_keys_of_mixed_types_are_listed(read):
+    # the string keys in their order, then the others
+    with pytest.raises(ConfigError, match=re.escape("does not read ['x', 'y', 1]; it reads")):
+        read({1: 2, "y": 3, "x": 4})
+
+
 @pytest.mark.parametrize("n", [10**6 + 1, 10**30])
 def test_grids_past_a_million_points_are_refused_before_any_list(monkeypatch, n):
     # the grid was built first, and filled memory
