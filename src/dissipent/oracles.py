@@ -29,10 +29,11 @@ and the free-particle oracle, load no numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 from .bath import BathSpec
-from .errors import ConfigError, DomainError, NumericalError, _finite, _shown
+from .errors import ConfigError, DomainError, NumericalError, _finite, _in_range, _shown
 from .gaussian import GaussianKernel, MomentPair, OscillatorParams
 from .gaussian import _eps_tilde, _square
 from .spinboson import ReducedSpinState
@@ -58,6 +59,13 @@ __all__ = [
 _MAX_TERMS = 10**6
 # most terms of the eigenvalue-ladder entropy series, about 4 s of work
 _MAX_SERIES_TERMS = 10**7
+
+
+def _size(value, low: int, high: int, things: str):
+    """value, if it is an integer (not a bool) from low to high; else a ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise ConfigError(f"need {low} to {high} {things}, got {_shown(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +98,12 @@ def eigh(a):
 
 
 def discretize_oscillator_bath(
-    eta: float,
-    omega_c: float,
+    p: OscillatorParams,
     n_modes: int,
     scheme: str = "logarithmic",
     omega_min: float | None = None,
-    omega0: float = 1.0,
 ) -> DiscreteBath:
-    """Discretise the Ohmic bath J(w) = eta*w (w <= omega_c) for the
+    """Discretise the Ohmic bath J(w) = eta*w (w <= omega_c) of p for the
     coordinate-coupled model.  Each bin carries one mode at the J-weighted
     mean frequency with lambda_k^2 = (2/pi) * omega_k * integral_bin J;
     the logarithmic scheme places modes with density ~ 1/omega between
@@ -106,19 +112,17 @@ def discretize_oscillator_bath(
     """
     import numpy as np
 
-    if not 8 <= n_modes <= _MAX_TERMS:
-        raise ConfigError(f"need 8 to {_MAX_TERMS} modes, got {_shown(n_modes)}")
-    if omega_min is None:
-        omega_min = 1e-3 * omega0
+    _size(n_modes, 8, _MAX_TERMS, "modes")
+    omega_min = 1e-3 * p.omega0 if omega_min is None else omega_min
     # a float cutoff: numpy takes an integer past 2**63 as a Python object
     if scheme == "logarithmic":
-        edges = np.geomspace(omega_min, float(omega_c), n_modes + 1)
+        edges = np.geomspace(omega_min, float(p.omega_c), n_modes + 1)
     elif scheme == "linear":
-        edges = np.linspace(omega_min, float(omega_c), n_modes + 1)
+        edges = np.linspace(omega_min, float(p.omega_c), n_modes + 1)
     else:
         raise ConfigError(f"unknown discretization scheme {_shown(scheme, repr)}")
     lo, hi = edges[:-1], edges[1:]
-    bin_j = eta * (hi**2 - lo**2) / 2.0
+    bin_j = p.eta * (hi**2 - lo**2) / 2.0
     # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
     omegas = (2.0 / 3.0) * (hi**3 - lo**3) / (hi**2 - lo**2)
     couplings = np.sqrt((2.0 / math.pi) * omegas * bin_j)
@@ -132,8 +136,7 @@ def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
     with 1 to 10^6 modes."""
     import numpy as np
 
-    if not 1 <= n_modes <= _MAX_TERMS:
-        raise ConfigError(f"need 1 to {_MAX_TERMS} modes, got {_shown(n_modes)}")
+    _size(n_modes, 1, _MAX_TERMS, "modes")
     edges = np.geomspace(1e-3 * bath.cutoff, float(bath.cutoff), n_modes + 1)
     lo, hi = edges[:-1], edges[1:]
     s = bath.s
@@ -200,7 +203,7 @@ def discrete_bath_moments(
     w0 = p.omega0
     # the bath in units of omega0; a sum that overflows or is undefined is refused below
     with np.errstate(all="ignore"):
-        db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega_min, w0)
+        db = discretize_oscillator_bath(p, n_modes, scheme, omega_min)
         w2 = (db.omegas / w0) ** 2
         c = (db.couplings / (db.omegas * w0)) ** 2
         a = float(np.sum(c))  # the limit of u^2 Sigma(u)
@@ -265,8 +268,8 @@ def _ring_ladder(a: float, length: float) -> tuple[float, list]:
     the last one more than 45 e-folds below lambda_0: below 2.21e-22 for
     every a L^2 (largest at a L^2 = (182 pi)^2 / 45).  A count past
     _MAX_TERMS is refused before the ladder is built."""
-    if not (a > 0 and length > 0):
-        raise DomainError("need a > 0 and length > 0")
+    _in_range("a", a, ">", 0)
+    _in_range("length", length, ">", 0)
     reach = math.sqrt(45.0 * a) * length / math.pi
     if not reach < _MAX_TERMS:
         raise NumericalError(f"the ring ladder needs {reach:.3g} terms, above {_MAX_TERMS}")
@@ -338,8 +341,7 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     formula, normalised so that Tr rho^1 = 1 exactly.  The two agree to
     O(eps^2) per replica factor.
     """
-    if n < 1:
-        raise DomainError(f"replica index must be >= 1, got {_shown(n)}")
+    _in_range("replica index n", n, ">=", 1)
     et = _kernel_eps_tilde(kernel)  # before log(4b): it refuses b = 0
     # work in logs: det A grows like (2a)^n
     log_det = math.fsum(
@@ -393,14 +395,9 @@ def ed_reduced_density(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> 
     """
     import numpy as np
 
-    n_modes = bath.n_modes
-    if n_modes > 4:
-        raise ConfigError("exact diagonalisation supports at most 4 modes")
-    if fock_cut < 2:
-        raise ConfigError("fock_cut must be >= 2")
-    dim_b = fock_cut**n_modes
-    if 2 * dim_b > 2**14:
-        raise ConfigError(f"Hilbert space dimension {2*dim_b} exceeds 2^14")
+    n_modes = _size(bath.n_modes, 1, 4, "modes")
+    dim_b = _size(fock_cut, 2, 2**13, "Fock levels") ** n_modes
+    _size(2 * dim_b, 4, 2**14, "states")
 
     ident = np.eye(fock_cut)
     lower = np.diag(np.sqrt(np.arange(1, fock_cut)), 1)  # annihilation

@@ -445,6 +445,7 @@ def test_preset_command(name, fmt):
 # by default, since 3.11 and 3.10.7): a message that echoed it with str or
 # repr raised ValueError in place of the package's error
 HUGE = 10**5000
+OSCILLATOR = OscillatorParams(1.0, 1.0, 100.0)
 # each site that echoes a value it refuses, with a call that reaches it
 ECHOING = {
     "BathSpec s": lambda: BathSpec(HUGE, 0.1, 1.0),
@@ -468,8 +469,8 @@ ECHOING = {
     "GaussianKernel b": lambda: GaussianKernel(1.0, -HUGE),
     "GaussianKernel a": lambda: GaussianKernel(-HUGE, 0.0),
     "adiabatic_exponent lambda_low": lambda: adiabatic_exponent(BathSpec(1.0, 0.1, 1.0), HUGE),
-    "discretize_oscillator_bath n_modes": lambda: discretize_oscillator_bath(1.0, 100.0, HUGE),
-    "discretize_oscillator_bath scheme": lambda: discretize_oscillator_bath(1.0, 100.0, 8, HUGE),
+    "discretize_oscillator_bath n_modes": lambda: discretize_oscillator_bath(OSCILLATOR, HUGE),
+    "discretize_oscillator_bath scheme": lambda: discretize_oscillator_bath(OSCILLATOR, 8, HUGE),
     "discretize_spin_bath n_modes": lambda: discretize_spin_bath(BathSpec(1.0, 0.1, 1.0), HUGE),
     "trace_power n": lambda: trace_power(GaussianKernel(1.0, 0.1), -HUGE),
 }

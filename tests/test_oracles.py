@@ -86,7 +86,7 @@ def test_gaussian_entropy_domain():
 def test_discretize_oscillator_bath_reproduces_spectral_weight():
     # sum of (pi/2) lambda^2/omega over all modes equals integral of J = eta w
     eta, wc = 1.0, 100.0
-    db = discretize_oscillator_bath(eta, wc, 200, omega_min=1e-3)
+    db = discretize_oscillator_bath(OscillatorParams(1.0, eta, wc), 200, omega_min=1e-3)
     total = np.sum(0.5 * math.pi * db.couplings**2 / db.omegas)
     target = eta * (wc**2 - (1e-3) ** 2) / 2.0
     assert total == pytest.approx(target, rel=1e-12)
@@ -153,7 +153,7 @@ def _arrowhead(p, n_modes, scheme):
     """The explicit (N+1)x(N+1) potential matrix K of the discretised
     oscillator: counterterm on the system diagonal, bath frequencies on
     the rest of the diagonal, couplings -lambda in the first row/column."""
-    db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega0=p.omega0)
+    db = discretize_oscillator_bath(p, n_modes, scheme)
     k = np.diag(np.concatenate([[p.omega0**2 + np.sum(db.couplings**2 / db.omegas**2)], db.omegas**2]))
     k[0, 1:] = k[1:, 0] = -db.couplings
     return k
@@ -179,7 +179,7 @@ def test_discrete_bath_resolvent_matches_40_digit_eigendecomposition():
     p = OscillatorParams(omega0=1.0, eta=2.0, omega_c=1e4)
     with mp.workdps(40):
         k = mp.matrix(17, 17)
-        db = discretize_oscillator_bath(p.eta, p.omega_c, 16, omega0=p.omega0)
+        db = discretize_oscillator_bath(p, 16)
         w = [mp.mpf(x) for x in db.omegas]
         lam = [mp.mpf(x) for x in db.couplings]
         k[0, 0] = mp.mpf(p.omega0) ** 2 + mp.fsum(lk**2 / wk**2 for lk, wk in zip(lam, w))
@@ -235,7 +235,7 @@ def _mpmath_moments(p, n_modes, scheme):
     rounding is far below the 1e-12 checked, and summing 4000 modes at 30
     digits on every node would take minutes."""
     mp = pytest.importorskip("mpmath")
-    db = discretize_oscillator_bath(p.eta, p.omega_c, n_modes, scheme, omega0=p.omega0)
+    db = discretize_oscillator_bath(p, n_modes, scheme)
     c = db.couplings**2 / db.omegas**2
     w2 = db.omegas**2
     memo = {}
@@ -278,7 +278,7 @@ def test_discrete_bath_matches_30_digit_quadrature(omega_c, eta, n_modes, scheme
 
 def test_discretize_validation():
     with pytest.raises(ConfigError):
-        discretize_oscillator_bath(1.0, 100.0, 4)
+        discretize_oscillator_bath(OscillatorParams(1.0, 1.0, 100.0), 4)
     with pytest.raises(ConfigError):
         discrete_bath_moments(OscillatorParams(1.0, 1.0, 100.0), 100, scheme="cubic")
     with pytest.raises(ConfigError, match="need 1 to"):
@@ -288,7 +288,7 @@ def test_discretize_validation():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda n: discretize_oscillator_bath(1.0, 100.0, n),
+        lambda n: discretize_oscillator_bath(OscillatorParams(1.0, 1.0, 100.0), n),
         lambda n: discretize_spin_bath(BathSpec(s=1.0, alpha=0.1, cutoff=10.0), n),
     ],
     ids=["oscillator-bath", "spin-bath"],
@@ -304,7 +304,7 @@ def test_too_many_modes_are_refused_before_any_array(call, n_modes):
 
 
 def test_ring_refuses_a_zero_width():
-    with pytest.raises(DomainError, match="a > 0"):
+    with pytest.raises(DomainError, match="a must be finite and > 0, got 0.0"):
         ring_kernel_entropy(0.0, 1.0)
 
 
@@ -481,11 +481,11 @@ def test_ed_fock_truncation_converged():
 
 def test_ed_dimension_guard():
     big = DiscreteBath(omegas=np.ones(4), couplings=np.ones(4))
-    with pytest.raises(ConfigError):
-        spin_boson_ed(1.0, big, fock_cut=10)  # 2 * 10^4 > 2^14
-    with pytest.raises(ConfigError, match="at most 4 modes"):
+    with pytest.raises(ConfigError, match="need 4 to 16384 states, got 20000"):
+        spin_boson_ed(1.0, big, fock_cut=10)
+    with pytest.raises(ConfigError, match="need 1 to 4 modes, got 5"):
         spin_boson_ed(1.0, DiscreteBath(omegas=np.ones(5), couplings=np.ones(5)), fock_cut=2)
-    with pytest.raises(ConfigError, match="fock_cut must be >= 2"):
+    with pytest.raises(ConfigError, match="need 2 to 8192 Fock levels, got 1"):
         spin_boson_ed(1.0, big, fock_cut=1)
 
 
