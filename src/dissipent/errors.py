@@ -6,6 +6,7 @@ RegimeError -> 4.  DomainError means a mathematical precondition was violated
 """
 
 import math
+import numbers
 import sys
 
 __all__ = ["ConfigError", "DomainError", "NumericalError", "RegimeError"]
@@ -47,6 +48,11 @@ def _in_range(name: str, value, op: str, low):
     if (value > low if op == ">" else value >= low) and value <= _LARGEST:
         return value
     raise DomainError(f"{name} must be finite and {op} {low}, got {_shown(value)}")
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _finite(what: str, value):

@@ -13,12 +13,11 @@ alpha = 1/pi.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import namedtuple
 
 from .bath import _log_ratio
-from .errors import DomainError, RegimeError, _Checked, _finite, _in_range, _shown
+from .errors import DomainError, RegimeError, _Checked, _finite, _in_range, _is_integer, _shown
 
 __all__ = [
     "FreeParticleParams",
@@ -61,7 +60,7 @@ class FreeParticleParams(
         _in_range("eta", eta, ">", 0)
         _in_range("omega_c", omega_c, ">", 0)
         _in_range("length", length, ">", 0)
-        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        if not _is_integer(dim):
             raise DomainError(f"dim must be an integer, got {_shown(dim, repr)}")
         _in_range("dim", dim, ">=", 1)
         return tuple.__new__(cls, (eta, omega_c, length, dim))

@@ -29,11 +29,12 @@ and the free-particle oracle, load no numpy.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from collections import namedtuple
 
 from .bath import BathSpec
-from .errors import ConfigError, DomainError, NumericalError, _finite, _in_range, _shown
+from .errors import ConfigError, DomainError, NumericalError, _finite, _in_range, _is_integer, _shown
+from .errors import _LARGEST
 from .gaussian import GaussianKernel, MomentPair, OscillatorParams
 from .gaussian import _eps_tilde, _square
 from .spinboson import ReducedSpinState
@@ -62,8 +63,8 @@ _MAX_SERIES_TERMS = 10**7
 
 
 def _size(value, low: int, high: int, things: str):
-    """value, if it is an integer (not a bool) from low to high; else a ConfigError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high:
+    """value, if it is an integer from low to high; else a ConfigError."""
+    if _is_integer(value) and low <= value <= high:
         return value
     raise ConfigError(f"need {low} to {high} {things}, got {_shown(value)}")
 
@@ -97,6 +98,16 @@ def eigh(a):
     return np.linalg.eigh(a)
 
 
+def _bath(omegas, couplings) -> DiscreteBath:
+    """The DiscreteBath of a discretiser, if every frequency is a normal
+    double and every coupling finite; else a NumericalError."""
+    import numpy as np
+
+    if np.all((omegas >= sys.float_info.min) & (omegas <= _LARGEST)) and np.all(couplings <= _LARGEST):
+        return DiscreteBath(omegas=omegas, couplings=couplings)
+    raise NumericalError("a frequency or coupling of the discretised bath is not a normal double")
+
+
 def discretize_oscillator_bath(
     p: OscillatorParams,
     n_modes: int,
@@ -107,42 +118,45 @@ def discretize_oscillator_bath(
     coordinate-coupled model.  Each bin carries one mode at the J-weighted
     mean frequency with lambda_k^2 = (2/pi) * omega_k * integral_bin J;
     the logarithmic scheme places modes with density ~ 1/omega between
-    omega_min (default 1e-3 * omega0) and the cutoff.  n_modes runs from 8
-    to 10^6.
+    omega_min (default 1e-3 * omega0), which must lie in (0, omega_c), and
+    the cutoff.  n_modes runs from 8 to 10^6.  A frequency or coupling
+    that leaves the doubles is a NumericalError.
     """
     import numpy as np
 
     _size(n_modes, 8, _MAX_TERMS, "modes")
     omega_min = 1e-3 * p.omega0 if omega_min is None else omega_min
-    # a float cutoff: numpy takes an integer past 2**63 as a Python object
-    if scheme == "logarithmic":
-        edges = np.geomspace(omega_min, float(p.omega_c), n_modes + 1)
-    elif scheme == "linear":
-        edges = np.linspace(omega_min, float(p.omega_c), n_modes + 1)
-    else:
+    if not 0 < omega_min < p.omega_c:
+        raise DomainError(f"omega_min must lie in (0, omega_c), got {_shown(omega_min)} "
+                          f"with omega_c {p.omega_c}")
+    if scheme not in ("logarithmic", "linear"):
         raise ConfigError(f"unknown discretization scheme {_shown(scheme, repr)}")
-    lo, hi = edges[:-1], edges[1:]
-    bin_j = p.eta * (hi**2 - lo**2) / 2.0
-    # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
-    omegas = (2.0 / 3.0) * (hi**3 - lo**3) / (hi**2 - lo**2)
-    couplings = np.sqrt((2.0 / math.pi) * omegas * bin_j)
-    return DiscreteBath(omegas=omegas, couplings=couplings)
+    # float ends: numpy takes an integer past 2**63 as a Python object
+    ends = float(omega_min), float(p.omega_c), n_modes + 1
+    with np.errstate(all="ignore"):  # a value past the doubles is refused by _bath
+        edges = np.geomspace(*ends) if scheme == "logarithmic" else np.linspace(*ends)
+        lo, hi = edges[:-1], edges[1:]
+        bin_j = p.eta * (hi**2 - lo**2) / 2.0
+        # J-weighted mean frequency of the bin (J ~ w): (2/3)(hi^3-lo^3)/(hi^2-lo^2)
+        omegas = (2.0 / 3.0) * (hi**3 - lo**3) / (hi**2 - lo**2)
+        return _bath(omegas, np.sqrt((2.0 / math.pi) * omegas * bin_j))
 
 
 def discretize_spin_bath(bath: BathSpec, n_modes: int) -> DiscreteBath:
     """Discretise a power-law bath for the spin-coupled model on
-    logarithmic bins between 1e-3 * cutoff and the cutoff:
-    lambda_k^2 = integral_bin J = 2*alpha*cutoff^(1-s)*(hi^(s+1)-lo^(s+1))/(s+1),
-    with 1 to 10^6 modes."""
+    logarithmic bins between 1e-3 * cutoff and the cutoff.  In
+    x = omega / cutoff, each mode sits at the bin's midpoint with
+    lambda_k^2 = integral_bin J = 2*alpha*cutoff^2*(x_hi^(s+1)-x_lo^(s+1))/(s+1),
+    with 1 to 10^6 modes.  A frequency or coupling that leaves the doubles
+    is a NumericalError."""
     import numpy as np
 
-    _size(n_modes, 1, _MAX_TERMS, "modes")
-    edges = np.geomspace(1e-3 * bath.cutoff, float(bath.cutoff), n_modes + 1)
-    lo, hi = edges[:-1], edges[1:]
-    s = bath.s
-    bin_j = 2.0 * bath.alpha * bath.cutoff ** (1.0 - s) * (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
-    omegas = 0.5 * (lo + hi)
-    return DiscreteBath(omegas=omegas, couplings=np.sqrt(bin_j))
+    x = np.geomspace(1e-3, 1.0, _size(n_modes, 1, _MAX_TERMS, "modes") + 1)
+    lo, hi = x[:-1], x[1:]
+    s, cutoff = float(bath.s), float(bath.cutoff)
+    with np.errstate(all="ignore"):  # a value past the doubles is refused by _bath
+        weight = 2.0 * bath.alpha * (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
+        return _bath(cutoff * 0.5 * (lo + hi), cutoff * np.sqrt(weight))
 
 
 # a moment is returned only when its error estimate is below this fraction
@@ -224,6 +238,8 @@ def discrete_bath_moments(
     u_lo = 1.0
     if sigma0 > 0:
         u_lo = min(1.0, (3.0 * _TAIL_REL * q_floor / sigma0) ** (1.0 / 3.0))
+        if u_lo == 0.0:  # its cube underflowed, at Sigma(0) above about 1e205
+            raise NumericalError(f"the lower limit u_lo underflows to 0 at Sigma(0) = {sigma0:.3g}")
 
     rows = max(1, _BLOCK // len(c))
     block = np.empty((rows, len(c)))
@@ -341,6 +357,10 @@ def trace_power(kernel: GaussianKernel, n: int) -> TracePowerResult:
     formula, normalised so that Tr rho^1 = 1 exactly.  The two agree to
     O(eps^2) per replica factor.
     """
+    if not _is_integer(n):
+        raise DomainError(f"replica index n must be an integer, got {_shown(n, repr)}")
+    if n > _MAX_TERMS:
+        raise NumericalError(f"the replica trace needs {_shown(n)} factors, above {_MAX_TERMS}")
     _in_range("replica index n", n, ">=", 1)
     et = _kernel_eps_tilde(kernel)  # before log(4b): it refuses b = 0
     # work in logs: det A grows like (2a)^n
@@ -391,13 +411,17 @@ def ed_reduced_density(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> 
             + sigma_z sum_k (lambda_k/2)(b_k + b_k^dag)
 
     by dense diagonalisation in a Fock space truncated at fock_cut levels
-    per mode.  Intended for qualitative trend checks with <= 4 modes.
+    per mode.  Intended for qualitative trend checks: 1 to 4 modes, and a
+    Hilbert dimension 2 fock_cut^modes of at most 2^11, refused before any
+    array is built.  A Hamiltonian entry past the doubles is a
+    NumericalError.
     """
     import numpy as np
 
+    _in_range("delta0", delta0, ">", 0)
     n_modes = _size(bath.n_modes, 1, 4, "modes")
-    dim_b = _size(fock_cut, 2, 2**13, "Fock levels") ** n_modes
-    _size(2 * dim_b, 4, 2**14, "states")
+    dim_b = _size(fock_cut, 2, 2**10, "Fock levels") ** n_modes
+    _size(2 * dim_b, 4, 2**11, "states")
 
     ident = np.eye(fock_cut)
     lower = np.diag(np.sqrt(np.arange(1, fock_cut)), 1)  # annihilation
@@ -410,20 +434,18 @@ def ed_reduced_density(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> 
             out = np.kron(out, m)
         return out
 
-    h_bath = np.zeros((dim_b, dim_b))
-    disp = np.zeros((dim_b, dim_b))
-    for k in range(n_modes):
-        h_bath += bath.omegas[k] * embed(num, k)
-        disp += 0.5 * bath.couplings[k] * embed(lower + lower.T, k)
-
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     eye2 = np.eye(2)
-    ham = (
-        0.5 * delta0 * np.kron(sx, np.eye(dim_b))
-        + np.kron(eye2, h_bath)
-        + np.kron(sz, disp)
-    )
+    with np.errstate(all="ignore"):  # a Hamiltonian past the doubles is refused below
+        h_bath = np.zeros((dim_b, dim_b))
+        disp = np.zeros((dim_b, dim_b))
+        for k in range(n_modes):
+            h_bath += bath.omegas[k] * embed(num, k)
+            disp += 0.5 * bath.couplings[k] * embed(lower + lower.T, k)
+        ham = 0.5 * delta0 * np.kron(sx, np.eye(dim_b)) + np.kron(eye2, h_bath) + np.kron(sz, disp)
+    if not np.all(np.isfinite(ham)):
+        raise NumericalError("the truncated Hamiltonian is not finite")
     evals, vecs = eigh(ham)
     psi = vecs[:, 0].reshape(2, dim_b)
     return psi @ psi.T  # reduced 2x2 density matrix (real wavefunction)

@@ -13,7 +13,9 @@ the reason string (details in the module docstrings and the test bodies):
     asymptotic regime (see the passing companion check).
   * criterion 5  -- S(alpha) of the damped oscillator is real-analytic at
     kappa = 1: the variance function has a removable singularity there
-    (Taylor series 1 - t/3 + 2t^2/15), so no second-difference jump exists.
+    (Taylor series 1 - t/3 + 2t^2/15), so no second-difference jump exists;
+    the passing companion check shows the same for the sharp-cutoff model
+    itself at omega_c/omega0 = 10 and 100.
   * criterion 6a -- d ln<sigma_x>/d alpha stays finite as alpha -> 1/2:
     in 2 dE/dDelta0 the bracket vanishes linearly at alpha = 1/2 and
     cancels the 1/(1-2 alpha) pole, and the max-rule branch derivative
@@ -54,7 +56,7 @@ from dissipent import (
     subohmic_rg_flow,
 )
 from dissipent.cli import main as cli_main
-from dissipent.sweep import preset_doc, sweep_config
+from dissipent.sweep import SweepTable, preset_doc, sweep_config
 
 LN2 = math.log(2.0)
 
@@ -167,6 +169,48 @@ def test_criterion_05_oscillator_kink():
     rep = detect_kink(run_sweep(cfg), "S")
     ok = rep is not None and abs(rep.location - 1.0 / math.pi) <= 2e-3 and rep.strength > 5.0
     report("5 (oscillator kink at 1/pi)", ok, "no qualifying cell" if rep is None else str(rep))
+    assert ok
+
+
+def _sharp_cutoff_entropy(kappa: float, omega_c: float) -> float:
+    """S of the oscillator (omega0 = 1) coupled to the sharp-cutoff Ohmic
+    continuum, from its exact moments <q^2> = (1/pi) int dt / D and
+    <p^2> = (1/pi) int (1 + eta g) / D dt, D = 1 + t^2 + eta g,
+    g = (2t/pi) arctan(omega_c/t).  The p integrand is not written
+    (D - t^2)/D: that difference cancels at large t."""
+    from scipy.integrate import quad
+
+    eta = 2.0 * kappa
+
+    def g(t):
+        return (2.0 * t / math.pi) * math.atan(omega_c / t) if t else 0.0
+
+    def moment(f):
+        pieces = ((0.0, 1.0), (1.0, omega_c), (omega_c, math.inf))
+        return math.fsum(quad(f, lo, hi, epsrel=1e-11)[0] for lo, hi in pieces) / math.pi
+
+    q2 = moment(lambda t: 1.0 / (1.0 + t * t + eta * g(t)))
+    p2 = moment(lambda t: (1.0 + eta * g(t)) / (1.0 + t * t + eta * g(t)))
+    return gaussian_entropy(math.sqrt(q2 * p2))
+
+
+@pytest.mark.parametrize("omega_c, d2_ref", [(10.0, -0.20679785), (100.0, -0.2878143)])
+def test_criterion_05_companion_no_kink_at_any_cutoff(omega_c, d2_ref):
+    # both moments are analytic in eta > 0 at every cutoff (Re D >= 1 + t^2
+    # for Re eta >= 0), so S has no kink at kappa = 1 for the model itself,
+    # not only for its large-cutoff forms; d2_ref is a 20-digit mpmath value
+    h = 1e-3
+    sides = [[_sharp_cutoff_entropy(1.0 + sign * k * h, omega_c) for k in range(4)] for sign in (-1, 1)]
+    left, right = ((2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2 for f in sides)
+    alphas = [0.0015 + j * 0.003 for j in range(200)]
+    table = SweepTable(
+        config={}, columns={"alpha": alphas, "S": [_sharp_cutoff_entropy(math.pi * a, omega_c) for a in alphas]}
+    )
+    rep = detect_kink(table, "S")
+    gap = abs(left - right) / abs(left)
+    # one-sided stencils: a kink is an O(1) gap, smooth S an O(h^2) one
+    ok = gap < 1e-6 and rep is None and abs(left - d2_ref) < 1e-7
+    report(f"5 (no kink at omega_c/omega0 = {omega_c:g})", ok, f"d2S {left:.8f} | {right:.8f}, gap {gap:.1e}")
     assert ok
 
 

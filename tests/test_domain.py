@@ -5,8 +5,13 @@ records accept, extremes included (about 1e-320 to 1e300, and the
 smallest subnormal), with exact integers up to the largest double mixed
 in wherever a number is accepted, and requires a finite result or one of
 the four package errors; on the command line that is exit code 0, 2, 3 or
-4 with a one-line message, never a traceback (exit 1).  Every defect these
-properties found is pinned as an @example.
+4 with a one-line message, never a traceback (exit 1).  A result may be a
+number, a record or list of numbers, or a numpy array.  The functions of
+bath, gaussian, spinboson and oracles are covered, and every command.
+The oracles' sizes (modes, Fock levels, the replica index) are drawn
+small where valid, so that an exact diagonalisation stays at two modes
+and four levels, and also as a non-integer, a bool, 0, -1 and 10**400.
+Every defect these properties found is pinned as an @example.
 
 Under the derandomized `dissipent` profile the file takes about 2 s; the
 `dissipent-domain` profile in conftest.py runs the same properties with a
@@ -22,6 +27,7 @@ import sys
 import tempfile
 from enum import Enum
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -64,7 +70,18 @@ from dissipent import (
     subohmic_rg_flow,
 )
 from dissipent.cli import main
-from dissipent.oracles import discretize_oscillator_bath, discretize_spin_bath, trace_power
+from dissipent.oracles import (
+    discrete_bath_moments,
+    discretize_oscillator_bath,
+    discretize_spin_bath,
+    ed_fock_convergence,
+    ed_reduced_density,
+    kernel_eigenvalue_entropy,
+    ring_kernel_eigenvalues,
+    ring_kernel_entropy,
+    spin_boson_ed,
+    trace_power,
+)
 from dissipent.sweep import (
     SweepConfig,
     detect_kink,
@@ -111,12 +128,14 @@ FRACTION = st.one_of(st.sampled_from([1.0, 1]), log_uniform(1e-320, 1.0))
 
 
 def finite(value) -> bool:
-    """Whether every number in value (a number, None, a label or a record
-    of them) is finite."""
+    """Whether every number in value (a number, None, a label, a record
+    of them, a list of numbers or a numpy array) is finite."""
     if value is None or isinstance(value, (str, Enum)):
         return True
     if isinstance(value, tuple):
         return all(map(finite, value))
+    if isinstance(value, (list, np.ndarray)):
+        return bool(np.all(np.isfinite(value)))
     return math.isfinite(value)
 
 
@@ -301,6 +320,72 @@ def test_free_tls_sigma_x(delta0, temperature):
 @given(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1.0 + 1e-16, math.nan, -math.inf])))
 def test_spin_entropy(sx):
     outcome(spin_entropy, sx)
+
+
+# -------------------------------------------------------------------- oracles
+
+
+def sizes(low: int, high: int):
+    """A size from low to high, or one that no size rule accepts."""
+    return st.one_of(st.integers(low, high), st.sampled_from([2.5, 3.0, True, 0, -1, 10**400]))
+
+
+# a lower bath edge: the default, any positive number, or out of range
+OMEGA_MIN = st.one_of(st.none(), POSITIVE, st.sampled_from([0.0, -1.0, math.nan, 10**30]))
+
+
+@BUDGET
+@given(POSITIVE, NON_NEGATIVE, POSITIVE, sizes(8, 40),
+       st.sampled_from(["logarithmic", "linear", "cubic"]), OMEGA_MIN)
+@example(1.0, 1.0, 100.0, 8, "logarithmic", 0.0)  # numpy: a geometric sequence cannot include zero
+@example(1.0, 1.0, 100.0, 8, "logarithmic", 200.0)  # omega_min above omega_c: NaN couplings
+@example(1.0, 1.0, 100.0, 8, "logarithmic", -1.0)  # NaN couplings; the moments said Sigma(0) is nan
+@example(1.0, 1.0, 100.0, 8, "logarithmic", 10**30)  # numpy's TypeError on the integer
+@example(1.0, 1.0, 100.0, 8.0, "logarithmic", None)  # a float mode count: numpy's TypeError
+@example(1.0, 1.0, 1e200, 8, "logarithmic", None)  # hi**3 overflowed: NaN frequencies
+@example(1.0, 1e169, 1.0, 8, "logarithmic", 1e-41)  # u_lo underflowed to 0: math domain error
+def test_oscillator_oracle(omega0, eta, omega_c, n_modes, scheme, omega_min):
+    p = outcome(OscillatorParams, omega0, eta, omega_c)
+    if p is not None:
+        outcome(discretize_oscillator_bath, p, n_modes, scheme, omega_min)
+        outcome(discrete_bath_moments, p, n_modes, scheme, omega_min)
+
+
+@BUDGET
+@given(st.one_of(POSITIVE, st.sampled_from([0.0, -1.0, math.nan, math.inf])), EXPONENT, COUPLING,
+       POSITIVE, sizes(1, 2), sizes(2, 4))
+@example(math.nan, 1.0, 0.1, 1.0, 2, 3)  # a NaN delta0 reached the eigensolver
+@example(math.inf, 1.0, 0.1, 1.0, 2, 3)  # an infinite delta0 reached the eigensolver
+@example(1.0, 0.5, 0.1, 5e-324, 2, 3)  # the lowest edge 1e-3 cutoff underflowed: numpy's ValueError
+@example(1.0, 1e13, 1.0, 1e-3, 2, 3)  # cutoff ** (1 - s) raised OverflowError
+@example(1.0, 1e-320, 1e300, 1e300, 2, 3)  # infinite couplings
+@example(1.0, 1.0, 0.1, 1.0, 2.5, 3)  # a float mode count: numpy's TypeError
+@example(1.0, 1.0, 0.1, 1.0, 2, 2.5)  # a float fock_cut: numpy's TypeError
+def test_spin_bath_and_exact_diagonalisation(delta0, s, alpha, cutoff, n_modes, fock_cut):
+    bath = outcome(BathSpec, s, alpha, cutoff)
+    discrete = None if bath is None else outcome(discretize_spin_bath, bath, n_modes)
+    if discrete is not None:
+        for fn in (ed_reduced_density, spin_boson_ed, ed_fock_convergence):
+            outcome(fn, delta0, discrete, fock_cut)
+
+
+@BUDGET
+@given(st.one_of(POSITIVE, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+       st.one_of(POSITIVE, st.sampled_from([0.0, -1.0, math.nan, math.inf])))
+def test_ring_kernel(a, length):
+    outcome(ring_kernel_eigenvalues, a, length)
+    outcome(ring_kernel_entropy, a, length)
+
+
+@BUDGET
+@given(POSITIVE, NON_NEGATIVE, sizes(1, 64))
+@example(10.0, 1.0, 2.5)  # a float replica index: TypeError
+@example(10.0, 1.0, 10**400)  # OverflowError
+def test_replica_traces(a, b, n):
+    kernel = outcome(GaussianKernel, a, b)
+    if kernel is not None:
+        outcome(trace_power, kernel, n)
+        outcome(kernel_eigenvalue_entropy, kernel)
 
 
 # ------------------------------------------------------------- command line

@@ -481,12 +481,16 @@ def test_ed_fock_truncation_converged():
 
 def test_ed_dimension_guard():
     big = DiscreteBath(omegas=np.ones(4), couplings=np.ones(4))
-    with pytest.raises(ConfigError, match="need 4 to 16384 states, got 20000"):
+    with pytest.raises(ConfigError, match="need 4 to 2048 states, got 20000"):
         spin_boson_ed(1.0, big, fock_cut=10)
+    with pytest.raises(ConfigError, match="need 4 to 2048 states, got 3200"):
+        spin_boson_ed(1.0, two_mode_bath(1.0), fock_cut=40)
     with pytest.raises(ConfigError, match="need 1 to 4 modes, got 5"):
         spin_boson_ed(1.0, DiscreteBath(omegas=np.ones(5), couplings=np.ones(5)), fock_cut=2)
-    with pytest.raises(ConfigError, match="need 2 to 8192 Fock levels, got 1"):
+    with pytest.raises(ConfigError, match="need 2 to 1024 Fock levels, got 1"):
         spin_boson_ed(1.0, big, fock_cut=1)
+    with pytest.raises(ConfigError, match="need 2 to 1024 Fock levels, got 1025"):
+        spin_boson_ed(1.0, DiscreteBath(omegas=np.ones(1), couplings=np.ones(1)), fock_cut=1025)
 
 
 def test_ed_reduced_state_from_discretized_bath():
