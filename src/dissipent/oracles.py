@@ -466,7 +466,7 @@ def spin_boson_ed(delta0: float, bath: DiscreteBath, fock_cut: int = 8) -> Reduc
 
 def ed_fock_convergence(delta0: float, bath: DiscreteBath, fock_cut: int) -> float:
     """|<sigma_x>(fock_cut) - <sigma_x>(fock_cut - 1)|: the truncation
-    check; below 1e-3 the cut is considered converged."""
-    a = spin_boson_ed(delta0, bath, fock_cut)
+    check, for 3 to 1024 levels; below 1e-3 the cut is considered converged."""
+    a = spin_boson_ed(delta0, bath, _size(fock_cut, 3, 2**10, "Fock levels"))
     b = spin_boson_ed(delta0, bath, fock_cut - 1)
     return abs(a.sx - b.sx)

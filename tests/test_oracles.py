@@ -477,6 +477,9 @@ def test_ed_monotone_under_coupling_scale():
 
 def test_ed_fock_truncation_converged():
     assert ed_fock_convergence(1.0, two_mode_bath(1.0), 8) < 1e-3
+    # the cut compared with itself less one level: the refusal names the cut given
+    with pytest.raises(ConfigError, match="need 3 to 1024 Fock levels, got 2"):
+        ed_fock_convergence(1.0, two_mode_bath(1.0), 2)
 
 
 def test_ed_dimension_guard():
