@@ -108,31 +108,27 @@ def _bath(omegas, couplings) -> DiscreteBath:
     raise NumericalError("a frequency or coupling of the discretised bath is not a normal double")
 
 
-def discretize_oscillator_bath(
-    p: OscillatorParams,
-    n_modes: int,
-    scheme: str = "logarithmic",
-    omega_min: float | None = None,
-) -> DiscreteBath:
+def discretize_oscillator_bath(p: OscillatorParams, n_modes: int,
+                               scheme: str = "logarithmic") -> DiscreteBath:
     """Discretise the Ohmic bath J(w) = eta*w (w <= omega_c) of p for the
     coordinate-coupled model.  Each bin carries one mode at the J-weighted
     mean frequency with lambda_k^2 = (2/pi) * omega_k * integral_bin J;
-    the logarithmic scheme places modes with density ~ 1/omega between
-    omega_min (default 1e-3 * omega0), which must lie in (0, omega_c), and
-    the cutoff.  n_modes runs from 8 to 10^6.  A frequency or coupling
-    that leaves the doubles is a NumericalError.
+    the bins run from 1e-3 * min(omega0, omega_c) to the cutoff (the spin
+    bath's from 1e-3 * cutoff), with density ~ 1/omega in the logarithmic
+    scheme.  n_modes runs from 8 to 10^6.  A lowest edge that underflows
+    to 0, or a frequency or coupling that leaves the doubles, is a
+    NumericalError.
     """
     import numpy as np
 
     _size(n_modes, 8, _MAX_TERMS, "modes")
-    omega_min = 1e-3 * p.omega0 if omega_min is None else omega_min
-    if not 0 < omega_min < p.omega_c:
-        raise DomainError(f"omega_min must lie in (0, omega_c), got {_shown(omega_min)} "
-                          f"with omega_c {p.omega_c}")
     if scheme not in ("logarithmic", "linear"):
         raise ConfigError(f"unknown discretization scheme {_shown(scheme, repr)}")
     # float ends: numpy takes an integer past 2**63 as a Python object
-    ends = float(omega_min), float(p.omega_c), n_modes + 1
+    ends = 1e-3 * min(p.omega0, p.omega_c), float(p.omega_c), n_modes + 1
+    if ends[0] == 0.0:
+        raise NumericalError(f"the lowest bin edge 1e-3 * min(omega0, omega_c) underflows to 0 "
+                             f"at omega_c {_shown(p.omega_c)}")
     with np.errstate(all="ignore"):  # a value past the doubles is refused by _bath
         edges = np.geomspace(*ends) if scheme == "logarithmic" else np.linspace(*ends)
         lo, hi = edges[:-1], edges[1:]
@@ -168,12 +164,7 @@ _TAIL_REL = 1e-17
 _BLOCK = 1 << 16
 
 
-def discrete_bath_moments(
-    p: OscillatorParams,
-    n_modes: int,
-    scheme: str = "logarithmic",
-    omega_min: float | None = None,
-) -> MomentPair:
+def discrete_bath_moments(p: OscillatorParams, n_modes: int, scheme: str = "logarithmic") -> MomentPair:
     """Ground-state <q^2>, <p^2> of the oscillator coupled to a discretised
     Ohmic bath, exact for the discrete modes.
 
@@ -217,7 +208,7 @@ def discrete_bath_moments(
     w0 = p.omega0
     # the bath in units of omega0; a sum that overflows or is undefined is refused below
     with np.errstate(all="ignore"):
-        db = discretize_oscillator_bath(p, n_modes, scheme, omega_min)
+        db = discretize_oscillator_bath(p, n_modes, scheme)
         w2 = (db.omegas / w0) ** 2
         c = (db.couplings / (db.omegas * w0)) ** 2
         a = float(np.sum(c))  # the limit of u^2 Sigma(u)

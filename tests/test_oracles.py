@@ -86,7 +86,7 @@ def test_gaussian_entropy_domain():
 def test_discretize_oscillator_bath_reproduces_spectral_weight():
     # sum of (pi/2) lambda^2/omega over all modes equals integral of J = eta w
     eta, wc = 1.0, 100.0
-    db = discretize_oscillator_bath(OscillatorParams(1.0, eta, wc), 200, omega_min=1e-3)
+    db = discretize_oscillator_bath(OscillatorParams(1.0, eta, wc), 200)
     total = np.sum(0.5 * math.pi * db.couplings**2 / db.omegas)
     target = eta * (wc**2 - (1e-3) ** 2) / 2.0
     assert total == pytest.approx(target, rel=1e-12)
@@ -210,10 +210,23 @@ def test_discrete_bath_grid_raises_no_integration_warning():
 
 
 def test_discrete_bath_rejects_form_that_is_not_positive_definite():
-    # omega0^2 underflows to 0, so the Schur complement D(0) is not positive
+    # omega0^2 underflows to 0, so the Schur complement D(0) is not positive;
+    # linear bins stay normal doubles, where logarithmic ones from
+    # 1e-3 omega0 would be refused first
     p = OscillatorParams(omega0=1e-170, eta=1.0, omega_c=100.0)
     with pytest.raises(NumericalError, match="not positive definite"):
-        discrete_bath_moments(p, 16, omega_min=1e-3)
+        discrete_bath_moments(p, 16, "linear")
+
+
+def test_discrete_bath_lowest_edge_follows_the_model():
+    # the bins start at 1e-3 min(omega0, omega_c), so below the cutoff also
+    # where omega0 >= 1000 omega_c; an edge that underflows to 0 is refused
+    p = OscillatorParams(omega0=2000.0, eta=1.0, omega_c=1.0)
+    assert 0.0 < discretize_oscillator_bath(p, 8).omegas.min() < 1e-2
+    assert all(math.isfinite(m) and m > 0 for m in discrete_bath_moments(p, 8))
+    for fn in (discretize_oscillator_bath, discrete_bath_moments):
+        with pytest.raises(NumericalError, match="lowest bin edge .* underflows to 0"):
+            fn(OscillatorParams(1.0, 1.0, 5e-324), 8)
 
 
 def test_discrete_bath_reports_inaccurate_quadrature():
@@ -518,6 +531,8 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
         lambda: DiscreteBath(omegas=np.ones(2), couplings=np.ones(2), scheme="manual"),
         lambda: DiscreteBath(omegas=np.ones(2), couplings=np.ones(2), convention="spin"),
         lambda: discretize_spin_bath(BATH, 3, omega_min_frac=1e-3),
+        lambda: discretize_oscillator_bath(OscillatorParams(1.0, 1.0, 100.0), 8, omega_min=1e-3),
+        lambda: discrete_bath_moments(OscillatorParams(1.0, 1.0, 100.0), 8, omega_min=1e-3),
         lambda: kernel_eigenvalue_entropy(kernel_ab(100.0), tail_tol=1e-14),
         lambda: oracle_run("oscillator", {"eta": 1.0}, {"n_modes": 400}),
         lambda: discretize_spin_bath(BATH, 3, scheme="logarithmic"),
@@ -528,7 +543,7 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
     ],
     ids=[
         "scaling_constant", "temperature", "step", "method", "scheme", "convention",
-        "omega_min_frac", "tail_tol", "knobs", "spin-bath-scheme", "n_max-eigenvalues",
+        "omega_min_frac", "omega_min-bath", "omega_min-moments", "tail_tol", "knobs", "spin-bath-scheme", "n_max-eigenvalues",
         "n_max-entropy", "outputs", "threshold",
     ],
 )
