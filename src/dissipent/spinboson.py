@@ -393,7 +393,10 @@ def flow_free_energy(point: SpinBosonPoint, temperature: float = 0.0) -> float:
     With Delta_ren = 0 (no self-consistent solution) the lower limit is T;
     at T = 0 the integrand's decay makes the integral converge on its own
     and a floor of 1e-30 * cutoff is used.  For s = 1 this reproduces every
-    branch of the closed-form ground energy.
+    branch of the closed-form ground energy whose root lies above the
+    solver's floor, 1e-15 * cutoff.  A root below it reads as none, so the
+    integral runs down to 1e-30 * cutoff and overshoots: 2.5e-12 against
+    ohmic_ground_energy's 1.8e-17 at alpha = 0.3, Delta0/cutoff = 1e-12.
     """
     _in_range("temperature", temperature, ">=", 0)
     (s, alpha, cutoff), log_r = point.bath, math.log(point.ratio)

@@ -331,7 +331,8 @@ def sizes(low: int, high: int):
 
 
 @BUDGET
-@given(POSITIVE, NON_NEGATIVE, POSITIVE, sizes(8, 40), st.sampled_from(["logarithmic", "linear", "cubic"]))
+@given(POSITIVE, NON_NEGATIVE, POSITIVE, sizes(8, 40),
+       st.sampled_from(["logarithmic", "linear", "cubic"]))
 @example(1.0, 1.0, 100.0, 8.0, "logarithmic")  # a float mode count: numpy's TypeError
 @example(1.0, 1.0, 1e200, 8, "logarithmic")  # hi**3 overflowed: NaN frequencies
 @example(1e100, 1e203, 1.0, 8, "logarithmic")  # u_lo underflowed to 0: math domain error

@@ -543,8 +543,8 @@ BATH = BathSpec(s=0.5, alpha=0.1, cutoff=100.0)
     ],
     ids=[
         "scaling_constant", "temperature", "step", "method", "scheme", "convention",
-        "omega_min_frac", "omega_min-bath", "omega_min-moments", "tail_tol", "knobs", "spin-bath-scheme", "n_max-eigenvalues",
-        "n_max-entropy", "outputs", "threshold",
+        "omega_min_frac", "omega_min-bath", "omega_min-moments", "tail_tol", "knobs",
+        "spin-bath-scheme", "n_max-eigenvalues", "n_max-entropy", "outputs", "threshold",
     ],
 )
 def test_removed_settings_are_refused(call):

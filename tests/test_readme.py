@@ -2,8 +2,10 @@
 block through cli.main, and its "Library quickstart" block.  Its "Command
 line" section names every option of the CLI.  Its oracle ledger has a row
 for every public function of bath, gaussian and spinboson, and cites only
-tests that exist.  Its count of strict-xfail checks, and of known
-discrepancies, is the suite's number of strict xfails."""
+tests that exist.  Its claims ledger gives each verdict in the fixed form,
+cites only tests that exist, and cites every strict xfail.  Its count of
+strict-xfail checks, and of known discrepancies, is the suite's number of
+strict xfails."""
 
 import argparse
 import re
@@ -86,11 +88,48 @@ def test_oracle_ledger_has_a_row_per_public_function(module):
     assert public and set(public) <= named, sorted(set(public) - named)
 
 
-def test_oracle_ledger_cites_tests_that_exist():
-    cited = [c for _, tests in LEDGER for c in re.findall(r"`(test_\w+\.py)::(test_\w+)`", tests)]
-    assert len(cited) >= len(LEDGER)
+def cites_tests_that_exist(cells: list) -> None:
+    """Each `file::test` cited in cells names a test function of that file."""
+    cited = [c for tests in cells for c in re.findall(r"`(test_\w+\.py)::(test_\w+)`", tests)]
+    assert len(cited) >= len(cells)
     for file, name in cited:
         assert re.search(rf"^def {name}\(", (TESTS / file).read_text(encoding="utf-8"), re.M), name
+
+
+def test_oracle_ledger_cites_tests_that_exist():
+    cites_tests_that_exist([tests for _, tests in LEDGER])
+
+
+# (verdict cell, test cell) of each row of the claims ledger's table
+CLAIMS = [
+    (cells[2], cells[3])
+    for cells in (line.split("|") for line in section("Claims ledger").splitlines())
+    if len(cells) == 5 and "**" in cells[2]
+]
+VERDICT = r"\*\*(?:confirmed|refuted|open \(item \d+\))\*\* for the (?:closed forms|max rule|model)\b"
+
+# the test functions marked strict-xfail, by file
+STRICT_XFAILS = {
+    path.name: re.findall(r"@pytest\.mark\.xfail\(\s*strict=True.*?\)\ndef (test_\w+)\(",
+                          path.read_text(encoding="utf-8"), re.S)
+    for path in TESTS.glob("test_*.py")
+}
+
+
+def test_claims_ledger_gives_each_verdict_in_the_fixed_form():
+    assert len(CLAIMS) >= 5
+    for verdict, _ in CLAIMS:
+        assert len(re.findall(VERDICT, verdict)) == verdict.count("**") // 2 > 0, verdict
+
+
+def test_claims_ledger_cites_tests_that_exist():
+    cites_tests_that_exist([tests for _, tests in CLAIMS])
+
+
+def test_claims_ledger_cites_every_strict_xfail():
+    cited = {c for _, tests in CLAIMS for c in re.findall(r"`(test_\w+\.py::test_\w+)`", tests)}
+    marked = {f"{file}::{name}" for file, names in STRICT_XFAILS.items() for name in names}
+    assert marked and not marked - cited, sorted(marked - cited)
 
 
 COUNTS = {"Three": 3, "Four": 4, "Five": 5, "Six": 6}
@@ -99,10 +138,7 @@ COUNTS = {"Three": 3, "Four": 4, "Five": 5, "Six": 6}
 def test_readme_counts_the_strict_xfails():
     # "N checks are marked strict-`xfail`" and "N standard claims" with N
     # numbered known discrepancies: one per strict xfail of the suite
-    marked = sum(
-        len(re.findall(r"@pytest\.mark\.xfail\(\s*strict=True", path.read_text(encoding="utf-8")))
-        for path in TESTS.glob("test_*.py")
-    )
+    marked = sum(map(len, STRICT_XFAILS.values()))
     checks = re.search(r"(\w+) checks are marked strict-`xfail`", README).group(1)
     claims = re.search(r"(\w+) standard claims", section("Known analytical discrepancies")).group(1)
     items = re.findall(r"^\d+\. \*\*", section("Known analytical discrepancies"), re.M)
